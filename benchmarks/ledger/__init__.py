@@ -1,0 +1,1 @@
+"""Performance ledger: the repo's benchmark (see README.md in this directory)."""
