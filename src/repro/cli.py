@@ -9,9 +9,6 @@ Commands:
 * ``simulate``  — one dumbbell run with chosen protocol and flow count,
                   printing queue statistics;
 * ``incast``    — one incast point on the testbed;
-* ``bench``     — the :mod:`repro.perf` benchmark suite (engine
-                  events/sec, link saturation, datapath lanes,
-                  per-figure wall time), written to ``BENCH_PR9.json``;
 * ``campaign``  — an FCT grid campaign on the leaf–spine fabric:
                   K / (K1, K2) × offered load × incast fan-in ×
                   scenario × seeds, run through the fault-tolerant
@@ -44,9 +41,6 @@ Examples::
     python -m repro.cli campaign --k 40 --k 65 --k1k2 30,50 \\
         --loads 0.2,0.4 --fan-ins 0,8 --scenarios buildup,incast \\
         --seeds 1,2,3 --jobs 8 --output campaign.json
-    python -m repro.cli bench --quick
-    python -m repro.cli bench --check BENCH_PR9.json --baseline old.json
-    python -m repro.cli bench --quick --compare BENCH_PR9.json
     python -m repro.cli faults --cases 24 --rate 0.25 --jobs 4
     python -m repro.cli cache stats
 """
@@ -286,55 +280,6 @@ def cmd_incast(args: argparse.Namespace) -> int:
         ],
         title="incast point",
     )
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.perf import bench
-    from repro.sim.engine import set_default_event_queue
-    from repro.sim.packet_core import set_default_packet_core
-
-    if args.event_queue is not None:
-        set_default_event_queue(args.event_queue)
-    if args.packet_core is not None:
-        set_default_packet_core(args.packet_core)
-
-    if args.check is not None:
-        if args.baseline is None:
-            print("bench --check requires --baseline", file=sys.stderr)
-            return 2
-        with open(args.check) as fh:
-            current = json.load(fh)
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        reason = bench.check_regression(
-            current, baseline, tolerance=args.tolerance
-        )
-        if reason is not None:
-            print(f"FAIL: {reason}", file=sys.stderr)
-            return 1
-        print(
-            "ok: engine "
-            f"{current['engine']['events_per_sec']:,.0f} events/s vs "
-            f"baseline {baseline['engine']['events_per_sec']:,.0f} "
-            f"(tolerance {args.tolerance:.0%})"
-        )
-        return 0
-
-    with _maybe_profiled(args):
-        payload = bench.run_benchmarks(quick=args.quick)
-    bench.dump(payload, str(args.output))
-    print(bench.render_summary(payload))
-    if args.compare is not None:
-        with open(args.compare) as fh:
-            baseline = json.load(fh)
-        print(f"--- vs {args.compare} ---")
-        print(bench.render_comparison(
-            bench.compare_payloads(payload, baseline)
-        ))
-    print(f"written: {args.output}")
     return 0
 
 
@@ -732,37 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="dctcp")
     p.add_argument("--queries", type=int, default=10)
     p.set_defaults(func=cmd_incast)
-
-    p = sub.add_parser("bench", help="repro.perf benchmark suite")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller sizes for the CI smoke job")
-    p.add_argument("--output", type=Path, default=Path("BENCH_PR9.json"),
-                   help="where to write the JSON payload")
-    event_queue = kernels.registered("REPRO_EVENT_QUEUE")
-    packet_core = kernels.registered("REPRO_PACKET_CORE")
-    p.add_argument("--event-queue", choices=list(event_queue.choices or ()),
-                   default=None,
-                   help="pin the event-queue kernel for this run "
-                        f"(default: {event_queue.env} or "
-                        f"{event_queue.default!r})")
-    p.add_argument("--packet-core", choices=list(packet_core.choices or ()),
-                   default=None,
-                   help="pin the packet core for this run "
-                        f"(default: {packet_core.env} or "
-                        f"{packet_core.default!r})")
-    p.add_argument("--check", type=Path, default=None, metavar="CURRENT",
-                   help="compare a payload against --baseline instead of "
-                        "running benchmarks")
-    p.add_argument("--baseline", type=Path, default=None,
-                   help="baseline payload for --check")
-    p.add_argument("--tolerance", type=float, default=0.30,
-                   help="allowed fractional engine events/sec regression")
-    p.add_argument("--compare", type=Path, default=None, metavar="BASELINE",
-                   help="after running, print per-lane deltas against a "
-                        "previous payload (warns when the kernel metadata "
-                        "differs; judges nothing, unlike --check)")
-    _add_profile_args(p)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "campaign",

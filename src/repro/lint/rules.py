@@ -136,10 +136,10 @@ class WallClockRule(Rule):
     title = "wall-clock read outside supervision code"
     rationale = (
         "Host-clock reads make traces and cached results depend on the "
-        "machine; only repro.perf (benchmarks) and repro.exec (worker "
+        "machine; only repro.perf (profiling) and repro.exec (worker "
         "supervision) legitimately observe wall time."
     )
-    #: Supervision/benchmark packages where wall time is the point.
+    #: Supervision/profiling packages where wall time is the point.
     exempt = ("repro.perf", "repro.exec")
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:

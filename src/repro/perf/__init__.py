@@ -1,27 +1,8 @@
-"""Performance harness: calibrated benchmarks and profiling helpers.
-
-``python -m repro.cli bench`` runs the micro/macro benchmark suite in
-:mod:`repro.perf.bench` and writes the machine-readable
-``BENCH_PR2.json`` trajectory file; :mod:`repro.perf.profiling` wraps
-any experiment in cProfile for ``--profile`` runs.
+"""Profiling helpers: :mod:`repro.perf.profiling` wraps any experiment
+in cProfile for ``--profile`` runs.  Speed is measured by the
+performance ledger, ``benchmarks/ledger/run.py``.
 """
 
-from repro.perf.bench import (
-    bench_engine,
-    bench_figures,
-    bench_link,
-    bench_packet_pool,
-    check_regression,
-    run_benchmarks,
-)
 from repro.perf.profiling import profiled
 
-__all__ = [
-    "bench_engine",
-    "bench_link",
-    "bench_packet_pool",
-    "bench_figures",
-    "run_benchmarks",
-    "check_regression",
-    "profiled",
-]
+__all__ = ["profiled"]

@@ -1,32 +1,9 @@
 """Discrete-event simulation kernel.
 
-Two interchangeable schedulers live behind one :class:`Simulator` API:
-
-* ``"calendar"`` (the default): a bucketed **calendar queue** in the
-  style of Brown's classic structure, adapted to the near-uniform event
-  horizons simulations produce (link deliveries at ``now + tx + prop``,
-  RTO soft deadlines, ticker periods).  Events hash into day buckets by
-  ``int(time / width)``; each pending bucket's index sits in a small
-  min-heap of *bucket indices*, and the run loop drains one bucket at a
-  time — sort once, then walk a cursor down the sorted entries in
-  ``(time, sequence)`` order with no per-event heap traffic at all.
-  Inserts are O(1) amortised: an append, plus one integer heap push the
-  first time a bucket comes into existence.  The bucket width adapts to
-  the observed events-per-bucket occupancy (see
-  :meth:`Simulator._maybe_resize`), so sparse far-future outliers widen
-  the calendar and dense bursts narrow it.
-* ``"heap"``: the PR 4 binary heap of ``(time, sequence, ...)`` entries
-  (the ns-2 scheduler), retained as the differential oracle.
-
-Both produce the exact same event order: the monotonically increasing
-sequence number makes ties deterministic — two events scheduled for the
-same instant fire in scheduling order — and the calendar's bucket
-partition is monotone in time, so the kernel-matrix differential suite
-proves byte-identical traces.  Select with the ``REPRO_EVENT_QUEUE``
-environment variable, :func:`set_default_event_queue`, the
-:func:`event_queue` context manager, or per instance via the
-constructor — exactly the ``REPRO_LINK_MODEL``/``REPRO_TIMER_MODEL``
-pattern.
+:class:`Simulator` is a binary heap of ``(time, sequence, ...)`` entries
+(the ns-2 scheduler) and one loop that pops them.  The monotonically
+increasing sequence number makes ties deterministic — two events
+scheduled for the same instant fire in scheduling order.
 
 Scheduler entries are uniform 4-tuples.  The first two fields are
 always ``(time, sequence)`` — the total order; the unique sequence
@@ -50,147 +27,28 @@ ticks.  :meth:`Simulator.post` / :meth:`Simulator.post_at` schedule
 such fire-and-forget events; under the flat packet core
 (``REPRO_PACKET_CORE=flat``, the default — see
 :mod:`repro.sim.packet_core`) they are stored as the bare
-``(time, seq, callback, args)`` records above: no :class:`EventHandle`,
-no free-list traffic, no refcount bookkeeping.  Under the ``object``
-oracle core, ``post`` delegates to :meth:`schedule_at` and discards the
-handle — byte-for-byte the PR 4 behaviour.  Cancellable events
-(:meth:`schedule` / :meth:`schedule_at`) always return a real
-:class:`EventHandle` under every core.
-
-Handle pooling
---------------
-
-Every cancellable event costs one :class:`EventHandle` allocation; a
-long sweep schedules tens of millions.  Spent handles therefore go back
-on a process-wide free list (mirroring
-:meth:`repro.sim.packet.Packet.acquire` and ``recycle``) and
-:meth:`Simulator.schedule_at` reuses them instead of allocating.
-Reclamation is *safe by construction*: after a handle fires or its
-cancelled entry is popped, the loop recycles it only when
-``sys.getrefcount`` proves the kernel holds the sole remaining
-reference.  A handle the caller kept (a pending retransmission timer, a
-test asserting on ``cancelled``) is never pooled, so the documented
-"``cancel`` after the event fired is a no-op" contract survives pooling
-verbatim — a retained handle can never be resurrected under a new event.
+``(time, seq, callback, args)`` records above, with no
+:class:`EventHandle` allocated.  Under the ``object`` oracle core,
+``post`` delegates to :meth:`schedule_at` and discards the handle.
+Cancellable events (:meth:`schedule` / :meth:`schedule_at`) always
+return a real :class:`EventHandle` under either core.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import sys
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sim.kernels import env_default
 from repro.sim.packet_core import default_packet_core
 
-__all__ = [
-    "EventHandle",
-    "Simulator",
-    "EVENT_QUEUES",
-    "default_event_queue",
-    "set_default_event_queue",
-    "event_queue",
-    "handle_pool_size",
-    "handle_pool_limit",
-    "set_handle_pool_limit",
-]
+__all__ = ["EventHandle", "Simulator"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-_insort = bisect.insort
 _isfinite = math.isfinite
 _INF = float("inf")
-
-#: The calendar-queue fast kernel and the binary-heap reference oracle.
-EVENT_QUEUES = ("calendar", "heap")
-
-_default_event_queue = env_default("REPRO_EVENT_QUEUE")
-
-
-def default_event_queue() -> str:
-    """The scheduler new simulators use when none is passed explicitly."""
-    return _default_event_queue
-
-
-def set_default_event_queue(impl: str) -> None:
-    """Set the process-wide default event-queue implementation."""
-    if impl not in EVENT_QUEUES:
-        raise ValueError(
-            f"unknown event queue {impl!r}; choose from {EVENT_QUEUES}"
-        )
-    global _default_event_queue
-    _default_event_queue = impl
-
-
-@contextmanager
-def event_queue(impl: str) -> Iterator[None]:
-    """Temporarily switch the default scheduler (differential tests)."""
-    previous = _default_event_queue
-    set_default_event_queue(impl)
-    try:
-        yield
-    finally:
-        set_default_event_queue(previous)
-
-
-#: LIFO free list of spent handles, shared by every simulator in the
-#: process (simulations are single-threaded; sweeps parallelise across
-#: worker *processes*).
-_free_list: List["EventHandle"] = []
-#: Free-list cap: deeper than any realistic heap's churn, small enough
-#: that a burst does not pin memory forever.
-_MAX_POOL = 4096
-
-#: Calendar-queue tuning.  The initial day width suits the
-#: microsecond-scale horizons datacenter simulations produce; it adapts
-#: within one resize window regardless.  Resizing aims for
-#: ``_TARGET_OCCUPANCY`` live events per drained bucket and only acts
-#: outside the [lo, hi] comfort band, after a full observation window.
-#: The target sits on the empirically broad throughput plateau
-#: (10-20 events per bucket on the dispatch microbench): low enough
-#: that the C ``insort`` a same-bucket reschedule pays stays cheap,
-#: high enough that per-bucket overhead (index-heap pop, dict delete,
-#: prefix del) amortises to noise.
-_INITIAL_WIDTH = 1e-6
-_TARGET_OCCUPANCY = 16.0
-_OCCUPANCY_LO = 4.0
-_OCCUPANCY_HI = 32.0
-_RESIZE_WINDOW_BUCKETS = 64
-_RESIZE_WINDOW_EVENTS = 4096
-#: Rebucketing costs O(pending), so tiny pending sets resize nearly
-#: for free — and need to: an ACK-clocked simulation holding two
-#: pending events (the next tick and a far RTO deadline) drains one
-#: near-empty bucket per event until the calendar widens enough to
-#: colocate consecutive ticks.  Only a literally-empty calendar has
-#: nothing to learn a width from.
-_MIN_PENDING_FOR_RESIZE = 2
-_MAX_RESIZE_STEP = 8.0
-
-
-def handle_pool_size() -> int:
-    """Handles currently parked on the free list (tests/benchmarks)."""
-    return len(_free_list)
-
-
-def handle_pool_limit() -> int:
-    """Current free-list capacity."""
-    return _MAX_POOL
-
-
-def set_handle_pool_limit(limit: int) -> None:
-    """Resize the free-list cap (0 disables pooling); trims any excess.
-
-    Exists for the ``repro.perf`` pool-ablation benchmark and for tests;
-    simulations never need to touch it.
-    """
-    if limit < 0:
-        raise ValueError(f"pool limit must be >= 0, got {limit}")
-    global _MAX_POOL
-    _MAX_POOL = limit
-    del _free_list[limit:]
 
 
 class EventHandle:
@@ -214,59 +72,15 @@ class EventHandle:
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(t={self.time:.9f}, {state})"
 
-    @classmethod
-    def acquire(
-        cls, time: float, callback: Callable[..., None], args: Tuple
-    ) -> "EventHandle":
-        """A pool-backed handle, field-identical to a fresh one.
-
-        :meth:`Simulator.schedule_at` inlines this logic on its hot path;
-        the classmethod exists for benchmarks and any out-of-kernel user.
-        """
-        if _free_list:
-            handle = _free_list.pop()
-            handle.time = time
-            handle.callback = callback
-            handle.args = args
-            handle.cancelled = False
-            return handle
-        return cls(time, callback, args)
-
-    def recycle(self) -> None:
-        """Return a spent handle to the free list.
-
-        Callers must guarantee no other reference to the handle exists;
-        the kernel itself proves that with ``sys.getrefcount`` before
-        recycling (see :meth:`Simulator.run`).
-        """
-        if len(_free_list) < _MAX_POOL:
-            # Drop callback/args so a parked handle pins nothing.
-            self.callback = None  # type: ignore[assignment]
-            self.args = ()
-            _free_list.append(self)
-
 
 class Simulator:
     """Deterministic discrete-event scheduler with a simulated clock."""
 
-    def __init__(
-        self,
-        event_queue: Optional[str] = None,
-        packet_core: Optional[str] = None,
-    ) -> None:
-        if event_queue is None:
-            event_queue = _default_event_queue
-        if event_queue not in EVENT_QUEUES:
-            raise ValueError(
-                f"unknown event queue {event_queue!r}; "
-                f"choose from {EVENT_QUEUES}"
-            )
+    def __init__(self, packet_core: Optional[str] = None) -> None:
         if packet_core is None:
             packet_core = default_packet_core()
-        self.event_queue_impl = event_queue
         self.packet_core_impl = packet_core
         self._flat = packet_core == "flat"
-        self._calendar = event_queue == "calendar"
         self._now = 0.0
         #: Plain int tie-break counter (an ``itertools.count`` costs a
         #: C call per event; ``+= 1`` on an int is cheaper and rewinds
@@ -276,21 +90,7 @@ class Simulator:
         self._events_processed = 0
         self._running = False
         self._stop_requested = False
-        # Heap scheduler state (the oracle).
         self._heap: List[Tuple] = []
-        # Calendar scheduler state.  Buckets are keyed by day index
-        # ``time * _inv_width // 1.0`` — float floor-division, which
-        # beats an ``int()`` truncation by ~40% per schedule and floors
-        # identically for the non-negative times the guard admits — and
-        # exist exactly while non-empty:
-        # creating a bucket pushes its index onto ``_bucket_heap``,
-        # draining it empty deletes both.
-        self._buckets: Dict[float, List[Tuple]] = {}
-        self._bucket_heap: List[float] = []
-        self._width = _INITIAL_WIDTH
-        self._inv_width = 1.0 / _INITIAL_WIDTH
-        self._drained_events = 0
-        self._drained_buckets = 0
 
     @property
     def now(self) -> float:
@@ -305,19 +105,12 @@ class Simulator:
     @property
     def events_scheduled(self) -> int:
         """Total scheduler pushes ever made — the churn observable the
-        timer/link benchmarks report alongside events processed."""
+        timer-model differential tests compare between kernels."""
         return self._sequence
 
     @property
     def pending_events(self) -> int:
-        """Scheduler entries outstanding, including cancelled ones.
-
-        Exact between :meth:`run` calls; a callback reading it *during*
-        a calendar run may also count the already-drained prefix of the
-        bucket currently being walked.
-        """
-        if self._calendar:
-            return sum(map(len, self._buckets.values()))
+        """Scheduler entries outstanding, including cancelled ones."""
         return len(self._heap)
 
     # ------------------------------------------------------------------
@@ -341,36 +134,17 @@ class Simulator:
         """Run ``callback(*args)`` at absolute simulated ``time``.
 
         The returned :class:`EventHandle` supports :meth:`~EventHandle.cancel`
-        under every kernel configuration; events that will never be
-        cancelled should prefer :meth:`post_at`.
+        under either packet core; events that will never be cancelled
+        should prefer :meth:`post_at`.
         """
         if not (self._now <= time < _INF):
             # One chained comparison on the hot path: past times, NaN
             # and +/-inf all fail it and fall to the cold classifier.
             self._raise_bad_time(time)
-        if _free_list:
-            # Inlined EventHandle.acquire: this is one of the two hottest
-            # call sites in the simulator.
-            handle = _free_list.pop()
-            handle.time = time
-            handle.callback = callback
-            handle.args = args
-            handle.cancelled = False
-        else:
-            handle = EventHandle(time, callback, args)
+        handle = EventHandle(time, callback, args)
         seq = self._sequence
         self._sequence = seq + 1
-        if self._calendar:
-            idx = time * self._inv_width // 1.0
-            buckets = self._buckets
-            bucket = buckets.get(idx)
-            if bucket is None:
-                buckets[idx] = [(time, seq, handle, None)]
-                _heappush(self._bucket_heap, idx)
-            else:
-                bucket.append((time, seq, handle, None))
-        else:
-            _heappush(self._heap, (time, seq, handle, None))
+        _heappush(self._heap, (time, seq, handle, None))
         return handle
 
     def post(
@@ -381,27 +155,17 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past: delay={delay}")
         time = self._now + delay
         if not self._flat:
-            # Object oracle core: the exact schedule_at path (one pooled
-            # handle, immediately unreferenced), so both cores replay
-            # the same allocator and ordering behaviour.
             self.schedule_at(time, callback, *args)
             return
+        # Same body as post_at rather than a call to it: the two-event
+        # link posts twice per packet per hop, and the extra frame costs
+        # ~5% of spacedc-chaos wall time.
         if not (time < _INF):
             # delay >= 0 guarantees time >= now; only NaN/+inf remain.
             self._raise_bad_time(time)
         seq = self._sequence
         self._sequence = seq + 1
-        if self._calendar:
-            idx = time * self._inv_width // 1.0
-            buckets = self._buckets
-            bucket = buckets.get(idx)
-            if bucket is None:
-                buckets[idx] = [(time, seq, callback, args)]
-                _heappush(self._bucket_heap, idx)
-            else:
-                bucket.append((time, seq, callback, args))
-        else:
-            _heappush(self._heap, (time, seq, callback, args))
+        _heappush(self._heap, (time, seq, callback, args))
 
     def post_at(
         self, time: float, callback: Callable[..., None], *args: Any
@@ -419,42 +183,7 @@ class Simulator:
             self._raise_bad_time(time)
         seq = self._sequence
         self._sequence = seq + 1
-        if self._calendar:
-            idx = time * self._inv_width // 1.0
-            buckets = self._buckets
-            bucket = buckets.get(idx)
-            if bucket is None:
-                buckets[idx] = [(time, seq, callback, args)]
-                _heappush(self._bucket_heap, idx)
-            else:
-                bucket.append((time, seq, callback, args))
-        else:
-            _heappush(self._heap, (time, seq, callback, args))
-
-    def post_at_calendar(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> None:
-        """:meth:`post_at` pre-specialised for the flat calendar kernels.
-
-        Valid only when the simulator was built with the flat packet
-        core AND the calendar event queue (the defaults): the per-call
-        ``_flat``/``_calendar`` dispatch is constant for a simulator's
-        lifetime, so hot callers — the rolling link delivery posts one
-        event per packet per hop — bind this variant once instead of
-        re-answering the same two questions per packet.
-        """
-        if not (self._now <= time < _INF):
-            self._raise_bad_time(time)
-        seq = self._sequence
-        self._sequence = seq + 1
-        idx = time * self._inv_width // 1.0
-        buckets = self._buckets
-        bucket = buckets.get(idx)
-        if bucket is None:
-            buckets[idx] = [(time, seq, callback, args)]
-            _heappush(self._bucket_heap, idx)
-        else:
-            bucket.append((time, seq, callback, args))
+        _heappush(self._heap, (time, seq, callback, args))
 
     def _raise_bad_time(self, time: float) -> None:
         """Cold path: classify a rejected schedule time."""
@@ -474,20 +203,39 @@ class Simulator:
         Stops when the queue is empty, when the next event lies beyond
         ``until`` (the clock then advances to ``until`` exactly), when a
         callback calls :meth:`stop`, or after ``max_events`` callbacks
-        (a runaway guard for tests).  Re-entrant calls are rejected —
-        callbacks must schedule, not run.
+        (a runaway guard for tests; ``0`` runs nothing, negative values
+        are rejected).  Re-entrant calls are rejected — callbacks must
+        schedule, not run.
         """
         if self._running:
             raise RuntimeError("Simulator.run() is not re-entrant")
+        if max_events is not None and max_events < 0:
+            raise ValueError(f"max_events must be >= 0, got {max_events}")
         self._running = True
         self._stop_requested = False
         try:
             budget = max_events if max_events is not None else sys.maxsize
-            untilf = until if until is not None else _INF
-            if self._calendar:
-                self._run_calendar(untilf, budget)
-            else:
-                self._run_heap(untilf, budget)
+            horizon = until if until is not None else _INF
+            heap = self._heap
+            heappop = _heappop
+            while heap and budget and not self._stop_requested:
+                entry = heap[0]
+                time = entry[0]
+                if time > horizon:
+                    break
+                heappop(heap)
+                callback = entry[2]
+                args = entry[3]
+                if args is None:
+                    # Cancellable event: the third field is its handle.
+                    if callback.cancelled:
+                        continue
+                    args = callback.args
+                    callback = callback.callback
+                self._now = time
+                self._events_processed += 1
+                budget -= 1
+                callback(*args)
             if (
                 until is not None
                 and self._now < until
@@ -504,258 +252,14 @@ class Simulator:
         finally:
             self._running = False
 
-    def _run_heap(self, until: float, budget: int) -> None:
-        """The PR 4 binary-heap loop, extended to flat 4-tuple entries."""
-        heap = self._heap
-        heappop = _heappop
-        getrefcount = sys.getrefcount
-        pool = _free_list
-        while heap and budget and not self._stop_requested:
-            entry = heap[0]
-            time = entry[0]
-            if time > until:
-                break
-            heappop(heap)
-            callback = entry[2]
-            args = entry[3]
-            if args is not None:
-                # Flat fire-and-forget record: nothing to cancel or
-                # recycle, the tuple itself is the event.
-                self._now = time
-                self._events_processed += 1
-                budget -= 1
-                callback(*args)
-                continue
-            handle = callback
-            # Drop the entry tuple (heappop's return value was already
-            # discarded) and the aliasing local so `handle` is the
-            # kernel's only reference to an otherwise-unretained handle.
-            callback = entry = None
-            if handle.cancelled:
-                if getrefcount(handle) == 2 and len(pool) < _MAX_POOL:
-                    handle.callback = None
-                    handle.args = ()
-                    pool.append(handle)
-                continue
-            self._now = time
-            self._events_processed += 1
-            budget -= 1
-            handle.callback(*handle.args)
-            # Recycle only when the kernel provably holds the sole
-            # reference (the local + getrefcount's argument): a
-            # handle retained by its scheduler is left alone, so a
-            # late cancel() can never touch a reused object.
-            if getrefcount(handle) == 2 and len(pool) < _MAX_POOL:
-                handle.callback = None
-                handle.args = ()
-                pool.append(handle)
-
-    def _run_calendar(self, until: float, budget: int) -> None:
-        """Bucket-at-a-time calendar drain.
-
-        The current bucket is sorted once, then a cursor walks the
-        entries in ``(time, seq)`` order — O(1) each, no heap traffic.
-        A callback that schedules back into the bucket being drained is
-        detected by the length change and merged by re-sorting the
-        (still nearly sorted, so cheap) tail past the cursor.
-        """
-        buckets = self._buckets
-        bucket_heap = self._bucket_heap
-        getrefcount = sys.getrefcount
-        pool = _free_list
-        while bucket_heap and budget and not self._stop_requested:
-            idx = bucket_heap[0]
-            bucket = buckets[idx]
-            if not bucket:
-                _heappop(bucket_heap)
-                del buckets[idx]
-                continue
-            # Entries in this bucket satisfy int(t * inv_width) == idx,
-            # hence t * inv_width < idx + 1.  If until * inv_width >=
-            # idx + 1 then (by monotonicity of the one float multiply)
-            # every entry here has t <= until and the per-event bound
-            # check can be skipped for the whole bucket; `until` is
-            # +inf when the caller gave no bound, eliding naturally.
-            check_until = until * self._inv_width < idx + 1
-            bucket.sort()
-            i = 0
-            n = len(bucket)
-            beyond_until = False
-            while i < n and budget and not self._stop_requested:
-                # One UNPACK_SEQUENCE instead of three subscripts; the
-                # seq field only exists for ordering, so it lands in a
-                # throwaway local.  No `entry` alias survives the
-                # unpack, which is what the refcount proof below needs.
-                time, _seq, callback, args = bucket[i]
-                if check_until and time > until:
-                    beyond_until = True
-                    break
-                i += 1
-                if args is not None:
-                    self._now = time
-                    self._events_processed += 1
-                    budget -= 1
-                    callback(*args)
-                    if len(bucket) != n:
-                        # New arrivals landed in the bucket being
-                        # drained; restore order past the cursor.  The
-                        # overwhelmingly common case is one append (one
-                        # self-reschedule per callback): a C bisect
-                        # insert into the sorted tail, not a tail copy
-                        # and re-sort.
-                        if len(bucket) == n + 1:
-                            _insort(bucket, bucket.pop(), i)
-                        else:
-                            rest = bucket[i:]
-                            rest.sort()
-                            bucket[i:] = rest
-                        n = len(bucket)
-                    continue
-                handle = callback
-                # Clear the drained slot (killing the entry tuple) and
-                # the aliasing local so the refcount proof below sees
-                # only the kernel's `handle` reference.
-                bucket[i - 1] = None
-                callback = None
-                if handle.cancelled:
-                    if getrefcount(handle) == 2 and len(pool) < _MAX_POOL:
-                        handle.callback = None
-                        handle.args = ()
-                        pool.append(handle)
-                    continue
-                self._now = time
-                self._events_processed += 1
-                budget -= 1
-                handle.callback(*handle.args)
-                if getrefcount(handle) == 2 and len(pool) < _MAX_POOL:
-                    handle.callback = None
-                    handle.args = ()
-                    pool.append(handle)
-                if len(bucket) != n:
-                    if len(bucket) == n + 1:
-                        _insort(bucket, bucket.pop(), i)
-                    else:
-                        rest = bucket[i:]
-                        rest.sort()
-                        bucket[i:] = rest
-                    n = len(bucket)
-            # Remove the drained prefix (cleared slots and fired flat
-            # records).  Safe after a mid-drain reset() too: reset
-            # cleared this very list in place, so the del is a no-op.
-            del bucket[:i]
-            self._drained_events += i
-            if not bucket and bucket_heap and bucket_heap[0] == idx:
-                _heappop(bucket_heap)
-                # A callback may have reset() the simulator, replacing
-                # the bucket dict; only delete what is still there.
-                if buckets.get(idx) is bucket:
-                    del buckets[idx]
-                self._drained_buckets += 1
-                if (
-                    self._drained_buckets >= _RESIZE_WINDOW_BUCKETS
-                    or self._drained_events >= _RESIZE_WINDOW_EVENTS
-                ):
-                    self._maybe_resize()
-                    # A resize rebuilds the bucket dict and index heap;
-                    # re-bind the loop's locals to the live structures.
-                    buckets = self._buckets
-                    bucket_heap = self._bucket_heap
-            if beyond_until:
-                break
-
-    def _maybe_resize(self) -> None:
-        """Adapt the bucket width to the observed drain occupancy.
-
-        Called between buckets, never mid-drain.  Far-future outliers
-        leave a trail of near-empty buckets (occupancy below the band's
-        floor) and widen the calendar; bursts that pile hundreds of
-        events into one day narrow it.  The step is clamped so one noisy
-        window cannot swing the width by more than ``_MAX_RESIZE_STEP``.
-        """
-        events = self._drained_events
-        drained = self._drained_buckets
-        self._drained_events = 0
-        self._drained_buckets = 0
-        if drained == 0:
-            return
-        occupancy = events / drained
-        if _OCCUPANCY_LO <= occupancy <= _OCCUPANCY_HI:
-            return
-        pending = sum(map(len, self._buckets.values()))
-        if pending < _MIN_PENDING_FOR_RESIZE:
-            return
-        # Occupancy scales with width, so retargeting means scaling the
-        # width by target/observed: sparse buckets (low occupancy) widen
-        # the calendar, overfull ones narrow it.
-        factor = _TARGET_OCCUPANCY / occupancy
-        if factor > _MAX_RESIZE_STEP:
-            factor = _MAX_RESIZE_STEP
-        elif factor < 1.0 / _MAX_RESIZE_STEP:
-            factor = 1.0 / _MAX_RESIZE_STEP
-        new_width = self._width * factor
-        if not (1e-12 <= new_width <= 1e6):
-            return
-        self._width = new_width
-        self._inv_width = 1.0 / new_width
-        inv_width = self._inv_width
-        rebucketed: Dict[float, List[Tuple]] = {}
-        for bucket in self._buckets.values():
-            for entry in bucket:
-                idx = entry[0] * inv_width // 1.0
-                target = rebucketed.get(idx)
-                if target is None:
-                    rebucketed[idx] = [entry]
-                else:
-                    target.append(entry)
-        self._buckets = rebucketed
-        heap = sorted(rebucketed)
-        self._bucket_heap = heap  # already sorted == valid min-heap
-
     def _next_pending_time(self) -> Optional[float]:
         """Timestamp of the earliest live event (pruning cancelled heads)."""
-        getrefcount = sys.getrefcount
-        pool = _free_list
-        if not self._calendar:
-            heap = self._heap
-            while heap:
-                entry = heap[0]
-                if entry[3] is not None:
-                    return entry[0]
-                handle = entry[2]
-                if not handle.cancelled:
-                    return entry[0]
-                _heappop(heap)
-                entry = None
-                if getrefcount(handle) == 2 and len(pool) < _MAX_POOL:
-                    handle.callback = None  # type: ignore[assignment]
-                    handle.args = ()
-                    pool.append(handle)
-            return None
-        buckets = self._buckets
-        bucket_heap = self._bucket_heap
-        while bucket_heap:
-            idx = bucket_heap[0]
-            bucket = buckets.get(idx)
-            if not bucket:
-                _heappop(bucket_heap)
-                buckets.pop(idx, None)
-                continue
-            bucket.sort()
-            while bucket:
-                entry = bucket[0]
-                if entry[3] is not None:
-                    return entry[0]
-                handle = entry[2]
-                if not handle.cancelled:
-                    return entry[0]
-                del bucket[0]
-                entry = None
-                if getrefcount(handle) == 2 and len(pool) < _MAX_POOL:
-                    handle.callback = None  # type: ignore[assignment]
-                    handle.args = ()
-                    pool.append(handle)
-            _heappop(bucket_heap)
-            del buckets[idx]
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[3] is not None or not entry[2].cancelled:
+                return entry[0]
+            _heappop(heap)
         return None
 
     def stop(self) -> None:
@@ -773,24 +277,11 @@ class Simulator:
         The tie-break sequence counter rewinds too: a reset simulator
         schedules events with the same ``(time, sequence)`` keys as a
         freshly constructed one, so an in-process replay is
-        indistinguishable from a fresh process.  Pending handles are
-        discarded, not pooled — their schedulers may still hold them.
-        The calendar width rewinds to its initial value for the same
-        reason (it never affects event order, but replay state should
-        not depend on history).
+        indistinguishable from a fresh process.  The heap is cleared in
+        place, so a reset issued from inside a running callback empties
+        the list the loop is draining.
         """
         self._heap.clear()
-        # Clear bucket lists in place: a reset() issued from inside a
-        # running callback must empty the list the drain loop holds a
-        # local reference to, exactly like the heap's in-place clear.
-        for bucket in self._buckets.values():
-            bucket.clear()
-        self._buckets = {}
-        self._bucket_heap.clear()
-        self._width = _INITIAL_WIDTH
-        self._inv_width = 1.0 / _INITIAL_WIDTH
-        self._drained_events = 0
-        self._drained_buckets = 0
         self._now = 0.0
         self._events_processed = 0
         self._sequence = 0

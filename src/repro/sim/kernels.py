@@ -75,22 +75,13 @@ REGISTRY: Dict[str, KernelSwitch] = {
     switch.env: switch
     for switch in (
         KernelSwitch(
-            env="REPRO_EVENT_QUEUE",
-            default="calendar",
-            oracle="heap",
-            choices=("calendar", "heap"),
-            description=(
-                "event scheduler: bucketed calendar queue vs binary heap"
-            ),
-        ),
-        KernelSwitch(
             env="REPRO_PACKET_CORE",
             default="flat",
             oracle="object",
             choices=("flat", "object"),
             description=(
-                "packet-log storage: struct-of-arrays columns vs boxed "
-                "records"
+                "fire-and-forget event records: flat (time, seq, "
+                "callback, args) tuples vs EventHandle objects"
             ),
         ),
         KernelSwitch(
@@ -172,10 +163,9 @@ def env_value(env: str) -> Optional[str]:
 def env_default(env: str) -> str:
     """The environment value of a registered switch, or its default.
 
-    Values are *not* validated here — an unknown value surfaces as the
-    module's own ``ValueError`` at first use, exactly as before
-    centralisation, so a bad environment cannot turn module import into
-    the failure point.
+    A value outside the entry's ``choices`` raises here, at the one
+    place every switch is read, so a misspelt setting can never be
+    taken for the other kernel (or silently for the default).
     """
     switch = registered(env)
     if switch.default is None:
@@ -183,7 +173,14 @@ def env_default(env: str) -> str:
             f"{env} has no default; use env_value() and handle None"
         )
     value = os.environ.get(env)
-    return value if value is not None else switch.default
+    if value is None:
+        return switch.default
+    if switch.choices is not None and value not in switch.choices:
+        raise ValueError(
+            f"{env}={value!r} is not a valid setting; choose from "
+            f"{switch.choices}"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ class Interface:
             raise ValueError(f"prop_delay must be >= 0, got {prop_delay}")
         if model is None:
             model = _default_model
-        if model not in LINK_MODELS:
+        elif model not in LINK_MODELS:
             raise ValueError(
                 f"unknown link model {model!r}; choose from {LINK_MODELS}"
             )
@@ -158,14 +158,8 @@ class Interface:
         self._peer_receive = None
         #: ``sim.post_at`` pre-bound: the rolling delivery event is
         #: (re)armed once per packet, and the attribute walk costs on
-        #: the hottest lines in the tree.  Under the default flat +
-        #: calendar kernels the engine's pre-specialised variant skips
-        #: the per-call kernel dispatch too.
-        self._post_at = (
-            sim.post_at_calendar
-            if sim._flat and sim._calendar
-            else sim.post_at
-        )
+        #: the hottest lines in the tree.
+        self._post_at = sim.post_at
         #: True while ``self.queue`` is an exact fast-datapath
         #: :class:`FifoQueue` — the fused send/drain bodies below may
         #: then manipulate its deque/byte-count/stats directly instead

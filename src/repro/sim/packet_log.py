@@ -7,16 +7,6 @@ debugging protocol behaviour ("when exactly did the first ECE reach the
 sender?") and for assertions in tests that need packet-level ground
 truth instead of aggregate counters.
 
-Storage follows the packet core (see :mod:`repro.sim.packet_core`):
-under the default ``flat`` core each observation appends the packet's
-scalar fields into :class:`~repro.sim.packet_core.FlatPacketColumns`
-(struct-of-arrays — one typed-array append per column, no per-record
-object); under the ``object`` oracle core every observation boxes a
-:class:`PacketRecord` immediately, the PR 4 behaviour.  Either way
-:attr:`PacketLogger.records` yields the same :class:`PacketRecord`
-sequence — under the flat core it is a lazily materialised *view* of
-the columns, so tests and analysis code never see the difference.
-
 Records can be filtered, summarised, and written out as text lines in
 arrival order.
 """
@@ -29,7 +19,6 @@ from typing import Iterable, List, Optional
 
 from repro.sim.link import Interface
 from repro.sim.packet import Packet
-from repro.sim.packet_core import FlatPacketColumns, default_packet_core
 
 __all__ = ["PacketRecord", "PacketLogger"]
 
@@ -69,67 +58,16 @@ class PacketRecord:
 class PacketLogger:
     """Collects packet records from tapped interfaces."""
 
-    def __init__(
-        self, max_records: Optional[int] = None, core: Optional[str] = None
-    ):
+    def __init__(self, max_records: Optional[int] = None):
         if max_records is not None and max_records <= 0:
             raise ValueError(f"max_records must be positive, got {max_records}")
-        if core is None:
-            core = default_packet_core()
         self.max_records = max_records
-        self.core = core
         self.dropped_records = 0
-        self._columns = FlatPacketColumns() if core == "flat" else None
-        self._records: List[PacketRecord] = []
+        #: Every observation, in arrival order.
+        self.records: List[PacketRecord] = []
 
     def __len__(self) -> int:
-        if self._columns is not None:
-            return len(self._columns)
-        return len(self._records)
-
-    @property
-    def columns(self) -> Optional[FlatPacketColumns]:
-        """The raw column store (flat core only; ``None`` under object)."""
-        return self._columns
-
-    @property
-    def records(self) -> List[PacketRecord]:
-        """All observations as :class:`PacketRecord` objects.
-
-        Under the object core this is the live backing list; under the
-        flat core each access materialises boxed records from the
-        columns (a view — analysis/test code pays the boxing cost only
-        if it asks for objects).
-        """
-        columns = self._columns
-        if columns is None:
-            return self._records
-        return [
-            PacketRecord(
-                time=time,
-                interface=interface,
-                flow_id=flow_id,
-                kind="ACK" if is_ack else "DATA",
-                seq=seq,
-                ack_seq=ack_seq,
-                size_bytes=size_bytes,
-                ce=ce,
-                ece=ece,
-                retransmit=retransmit,
-            )
-            for (
-                time,
-                interface,
-                flow_id,
-                seq,
-                ack_seq,
-                size_bytes,
-                is_ack,
-                ce,
-                ece,
-                retransmit,
-            ) in columns.rows()
-        ]
+        return len(self.records)
 
     def attach(self, *interfaces: Interface) -> "PacketLogger":
         """Tap every given interface (returns self for chaining)."""
@@ -143,31 +81,10 @@ class PacketLogger:
                 interface.tap = None
 
     def _observe(self, time: float, packet: Packet, interface: Interface) -> None:
-        columns = self._columns
-        if columns is not None:
-            if (
-                self.max_records is not None
-                and len(columns) >= self.max_records
-            ):
-                self.dropped_records += 1
-                return
-            columns.append(
-                time,
-                interface.name,
-                packet.flow_id,
-                packet.seq,
-                packet.ack_seq,
-                packet.size_bytes,
-                packet.is_ack,
-                packet.ce,
-                packet.ece,
-                packet.is_retransmit,
-            )
-            return
-        if self.max_records is not None and len(self._records) >= self.max_records:
+        if self.max_records is not None and len(self.records) >= self.max_records:
             self.dropped_records += 1
             return
-        self._records.append(
+        self.records.append(
             PacketRecord(
                 time=time,
                 interface=interface.name,
@@ -205,21 +122,7 @@ class PacketLogger:
 
     def summary(self) -> dict:
         """Counts by kind plus marking totals."""
-        columns = self._columns
-        if columns is not None:
-            # One pass over the flags column — no record boxing.
-            data, ce, ece, retransmits = columns.flag_counts()
-            total = len(columns)
-            return {
-                "records": total,
-                "data": data,
-                "acks": total - data,
-                "ce": ce,
-                "ece": ece,
-                "retransmits": retransmits,
-                "dropped_records": self.dropped_records,
-            }
-        records = self._records
+        records = self.records
         data = sum(1 for r in records if r.kind == "DATA")
         acks = len(records) - data
         return {

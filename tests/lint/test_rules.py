@@ -80,7 +80,7 @@ class TestWallClock:
             def stamp():
                 return time.time()
             """
-        for module in ("repro.exec.executor", "repro.perf.bench"):
+        for module in ("repro.exec.executor", "repro.perf.profiling"):
             assert rules_fired(engine, source, module=module) == []
 
     def test_suppressed_with_justification(self, engine):
@@ -358,7 +358,7 @@ class TestKernelRegistry:
         findings = lint(engine, """\
             import os
 
-            A = os.environ["REPRO_EVENT_QUEUE"]
+            A = os.environ["REPRO_LINK_MODEL"]
             B = os.getenv("REPRO_LINK_MODEL")
             """)
         assert [f.rule for f in findings] == ["KRN001", "KRN001"]
@@ -382,7 +382,7 @@ class TestKernelRegistry:
         assert rules_fired(engine, """\
             import os
 
-            VALUE = os.environ.get("REPRO_EVENT_QUEUE")
+            VALUE = os.environ.get("REPRO_LINK_MODEL")
             """, module="repro.sim.kernels") == []
 
     def test_suppressed(self, engine):

@@ -1,38 +1,15 @@
-"""Unit tests for the discrete-event kernel.
-
-Every test in this module runs twice — once under the calendar-queue
-kernel and once under the binary-heap oracle (the autouse ``kernel``
-fixture below) — so the two schedulers cannot drift apart on any of the
-contracts asserted here.
-"""
+"""Unit tests for the discrete-event kernel."""
 
 import math
 
 import pytest
 
-from repro.sim.engine import (
-    EVENT_QUEUES,
-    Simulator,
-    event_queue,
-    handle_pool_limit,
-    handle_pool_size,
-    set_handle_pool_limit,
-)
-
-
-@pytest.fixture(autouse=True, params=EVENT_QUEUES)
-def kernel(request):
-    """Run the whole module under each event-queue implementation."""
-    with event_queue(request.param):
-        yield request.param
+from repro.sim.engine import Simulator
 
 
 def _sole_entry(sim):
-    """The single scheduler entry of a one-event simulator (any kernel)."""
-    if sim.event_queue_impl == "heap":
-        (entry,) = sim._heap
-    else:
-        (entry,) = [e for bucket in sim._buckets.values() for e in bucket]
+    """The single scheduler entry of a one-event simulator."""
+    (entry,) = sim._heap
     return entry
 
 
@@ -122,6 +99,20 @@ class TestScheduling:
         assert hits == [1.0, 2.0, 3.0]
 
 
+    def test_callback_can_schedule_ahead_of_pending_events(self):
+        sim = Simulator()
+        fired = []
+
+        def first():
+            fired.append("first")
+            sim.schedule(0.4, fired.append, "injected")
+
+        sim.schedule(0.1, first)
+        sim.schedule(0.9, fired.append, "last")
+        sim.run()
+        assert fired == ["first", "injected", "last"]
+
+
 class TestRunLimits:
     def test_until_stops_and_advances_clock(self):
         sim = Simulator()
@@ -150,6 +141,26 @@ class TestRunLimits:
         sim.schedule(1.0, forever)
         sim.run(max_events=50)
         assert sim.events_processed == 50
+
+    def test_zero_max_events_runs_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        sim.run(max_events=0)
+        assert fired == []
+        assert sim.pending_events == 1
+
+    def test_negative_max_events_rejected(self):
+        """Regression: a negative budget was decremented forever, so the
+        runaway guard ran unbounded."""
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        with pytest.raises(ValueError):
+            sim.run(max_events=-1)
+        assert fired == []
+        sim.run()  # the rejected call left the simulator usable
+        assert fired == [1]
 
     def test_budget_exhaustion_does_not_fast_forward_clock(self):
         """Regression: run(until=..., max_events=...) used to jump the
@@ -264,6 +275,20 @@ class TestCancellation:
         handle.cancel()
         assert fired == [1]
 
+    def test_late_cancel_of_retained_handle_touches_no_later_event(self):
+        """A handle the caller kept never comes back as a new event, so
+        cancelling it after it fired cannot suppress anything."""
+        sim = Simulator()
+        fired = []
+        retained = sim.schedule(1.0, fired.append, 1)
+        sim.run()
+        later = [sim.schedule(float(t), fired.append, t) for t in range(2, 50)]
+        assert all(handle is not retained for handle in later)
+        retained.cancel()
+        assert not any(handle.cancelled for handle in later)
+        sim.run()
+        assert fired == list(range(1, 50))
+
     def test_cancelled_events_not_counted_processed(self):
         sim = Simulator()
         handle = sim.schedule(1.0, lambda: None)
@@ -291,6 +316,21 @@ class TestReset:
         assert sim.pending_events == 0
         assert sim.events_processed == 0
 
+    def test_reset_from_inside_callback_drops_pending(self):
+        sim = Simulator()
+        fired = []
+
+        def boom():
+            fired.append("boom")
+            sim.reset()
+
+        sim.schedule(1.0, boom)
+        sim.schedule(2.0, fired.append, "never")
+        sim.run()
+        assert fired == ["boom"]
+        assert sim.pending_events == 0
+        assert sim.now == 0.0
+
     def test_reset_rewinds_tie_break_sequence(self):
         """After reset the first scheduled event gets sequence 0 again,
         so in-process replays break timestamp ties exactly like a fresh
@@ -302,94 +342,6 @@ class TestReset:
         sim.reset()
         sim.schedule(1.0, lambda: None)
         assert _sole_entry(sim)[1] == 0
-
-
-class TestHandlePool:
-    """The EventHandle free list must be invisible to correctness."""
-
-    def test_unretained_fired_handles_are_recycled(self):
-        try:
-            set_handle_pool_limit(0)
-            set_handle_pool_limit(4096)  # drained, pooling back on
-            sim = Simulator()
-            for t in (1.0, 2.0, 3.0):
-                sim.schedule(t, lambda: None)  # handles not retained
-            sim.run()
-            assert handle_pool_size() == 3
-        finally:
-            set_handle_pool_limit(4096)
-
-    def test_scheduling_reuses_pooled_handles(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert handle_pool_size() > 0
-        before = handle_pool_size()
-        sim.schedule(2.0, lambda: None)
-        assert handle_pool_size() == before - 1
-
-    def test_retained_handle_is_never_recycled(self):
-        """A handle the caller kept must not come back as a new event."""
-        sim = Simulator()
-        set_handle_pool_limit(0)  # drain the pool...
-        limit_restored = False
-        try:
-            set_handle_pool_limit(4096)  # ...then re-enable, pool empty
-            limit_restored = True
-            retained = sim.schedule(1.0, lambda: None)
-            sim.run()
-            fresh = sim.schedule(2.0, lambda: None)
-            assert fresh is not retained
-            fired = []
-            fresh.callback = fired.append
-            fresh.args = (1,)
-            retained.cancel()  # late cancel must not touch `fresh`
-            assert not fresh.cancelled
-            sim.run()
-            assert fired == [1]
-        finally:
-            if not limit_restored:
-                set_handle_pool_limit(4096)
-
-    def test_cancel_after_fire_noop_with_pool_reuse_pressure(self):
-        sim = Simulator()
-        fired = []
-        retained = sim.schedule(1.0, fired.append, 1)
-        sim.run()
-        # Churn the pool hard; none of these may alias `retained`.
-        for t in range(2, 50):
-            sim.schedule(float(t), fired.append, t)
-        retained.cancel()
-        sim.run()
-        assert fired == list(range(1, 50))
-
-    def test_cancelled_unretained_handles_are_recycled(self):
-        try:
-            set_handle_pool_limit(0)
-            set_handle_pool_limit(4096)  # drained, pooling back on
-            sim = Simulator()
-            handle = sim.schedule(1.0, lambda: None)
-            handle.cancel()
-            del handle
-            sim.run()
-            assert handle_pool_size() == 1  # popped entry went to pool
-        finally:
-            set_handle_pool_limit(4096)
-
-    def test_pool_can_be_disabled(self):
-        try:
-            set_handle_pool_limit(0)
-            assert handle_pool_size() == 0
-            sim = Simulator()
-            sim.schedule(1.0, lambda: None)
-            sim.run()
-            assert handle_pool_size() == 0
-        finally:
-            set_handle_pool_limit(4096)
-
-    def test_negative_limit_rejected(self):
-        with pytest.raises(ValueError):
-            set_handle_pool_limit(-1)
 
 
 class TestPost:
@@ -476,101 +428,6 @@ class TestPost:
         sim.post(1.0, recurring, 3)
         sim.run()
         assert hits == [1.0, 2.0, 3.0]
-
-
-class TestCalendarQueue:
-    """Calendar-specific mechanics (explicit kernel, fixture-independent)."""
-
-    def test_far_future_outlier_forces_widening_and_keeps_order(self):
-        """A sparse tail of near-empty buckets trips the occupancy
-        resize; ordering must survive the rebucketing."""
-        sim = Simulator(event_queue="calendar")
-        fired = []
-        # Dense cluster now, sparse far-future spray: the drain of the
-        # sparse region observes occupancy ~1 and widens the calendar.
-        for i in range(200):
-            sim.schedule(1e-7 * i, fired.append, ("dense", i))
-        for i in range(200):
-            sim.schedule(0.5 + 7.3 * i, fired.append, ("sparse", i))
-        start_width = sim._width
-        sim.run()
-        assert sim._width > start_width  # widened at least once
-        assert fired == [("dense", i) for i in range(200)] + [
-            ("sparse", i) for i in range(200)
-        ]
-
-    def test_schedule_into_bucket_being_drained_fires_in_order(self):
-        """A callback scheduling back into the current bucket (same day)
-        must be merged into the in-progress drain, not postponed."""
-        sim = Simulator(event_queue="calendar")
-        width = sim._width
-        fired = []
-
-        def first():
-            fired.append("first")
-            # Lands in the same bucket, after the cursor.
-            sim.schedule(width * 0.4, fired.append, "injected")
-
-        sim.schedule(width * 0.1, first)
-        sim.schedule(width * 0.9, fired.append, "last")
-        sim.run()
-        assert fired == ["first", "injected", "last"]
-
-    def test_same_timestamp_flood_does_not_resize_to_zero_progress(self):
-        """Thousands of events on one instant pile into one bucket; the
-        drain must complete and the width must stay positive."""
-        sim = Simulator(event_queue="calendar")
-        fired = []
-        for i in range(5000):
-            sim.schedule_at(1.0, fired.append, i)
-        sim.run()
-        assert fired == list(range(5000))
-        assert sim._width > 0
-
-    def test_reset_from_inside_callback_drops_pending(self):
-        sim = Simulator(event_queue="calendar")
-        fired = []
-
-        def boom():
-            fired.append("boom")
-            sim.reset()
-
-        sim.schedule(1.0, boom)
-        sim.schedule(2.0, fired.append, "never")
-        sim.run()
-        assert fired == ["boom"]
-        assert sim.pending_events == 0
-        assert sim.now == 0.0
-
-    def test_width_rewinds_on_reset(self):
-        sim = Simulator(event_queue="calendar")
-        for i in range(200):
-            sim.schedule(0.5 + 7.3 * i, lambda: None)
-        sim.run()
-        assert sim._width != 1e-6
-        sim.reset()
-        assert sim._width == 1e-6
-
-
-class TestKernelSelection:
-    def test_unknown_event_queue_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(event_queue="splay-tree")
-
-    def test_explicit_kernel_overrides_default(self):
-        with event_queue("heap"):
-            assert Simulator().event_queue_impl == "heap"
-            assert Simulator(event_queue="calendar").event_queue_impl == (
-                "calendar"
-            )
-
-    def test_env_switch_context_manager_restores(self):
-        from repro.sim.engine import default_event_queue
-
-        before = default_event_queue()
-        with event_queue("heap"):
-            assert default_event_queue() == "heap"
-        assert default_event_queue() == before
 
 
 class TestDeterminism:

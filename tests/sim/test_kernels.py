@@ -25,17 +25,29 @@ class TestRegistry:
             kernels.env_value("REPRO_BOGUS")
 
     def test_env_default_prefers_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
-        assert kernels.env_default("REPRO_EVENT_QUEUE") == "calendar"
-        monkeypatch.setenv("REPRO_EVENT_QUEUE", "heap")
-        assert kernels.env_default("REPRO_EVENT_QUEUE") == "heap"
+        monkeypatch.delenv("REPRO_LINK_MODEL", raising=False)
+        assert kernels.env_default("REPRO_LINK_MODEL") == "busy-until"
+        monkeypatch.setenv("REPRO_LINK_MODEL", "two-event")
+        assert kernels.env_default("REPRO_LINK_MODEL") == "two-event"
 
-    def test_env_default_does_not_validate(self, monkeypatch):
-        # A bad value must surface at first *use* (the kernel module's
-        # own ValueError), not at registry read time — otherwise a typo
-        # in the environment turns module import into the failure point.
-        monkeypatch.setenv("REPRO_EVENT_QUEUE", "bogus")
-        assert kernels.env_default("REPRO_EVENT_QUEUE") == "bogus"
+    @pytest.mark.parametrize(
+        "switch",
+        [s for s in kernels.REGISTRY.values() if s.choices is not None],
+        ids=lambda s: s.env,
+    )
+    def test_env_default_rejects_values_outside_choices(
+        self, switch, monkeypatch
+    ):
+        """Regression: a misspelt value was silently taken for one of
+        the kernels (``REPRO_DATAPATH=fats`` ran the reference datapath,
+        ``REPRO_INVARIANTS=yes`` left the watchdog off)."""
+        typo = switch.choices[0] + "x"
+        monkeypatch.setenv(switch.env, typo)
+        with pytest.raises(ValueError) as excinfo:
+            kernels.env_default(switch.env)
+        message = str(excinfo.value)
+        assert switch.env in message and repr(typo) in message
+        assert all(choice in message for choice in switch.choices)
 
     def test_env_default_rejects_defaultless_switches(self):
         with pytest.raises(ValueError, match="no default"):
@@ -51,8 +63,7 @@ class TestRegistry:
 GOOD_TABLE = """\
 | variable | default | oracle | selects |
 |---|---|---|---|
-| `REPRO_EVENT_QUEUE` | `calendar` | `heap` | event scheduler |
-| `REPRO_PACKET_CORE` | `flat` | `object` | packet-log storage |
+| `REPRO_PACKET_CORE` | `flat` | `object` | event records |
 | `REPRO_LINK_MODEL` | `busy-until` | `two-event` | transmitter |
 | `REPRO_TIMER_MODEL` | `soft-deadline` | `eager` | RTO re-arm |
 | `REPRO_DATAPATH` | `fast` | `reference` | per-packet datapath |
@@ -71,7 +82,7 @@ class TestReadmeParity:
         assert any("REPRO_TIMER_MODEL" in p and "no row" in p for p in problems)
 
     def test_wrong_default_and_oracle_reported(self):
-        text = GOOD_TABLE.replace("`calendar`", "`heap`", 1)
+        text = GOOD_TABLE.replace("`flat`", "`object`", 1)
         problems = kernels.readme_parity_problems(text)
         assert any("default" in p for p in problems)
 
@@ -84,14 +95,13 @@ class TestReadmeParity:
 class TestCiParity:
     def test_all_pins_present_is_clean(self):
         ci = (
-            "REPRO_EVENT_QUEUE=heap REPRO_PACKET_CORE=object "
-            "REPRO_LINK_MODEL=two-event REPRO_TIMER_MODEL=eager "
-            "REPRO_DATAPATH=reference"
+            "REPRO_PACKET_CORE=object REPRO_LINK_MODEL=two-event "
+            "REPRO_TIMER_MODEL=eager REPRO_DATAPATH=reference"
         )
         assert kernels.ci_parity_problems(ci) == []
 
     def test_missing_pin_reported(self):
-        ci = "REPRO_EVENT_QUEUE=heap REPRO_PACKET_CORE=object"
+        ci = "REPRO_PACKET_CORE=object"
         problems = kernels.ci_parity_problems(ci)
         assert len(problems) == 3
         assert any("REPRO_LINK_MODEL=two-event" in p for p in problems)
