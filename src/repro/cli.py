@@ -789,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="determinism & kernel-parity static analysis over src/",
+        help="determinism static analysis over src/",
     )
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="report format (default text)")

@@ -1,4 +1,4 @@
-"""Determinism & kernel-parity static analysis for the reproduction.
+"""Determinism static analysis for the reproduction.
 
 ``python -m repro.cli lint`` runs the pack in :mod:`repro.lint.rules`
 over every file under ``src/`` via the engine in

@@ -1,14 +1,12 @@
-"""AST-based rule engine for determinism & kernel-parity lints.
+"""AST-based rule engine for determinism lints.
 
 Every headline result in this reproduction rests on byte-identical
-determinism — the DT-DCTCP queue traces, the kernel-pair oracles, ECMP
+determinism — the DT-DCTCP queue traces, the golden trace digests, ECMP
 replay equality, and the content-addressed result cache all silently
 break if wall-clock reads, unseeded RNG, or unordered iteration leak
 into the simulation path.  This engine walks every Python file under
 ``src/``, parses it once, and runs a pack of AST rules
-(:mod:`repro.lint.rules`) over each tree; project-level rules
-additionally cross-check repo surfaces (README env-switch table, CI
-oracle matrix) after the per-file pass.
+(:mod:`repro.lint.rules`) over each tree.
 
 Three escape hatches keep the gate workable:
 
@@ -23,7 +21,7 @@ Three escape hatches keep the gate workable:
   unrelated edits cannot resurrect them.
 * **a result cache** — per-file findings keyed by ``(mtime, size,
   rule-pack signature)`` under ``.repro-lint-cache/``, so a warm re-run
-  re-parses only edited files.  Project-level checks always re-run.
+  re-parses only edited files.
 """
 
 from __future__ import annotations
@@ -178,9 +176,7 @@ class Rule:
     """Base class for lint rules.
 
     Subclasses set ``id``/``title``/``rationale`` and implement
-    :meth:`visit`; project-level rules may also implement
-    :meth:`finalize`, which runs once after the per-file pass with the
-    project root (or not at all when linting loose snippets).
+    :meth:`visit`.
     """
 
     id: str = ""
@@ -189,10 +185,6 @@ class Rule:
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
         """Yield findings for one parsed file."""
-        return iter(())
-
-    def finalize(self, project_root: Path) -> Iterator[Finding]:
-        """Yield project-level findings (cross-file / cross-surface)."""
         return iter(())
 
 
@@ -355,11 +347,10 @@ class LintEngine:
         project_root: Optional[Path] = None,
         cache_dir: Optional[Path] = None,
     ) -> List[Finding]:
-        """Lint every ``*.py`` under ``src_root`` plus project checks.
+        """Lint every ``*.py`` under ``src_root``.
 
-        ``project_root`` defaults to the parent of ``src_root``; pass
-        ``None``-able explicitly off by giving a root without the
-        project surfaces (project rules skip what they cannot find).
+        Finding paths are relative to ``project_root``, which defaults
+        to the parent of ``src_root``.
         """
         root = src_root if src_root is not None else default_src_root()
         project = (
@@ -384,8 +375,6 @@ class LintEngine:
             findings.extend(file_findings)
         if cache is not None:
             cache.save()
-        for rule in self.rules:
-            findings.extend(rule.finalize(project))
         findings.sort()
         return findings
 

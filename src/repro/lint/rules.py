@@ -1,4 +1,4 @@
-"""The determinism & kernel-parity rule pack.
+"""The determinism rule pack.
 
 Each rule protects one invariant the reproduction's results rest on:
 
@@ -22,10 +22,8 @@ Each rule protects one invariant the reproduction's results rest on:
   otherwise identical kernels.  Compare with ``<=``/``>=`` against an
   explicit bound instead.
 * **KRN001** — every ``REPRO_*`` environment read goes through the
-  :mod:`repro.sim.kernels` registry, and the registry stays in parity
-  with the README env-switch table and the CI oracle-matrix job.  An
-  env switch without a registered oracle is exactly how an un-oracled
-  kernel lane slips past the differential tests.
+  :mod:`repro.sim.kernels` registry.  A stray ``os.environ`` read is
+  how an option that changes results slips in beside the cache key.
 * **EXC001** — no broad ``except`` in executor paths that swallows
   without re-raising or recording a failure.  The fault-tolerant
   executor's guarantees (attribution, resume, partial results) die the
@@ -35,7 +33,6 @@ Each rule protects one invariant the reproduction's results rest on:
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.engine import FileContext, Finding, Rule
@@ -551,9 +548,9 @@ class KernelRegistryRule(Rule):
     id = "KRN001"
     title = "REPRO_* environment read bypasses repro.sim.kernels"
     rationale = (
-        "The kernels registry is what ties every env switch to its "
-        "reference oracle, the README table and the CI oracle matrix; a "
-        "direct os.environ read can introduce an un-oracled kernel lane."
+        "The kernels registry lists every environment switch and "
+        "validates its value; a direct os.environ read can introduce an "
+        "option that changes results without entering the cache key."
     )
     #: The registry itself is the one sanctioned reader.
     exempt = ("repro.sim.kernels",)
@@ -570,7 +567,7 @@ class KernelRegistryRule(Rule):
                     node,
                     f"direct environment read of {key}; route it through "
                     "repro.sim.kernels (env_default/env_value) so the "
-                    "switch is registered against its oracle",
+                    "switch is registered and validated",
                 )
 
     @staticmethod
@@ -596,25 +593,6 @@ class KernelRegistryRule(Rule):
                 ):
                     return first.value
         return None
-
-    def finalize(self, project_root: Path) -> Iterator[Finding]:
-        """Registry vs README env-switch table vs CI oracle matrix."""
-        readme = project_root / "README.md"
-        ci = project_root / ".github" / "workflows" / "ci.yml"
-        if not readme.is_file() and not ci.is_file():
-            # Loose snippet tree (tests); nothing to cross-check.
-            return
-        from repro.sim.kernels import parity_problems
-
-        for problem in parity_problems(project_root):
-            source = (
-                "README.md"
-                if "README" in problem
-                else ".github/workflows/ci.yml"
-            )
-            yield Finding(
-                rule=self.id, path=source, line=1, message=problem
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ Semantics
   the sending node is a switch, the downed interface is withdrawn from
   every ECMP group of its FIB for the duration — flows re-resolve over
   the surviving members, or become unroutable when none remain — and
-  the fast datapath's memoized bound-``send`` cache is invalidated on
+  the switch's memoized bound-``send`` cache is invalidated on
   the way down *and* on the way up (see
   :meth:`repro.sim.node.Switch.withdraw_route`).  Link-up restores the
   pristine FIB groups in their original member order, so ECMP
@@ -44,12 +44,13 @@ Semantics
 Determinism contract
 --------------------
 
-Installation happens *before traffic* (enforced) and forces every
-targeted interface onto the two-event link model, so the busy-until
+Installation happens *before traffic* (enforced) and pins every
+targeted interface to the two-event link model
+(:meth:`repro.sim.link.Interface.pin_two_event`), so the busy-until
 fast lane never pays a per-packet branch and an **empty schedule
 installs nothing at all**: a zero-fault run is byte-identical to a
-chaos-free run under every kernel combination (the differential
-guarantee in ``tests/sim/test_chaos_differential.py``).  All randomness
+chaos-free run (the differential guarantee in
+``tests/sim/test_chaos_differential.py``).  All randomness
 flows from the schedule seed through :func:`derive_stream_seed` — this
 module never touches :mod:`random` (rule DET002 enforces that the seed
 provenance stays explicit).
@@ -308,7 +309,7 @@ class ChaosController:
             hook = LinkChaos(interface, owner)
             self._hooks_by_iface[id(interface)] = hook
             self.hooks.append(hook)
-            self._force_two_event(interface)
+            interface.pin_two_event()
             interface.chaos = hook
         return hook
 
@@ -322,31 +323,6 @@ class ChaosController:
         raise ValueError(
             f"interface {interface.name!r} belongs to no node of this network"
         )
-
-    @staticmethod
-    def _force_two_event(interface: Interface) -> None:
-        """Pin a targeted interface to the two-event model.
-
-        The busy-until fast lane computes delivery times at admission —
-        too early for per-packet jitter and wire cuts — so faulted
-        interfaces run the eager reference schedule instead.  Safe only
-        while the transmitter has never run, which install() guarantees
-        (faults are installed before traffic).
-        """
-        if interface.model == "two-event":
-            return
-        if (
-            interface._tx_starts
-            or interface._in_flight
-            or interface._busy_until > float("-inf")
-        ):  # pragma: no cover - install() pre-checks sim.now == 0
-            raise RuntimeError(
-                f"cannot install chaos on {interface.name!r}: the "
-                "interface already carried traffic"
-            )
-        interface.model = "two-event"
-        if interface.queue.drain_hook is interface._drain:
-            interface.queue.drain_hook = None
 
     # -- link state ------------------------------------------------------
 
@@ -371,8 +347,8 @@ class ChaosController:
 
         Every ``set_routes``/``withdraw_route`` below clears the
         memoized route cache, so no bound ``egress.send`` for a downed
-        interface can survive a transition — the guarantee the fast
-        datapath needs.  Surviving groups keep the pristine member
+        interface can survive a transition — the guarantee memoized
+        forwarding needs.  Surviving groups keep the pristine member
         order, so ECMP placement after full recovery is byte-identical
         to a network that never flapped.
         """

@@ -24,14 +24,12 @@ Flat event records (``post``)
 
 Most events never cancel: link deliveries, probe samples, application
 ticks.  :meth:`Simulator.post` / :meth:`Simulator.post_at` schedule
-such fire-and-forget events; under the flat packet core
-(``REPRO_PACKET_CORE=flat``, the default — see
-:mod:`repro.sim.packet_core`) they are stored as the bare
-``(time, seq, callback, args)`` records above, with no
-:class:`EventHandle` allocated.  Under the ``object`` oracle core,
-``post`` delegates to :meth:`schedule_at` and discards the handle.
-Cancellable events (:meth:`schedule` / :meth:`schedule_at`) always
-return a real :class:`EventHandle` under either core.
+such fire-and-forget events as the bare ``(time, seq, callback, args)``
+records above, with no :class:`EventHandle` allocated (1.16-1.20x end
+to end on the performance ledger against one handle per event;
+``docs/SIMULATOR.md``, "Kernel rulings").  Cancellable events
+(:meth:`schedule` / :meth:`schedule_at`) return a real
+:class:`EventHandle`.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ import heapq
 import math
 import sys
 from typing import Any, Callable, List, Optional, Tuple
-
-from repro.sim.packet_core import default_packet_core
 
 __all__ = ["EventHandle", "Simulator"]
 
@@ -76,11 +72,7 @@ class EventHandle:
 class Simulator:
     """Deterministic discrete-event scheduler with a simulated clock."""
 
-    def __init__(self, packet_core: Optional[str] = None) -> None:
-        if packet_core is None:
-            packet_core = default_packet_core()
-        self.packet_core_impl = packet_core
-        self._flat = packet_core == "flat"
+    def __init__(self) -> None:
         self._now = 0.0
         #: Plain int tie-break counter (an ``itertools.count`` costs a
         #: C call per event; ``+= 1`` on an int is cheaper and rewinds
@@ -105,7 +97,7 @@ class Simulator:
     @property
     def events_scheduled(self) -> int:
         """Total scheduler pushes ever made — the churn observable the
-        timer-model differential tests compare between kernels."""
+        timer-model differential tests compare against the eager re-arm."""
         return self._sequence
 
     @property
@@ -133,8 +125,8 @@ class Simulator:
     ) -> EventHandle:
         """Run ``callback(*args)`` at absolute simulated ``time``.
 
-        The returned :class:`EventHandle` supports :meth:`~EventHandle.cancel`
-        under either packet core; events that will never be cancelled
+        The returned :class:`EventHandle` supports
+        :meth:`~EventHandle.cancel`; events that will never be cancelled
         should prefer :meth:`post_at`.
         """
         if not (self._now <= time < _INF):
@@ -154,9 +146,6 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past: delay={delay}")
         time = self._now + delay
-        if not self._flat:
-            self.schedule_at(time, callback, *args)
-            return
         # Same body as post_at rather than a call to it: the two-event
         # link posts twice per packet per hop, and the extra frame costs
         # ~5% of spacedc-chaos wall time.
@@ -170,15 +159,7 @@ class Simulator:
     def post_at(
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> None:
-        """Fire-and-forget :meth:`schedule_at`: no handle, not cancellable.
-
-        Under the flat packet core the event is stored as a bare
-        ``(time, seq, callback, args)`` record; under the ``object``
-        oracle core it takes the exact :meth:`schedule_at` path.
-        """
-        if not self._flat:
-            self.schedule_at(time, callback, *args)
-            return
+        """Fire-and-forget :meth:`schedule_at`: no handle, not cancellable."""
         if not (self._now <= time < _INF):
             self._raise_bad_time(time)
         seq = self._sequence

@@ -31,7 +31,7 @@ periodically during a run (:class:`InvariantWatchdog`):
   silent-wedge failure mode outages would otherwise hide).
 
 Enable inside campaign cells with ``REPRO_INVARIANTS=1`` (a registered
-configuration switch, not a kernel pair) or pass ``--invariants`` to the
+configuration switch; results are unchanged) or pass ``--invariants`` to the
 CLI's ``simulate``/``campaign`` commands.
 """
 
@@ -82,8 +82,8 @@ def held_by_interface(iface: "Interface") -> int:
 
     Derived purely from monotonic counters — admission minus the two
     ways out (delivery, wire cut) — so it is exact under both link
-    models and both datapaths, including mid-busy-period states where
-    the busy-until lane has deferred its queue bookkeeping.
+    models, including mid-busy-period states where the busy-until lane
+    has deferred its queue bookkeeping.
     """
     chaos = iface.chaos
     wire_drops = chaos.wire_drops if chaos is not None else 0

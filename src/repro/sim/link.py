@@ -13,11 +13,13 @@ therefore counts *waiting* packets only, not the one on the wire —
 consistent with how ns-2's queue length (and hence DCTCP's ``K``) is
 measured.
 
-Two interchangeable implementations of that model exist:
+Two implementations of that model exist, and each interface runs the
+one its configuration needs — never one chosen by a caller or the
+environment:
 
-* ``"busy-until"`` (the default): an htsim-style busy-until
-  transmitter.  The interface tracks ``busy_until`` and, at admission,
-  computes the packet's delivery time directly as
+* ``"busy-until"`` (every interface starts here): an htsim-style
+  busy-until transmitter.  The interface tracks ``busy_until`` and, at
+  admission, computes the packet's delivery time directly as
   ``max(now, busy_until) + tx_time + prop_delay``.  Deliveries ride one
   *rolling* event per interface: the in-flight packets sit in a FIFO
   and each delivery reschedules the event for the next one, so the heap
@@ -26,37 +28,40 @@ Two interchangeable implementations of that model exist:
   and replayed — stamped with its true start time — the moment anyone
   observes the queue (see ``drain_hook`` in
   :class:`~repro.sim.queues.FifoQueue`).
+* ``"two-event"``: an explicit tx-done event between transmission and
+  propagation.  Taken automatically for queues whose semantics act at
+  the dequeue *instant* (``mark_on_dequeue`` departure marking, shared
+  buffer pools), where deferral would change cross-queue or marker
+  observation order, and pinned by the fault layer
+  (:meth:`Interface.pin_two_event`) on interfaces whose delivery time
+  cannot be known at admission (jitter, wire cuts).
 
-  Equivalence with the reference is exact, including the heap's
-  FIFO-of-ties ordering, because every scheduling decision lands at the
-  same simulated moment the eager schedule would make it: a busy
-  period's first packet schedules the rolling event during the very
-  admission call that would have dequeued it eagerly, successors are
-  rescheduled while earlier packets of the same chain deliver, and
-  deferred dequeues replay strictly *before* the current instant —
-  an eager dequeue at time ``t`` runs inside a tx-done event scheduled
-  only one serialisation time earlier, which at a tied timestamp fires
-  *after* arrivals and samples whose events were scheduled a
-  propagation delay (or a full sample interval) before ``t``.
-* ``"two-event"``: the reference implementation with an explicit
-  tx-done event between transmission and propagation.  Kept as the
-  oracle the differential tests compare against, and used automatically
-  for queues whose semantics act at the dequeue *instant*
-  (``mark_on_dequeue`` departure marking, shared buffer pools) where
-  deferral would change cross-queue or marker observation order.
-
-Select globally with :func:`set_default_link_model` / the
-``REPRO_LINK_MODEL`` environment variable, per interface via the
-constructor, or temporarily with the :func:`link_model` context manager.
+Every scheduling decision of the busy-until lane lands at the simulated
+moment the two-event schedule would make it: a busy period's first
+packet schedules the rolling event during the very admission call that
+would have dequeued it eagerly, successors are rescheduled while
+earlier packets of the same chain deliver, and deferred dequeues replay
+strictly *before* the current instant — an eager dequeue at time ``t``
+runs inside a tx-done event scheduled only one serialisation time
+earlier, which at a tied timestamp fires *after* arrivals and samples
+whose events were scheduled a propagation delay (or a full sample
+interval) before ``t``.  Traces and counters are therefore identical
+wherever no node receives from two ingress links at the same instant
+(the dumbbell differential tests hold that, with every interface on
+either model).  Where two ingress links do deliver to one node at a
+tied timestamp, both models are valid ``(time, seq)`` schedules that
+may order the tie differently, and everything downstream of that
+enqueue order may differ (fig14: flows 10 and 14 swap at
+t = 603.105 us; one leaf-spine incast cell: 3046 vs 3037 fabric marks).
+Which model an interface runs is fixed by the scenario's spec, never by
+the environment, so results stay a pure function of the spec.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from typing import Optional, TYPE_CHECKING
 
-from repro.sim.kernels import env_default
 from repro.sim.packet import Packet
 from repro.sim.queues import FifoQueue
 
@@ -64,42 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.engine import Simulator
     from repro.sim.node import Node
 
-__all__ = [
-    "Interface",
-    "LINK_MODELS",
-    "default_link_model",
-    "set_default_link_model",
-    "link_model",
-]
-
-#: The busy-until fast lane and the eager two-event reference oracle.
-LINK_MODELS = ("busy-until", "two-event")
-
-_default_model = env_default("REPRO_LINK_MODEL")
-
-
-def default_link_model() -> str:
-    """The model new interfaces use when none is passed explicitly."""
-    return _default_model
-
-
-def set_default_link_model(model: str) -> None:
-    """Set the process-wide default link model."""
-    if model not in LINK_MODELS:
-        raise ValueError(f"unknown link model {model!r}; choose from {LINK_MODELS}")
-    global _default_model
-    _default_model = model
-
-
-@contextmanager
-def link_model(model: str):
-    """Temporarily switch the default model (differential tests)."""
-    previous = _default_model
-    set_default_link_model(model)
-    try:
-        yield
-    finally:
-        set_default_link_model(previous)
+__all__ = ["Interface"]
 
 
 class Interface:
@@ -134,18 +104,11 @@ class Interface:
         prop_delay: float,
         queue: FifoQueue,
         name: str = "",
-        model: Optional[str] = None,
     ):
         if bandwidth_bps <= 0:
             raise ValueError(f"bandwidth_bps must be positive, got {bandwidth_bps}")
         if prop_delay < 0:
             raise ValueError(f"prop_delay must be >= 0, got {prop_delay}")
-        if model is None:
-            model = _default_model
-        elif model not in LINK_MODELS:
-            raise ValueError(
-                f"unknown link model {model!r}; choose from {LINK_MODELS}"
-            )
         self.sim = sim
         self.bandwidth_bps = bandwidth_bps
         self.prop_delay = prop_delay
@@ -160,13 +123,13 @@ class Interface:
         #: (re)armed once per packet, and the attribute walk costs on
         #: the hottest lines in the tree.
         self._post_at = sim.post_at
-        #: True while ``self.queue`` is an exact fast-datapath
-        #: :class:`FifoQueue` — the fused send/drain bodies below may
-        #: then manipulate its deque/byte-count/stats directly instead
-        #: of paying a method call per packet.  Recomputed whenever the
-        #: drain hook is (re)installed, i.e. on the first send and after
-        #: every queue swap; subclasses (``TrackedFifoQueue``) and
-        #: reference-datapath queues always take the method-call path.
+        #: True while ``self.queue`` is an exact :class:`FifoQueue` —
+        #: the fused send/drain bodies below may then manipulate its
+        #: deque/byte-count/stats directly instead of paying a method
+        #: call per packet.  Recomputed whenever the drain hook is
+        #: (re)installed, i.e. on the first send and after every queue
+        #: swap; subclasses (``TrackedFifoQueue``) always take the
+        #: method-call path.
         #: ``_q_fused`` additionally requires arrival marking and no
         #: shared buffer pool — the full precondition of the fused
         #: per-packet body (``mark_on_dequeue``/``pool`` are part of the
@@ -174,7 +137,10 @@ class Interface:
         #: object itself).
         self._q_plain = False
         self._q_fused = False
-        self.model = model
+        #: ``"busy-until"`` or ``"two-event"``: which transmitter this
+        #: interface runs (see the module docstring).  Only ever moves
+        #: to ``"two-event"``, and only while the transmitter is idle.
+        self.model = "busy-until"
         self._transmitting = False
         #: Busy-until state: when the transmitter frees up (-inf = never
         #: used, so a send at t=0 still counts as a strictly idle start),
@@ -192,11 +158,12 @@ class Interface:
         self.tap = None
         #: Per-interface fault state installed by
         #: :meth:`repro.sim.chaos.ChaosSchedule.install`; ``None`` on
-        #: every untargeted interface.  Installation forces this
-        #: interface onto the two-event model *before traffic*, so the
-        #: busy-until fast lane above never tests the hook — only the
-        #: two-event bodies below carry the (cheap) ``chaos is None``
-        #: branches, and a zero-fault schedule perturbs nothing at all.
+        #: every untargeted interface.  Installation pins this
+        #: interface to the two-event model *before traffic*
+        #: (:meth:`pin_two_event`), so the busy-until fast lane never
+        #: tests the hook — only the two-event bodies below carry the
+        #: (cheap) ``chaos is None`` branches, and a zero-fault schedule
+        #: perturbs nothing at all.
         self.chaos = None
 
     def connect(self, peer: "Node") -> None:
@@ -251,7 +218,7 @@ class Interface:
                     self.model = "two-event"
                     return self._send_two_event(packet)
                 queue.drain_hook = self._drain
-                plain = type(queue) is FifoQueue and queue._fast
+                plain = type(queue) is FifoQueue
                 self._q_plain = plain
                 self._q_fused = (
                     plain
@@ -271,10 +238,10 @@ class Interface:
                 # would.
                 self._drain()
             if self._q_fused:
-                # Fused enqueue: the exact fast FifoQueue.enqueue body,
+                # Fused enqueue: the exact FifoQueue.enqueue body,
                 # inlined — per-packet, the method call plus its
-                # re-dispatch on _fast/mark_on_dequeue/pool (all folded
-                # into _q_fused above) are pure overhead.  The DCTCP
+                # re-dispatch on mark_on_dequeue/pool (both folded into
+                # _q_fused above) are pure overhead.  The DCTCP
                 # single-threshold rule is additionally inlined to a
                 # compare; every other marker keeps its pre-bound call.
                 qd = queue._queue
@@ -299,9 +266,9 @@ class Interface:
                 prev_busy = self._busy_until
                 start = prev_busy if prev_busy > now else now
                 # Direct sums keep the float association identical to
-                # the reference schedule — (start + tx) + prop, never
-                # rebased on ``now`` — so delivery times match the
-                # oracle bit for bit.
+                # the two-event schedule — (start + tx) + prop, never
+                # rebased on ``now`` — so delivery times match it bit
+                # for bit.
                 tx_end = start + size * 8.0 / self.bandwidth_bps
                 self._busy_until = tx_end
                 if prev_busy < now:
@@ -384,7 +351,7 @@ class Interface:
                 and not queue.mark_on_dequeue
                 and queue.pool is None
             ):
-                # Fused replay: the fast FifoQueue.dequeue body with the
+                # Fused replay: the FifoQueue.dequeue body with the
                 # per-packet method call and its dispatch checks hoisted
                 # out of the loop.  ``at_time`` only matters to
                 # time-stamping subclasses, which _q_plain excludes.
@@ -414,8 +381,34 @@ class Interface:
             self._draining = False
 
     # ------------------------------------------------------------------
-    # Two-event reference oracle: tx-done + delivery per packet.
+    # Two-event schedule: tx-done + delivery per packet.
     # ------------------------------------------------------------------
+
+    def pin_two_event(self) -> None:
+        """Put this interface on the two-event model, before traffic.
+
+        The busy-until lane computes delivery times at admission — too
+        early for per-packet jitter and wire cuts — so the fault layer
+        pins every interface it targets; the differential tests pin
+        whole networks.  Safe only while the transmitter has never run:
+        a later call raises.  Pinning twice is a no-op.
+        """
+        if self.model == "two-event":
+            return
+        if (
+            self._tx_starts
+            or self._in_flight
+            or self._busy_until > float("-inf")
+        ):
+            raise RuntimeError(
+                f"cannot pin {self.name!r} to the two-event model: the "
+                "interface already carried traffic"
+            )
+        self.model = "two-event"
+        # ``==``, not ``is``: every ``self._drain`` access builds a new
+        # bound-method object, so identity never matches.
+        if self.queue.drain_hook == self._drain:
+            self.queue.drain_hook = None
 
     def _send_two_event(self, packet: Packet) -> bool:
         chaos = self.chaos

@@ -29,7 +29,6 @@ from typing import (
     Tuple,
 )
 
-from repro.sim.datapath import resolve_datapath
 from repro.sim.link import Interface
 from repro.sim.packet import Packet
 
@@ -164,35 +163,28 @@ class Host(Node):
 class Switch(Node):
     """Output-queued store-and-forward switch with ECMP next-hop sets.
 
-    Under the ``"fast"`` datapath (``REPRO_DATAPATH``) the resolved
-    egress — its bound ``send``, so a hit pays one dict lookup — is
-    memoized per ``(flow_id, src, dst)``, and the ECMP path hash runs
-    once per flow per switch instead of once per packet.
+    The resolved egress — its bound ``send``, so a hit pays one dict
+    lookup — is memoized per ``(flow_id, src, dst)``, and the ECMP path
+    hash runs once per flow per switch instead of once per packet.
     Memoization is sound because :func:`flow_path_hash` is a pure
     function of the key plus the switch's FIB and seed — so the cache is
     invalidated whenever either changes (:meth:`set_routes`,
-    :attr:`ecmp_seed`, :meth:`reset`).  The ``"reference"`` datapath
-    hashes every packet, as the differential oracle.
+    :meth:`withdraw_route`, :attr:`ecmp_seed`, :meth:`reset`);
+    :meth:`route_for` is the unmemoized resolution the tests compare
+    every cached entry against.
     """
 
     __slots__ = (
         "interfaces",
         "fib",
         "_ecmp_seed",
-        "_fast",
         "_route_cache",
         "_route_get",
         "packets_forwarded",
         "packets_unroutable",
     )
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        name: str = "",
-        ecmp_seed: int = 0,
-        datapath: Optional[str] = None,
-    ):
+    def __init__(self, sim: "Simulator", name: str = "", ecmp_seed: int = 0):
         super().__init__(sim, name)
         self.interfaces: List[Interface] = []
         #: destination node id -> equal-cost egress interface set (ECMP
@@ -203,7 +195,6 @@ class Switch(Node):
         #: Assigning it invalidates the memoized routes (the hash — and
         #: with it every multi-path choice — changes with the salt).
         self._ecmp_seed = ecmp_seed
-        self._fast = resolve_datapath(datapath) == "fast"
         #: Memoized forwarding decisions: flow identity -> the *bound*
         #: ``egress.send`` (not the interface itself), so the cache hit
         #: costs one dict lookup and nothing else per packet.
@@ -263,8 +254,8 @@ class Switch(Node):
         The fault layer (:mod:`repro.sim.chaos`) withdraws destinations
         whose only next hop rides a downed link; like every other FIB
         mutation this invalidates the memoized bound-``send`` entries,
-        or the fast datapath would keep forwarding into the dead
-        interface from the cache.
+        or :meth:`receive` would keep forwarding into the dead interface
+        from the cache.
         """
         self.fib.pop(dst_node_id, None)
         self._route_cache.clear()
@@ -294,31 +285,22 @@ class Switch(Node):
         return group[index]
 
     def receive(self, packet: Packet) -> None:
-        if self._fast:
-            # Memoized forwarding: one hash per flow per switch.  Only
-            # routable results are cached — an unroutable destination
-            # must re-consult the FIB (a route may be installed later)
-            # and must count every arrival.
-            key = (packet.flow_id, packet.src, packet.dst)
-            send = self._route_get(key)
-            if send is None:
-                egress = self.route_for(packet)
-                if egress is None:
-                    self.packets_unroutable += 1
-                    # The packet ends its life here exactly like one
-                    # consumed by a host; without the recycle every
-                    # unroutable arrival leaked a pooled packet.
-                    packet.recycle()
-                    return
-                send = egress.send
-                self._route_cache[key] = send
-            self.packets_forwarded += 1
-            send(packet)
-            return
-        egress = self.route_for(packet)
-        if egress is None:
-            self.packets_unroutable += 1
-            packet.recycle()
-            return
+        # Memoized forwarding: one hash per flow per switch.  Only
+        # routable results are cached — an unroutable destination must
+        # re-consult the FIB (a route may be installed later) and must
+        # count every arrival.
+        key = (packet.flow_id, packet.src, packet.dst)
+        send = self._route_get(key)
+        if send is None:
+            egress = self.route_for(packet)
+            if egress is None:
+                self.packets_unroutable += 1
+                # The packet ends its life here exactly like one
+                # consumed by a host; without the recycle every
+                # unroutable arrival leaked a pooled packet.
+                packet.recycle()
+                return
+            send = egress.send
+            self._route_cache[key] = send
         self.packets_forwarded += 1
-        egress.send(packet)
+        send(packet)

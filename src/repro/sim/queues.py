@@ -41,7 +41,6 @@ from collections import deque
 from typing import Callable, Deque, Optional, TYPE_CHECKING
 
 from repro.core.marking import Marker, NullMarker, SingleThresholdMarker
-from repro.sim.datapath import resolve_datapath
 from repro.sim.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,12 +72,9 @@ class QueueStats:
 class FifoQueue:
     """Bounded FIFO with arrival-time ECN marking.
 
-    Under the ``"fast"`` datapath (``REPRO_DATAPATH``) the marker's
-    ``should_mark``/``observe`` dispatch is resolved to bound methods
-    once at construction and the per-packet bodies run straight-line
-    with counters hoisted into locals; the ``"reference"`` datapath
-    keeps the original lookup-per-packet bodies as the differential
-    oracle.  Both produce identical decisions in identical order.
+    The marker's ``should_mark``/``observe`` dispatch is resolved to
+    bound methods once at construction and the per-packet bodies run
+    straight-line with counters hoisted into locals.
     """
 
     __slots__ = (
@@ -91,7 +87,6 @@ class FifoQueue:
         "_queue",
         "_bytes",
         "_stats",
-        "_fast",
         "_marker_should_mark",
         "_marker_observe",
         "_marker_null",
@@ -105,7 +100,6 @@ class FifoQueue:
         name: str = "",
         pool: Optional["SharedBufferPool"] = None,
         mark_on_dequeue: bool = False,
-        datapath: Optional[str] = None,
     ):
         if capacity_bytes <= 0:
             raise ValueError(f"capacity_bytes must be positive, got {capacity_bytes}")
@@ -129,11 +123,9 @@ class FifoQueue:
         self._queue: Deque[Packet] = deque()
         self._bytes = 0
         self._stats = QueueStats()
-        self._fast = resolve_datapath(datapath) == "fast"
         #: The marker's dispatch, resolved once: ``marker`` is fixed for
         #: the queue's lifetime (``reset()`` restarts its *state*, never
-        #: swaps the object), so the fast lane never needs the
-        #: per-packet ``getattr`` ladder the reference body pays.
+        #: swaps the object), so no packet pays a ``getattr`` ladder.
         self._marker_should_mark = self.marker.should_mark
         self._marker_observe = getattr(self.marker, "observe", None)
         #: A stateless never-marking marker needs no call at all; the
@@ -199,37 +191,7 @@ class FifoQueue:
         retains a reference to a rejected packet — without this, every
         overflow leaked one pooled packet off the free list.
         """
-        if self._fast:
-            stats = self._stats
-            occupancy = len(self._queue)
-            if self.mark_on_dequeue:
-                observe = self._marker_observe
-                if observe is not None:
-                    observe(occupancy)
-                else:
-                    self._marker_should_mark(occupancy)
-                wants_mark = False
-            else:
-                wants_mark = self._marker_should_mark(occupancy)
-            size = packet.size_bytes
-            if self._bytes + size > self.capacity_bytes:
-                stats.dropped += 1
-                packet.recycle()
-                return False
-            if self.pool is not None and not self.pool.admit(
-                self._bytes, size
-            ):
-                stats.dropped += 1
-                packet.recycle()
-                return False
-            if wants_mark and packet.ecn_capable:
-                packet.ce = True
-                stats.marked += 1
-            self._queue.append(packet)
-            self._bytes += size
-            stats.enqueued += 1
-            stats.bytes_in += size
-            return True
+        stats = self._stats
         occupancy = len(self._queue)
         if self.mark_on_dequeue:
             # The *decision* happens at departure, but stateful markers
@@ -237,31 +199,32 @@ class FifoQueue:
             # see every arrival or they cannot track the queue's trend.
             # Markers without an observe() hook get their should_mark()
             # verdict computed and discarded instead.
-            observe = getattr(self.marker, "observe", None)
+            observe = self._marker_observe
             if observe is not None:
                 observe(occupancy)
             else:
-                self.marker.should_mark(occupancy)
+                self._marker_should_mark(occupancy)
             wants_mark = False
         else:
-            wants_mark = self.marker.should_mark(occupancy)
-        if self._bytes + packet.size_bytes > self.capacity_bytes:
-            self._stats.dropped += 1
+            wants_mark = self._marker_should_mark(occupancy)
+        size = packet.size_bytes
+        if self._bytes + size > self.capacity_bytes:
+            stats.dropped += 1
             packet.recycle()
             return False
         if self.pool is not None and not self.pool.admit(
-            self._bytes, packet.size_bytes
+            self._bytes, size
         ):
-            self._stats.dropped += 1
+            stats.dropped += 1
             packet.recycle()
             return False
         if wants_mark and packet.ecn_capable:
             packet.ce = True
-            self._stats.marked += 1
+            stats.marked += 1
         self._queue.append(packet)
-        self._bytes += packet.size_bytes
-        self._stats.enqueued += 1
-        self._stats.bytes_in += packet.size_bytes
+        self._bytes += size
+        stats.enqueued += 1
+        stats.bytes_in += size
         return True
 
     def dequeue(self, at_time: Optional[float] = None) -> Optional[Packet]:
@@ -282,35 +245,23 @@ class FifoQueue:
                 hook()
         if not self._queue:
             return None
-        if self._fast:
-            stats = self._stats
-            packet = self._queue.popleft()
-            size = packet.size_bytes
-            self._bytes -= size
-            if self.pool is not None:
-                self.pool.release(size)
-            if self.mark_on_dequeue:
-                if (
-                    self._marker_should_mark(len(self._queue))
-                    and packet.ecn_capable
-                ):
-                    packet.ce = True
-                    stats.marked += 1
-            stats.dequeued += 1
-            stats.bytes_out += size
-            return packet
+        stats = self._stats
         packet = self._queue.popleft()
-        self._bytes -= packet.size_bytes
+        size = packet.size_bytes
+        self._bytes -= size
         if self.pool is not None:
-            self.pool.release(packet.size_bytes)
+            self.pool.release(size)
         if self.mark_on_dequeue:
             # Decision from the occupancy left behind - the queue this
             # packet just waited through.
-            if self.marker.should_mark(len(self._queue)) and packet.ecn_capable:
+            if (
+                self._marker_should_mark(len(self._queue))
+                and packet.ecn_capable
+            ):
                 packet.ce = True
-                self._stats.marked += 1
-        self._stats.dequeued += 1
-        self._stats.bytes_out += packet.size_bytes
+                stats.marked += 1
+        stats.dequeued += 1
+        stats.bytes_out += size
         return packet
 
     def reset(self) -> None:

@@ -10,11 +10,7 @@ from repro.sim.tcp.sender import (
     DctcpSender,
     EcnRenoSender,
     RenoSender,
-    TIMER_MODELS,
     TcpSender,
-    default_timer_model,
-    set_default_timer_model,
-    timer_model,
 )
 
 __all__ = [
@@ -27,11 +23,7 @@ __all__ = [
     "IntervalSet",
     "RenoSender",
     "RttEstimator",
-    "TIMER_MODELS",
     "TcpReceiver",
     "TcpSender",
-    "default_timer_model",
     "open_flow",
-    "set_default_timer_model",
-    "timer_model",
 ]

@@ -22,11 +22,8 @@ number of packets in flight is bounded by its floor.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Dict, Optional, TYPE_CHECKING
 
-from repro.sim.datapath import default_datapath
-from repro.sim.kernels import env_default
 from repro.sim.packet import MSS_BYTES, Packet
 from repro.sim.tcp.intervals import IntervalSet
 from repro.sim.tcp.rto import DEFAULT_MIN_RTO, RttEstimator
@@ -40,65 +37,18 @@ __all__ = [
     "RenoSender",
     "EcnRenoSender",
     "DctcpSender",
-    "TIMER_MODELS",
-    "default_timer_model",
-    "set_default_timer_model",
-    "timer_model",
 ]
 
 #: Conventional "infinite" slow-start threshold.
 INITIAL_SSTHRESH = 1e9
 
-#: The soft-deadline fast lane and the eager cancel-per-ACK oracle.
-#:
-#: Every ACK slides the retransmission deadline forward.  The *eager*
-#: model realises that literally — cancel the pending timer event and
-#: push a fresh one per ACK — which costs one heap push per delivered
-#: segment and litters the heap with cancelled entries.  The
-#: *soft-deadline* model (default) keeps at most one armed event and a
-#: logical ``_rto_deadline`` field: ACKs only move the field, and when
-#: the event fires early it re-arms for the remainder via
-#: ``schedule_at(deadline)``.  Both models execute the timeout at the
-#: identical simulated instant (the deadline is an absolute time, not a
-#: sum of remainders), so retransmission traces match bit for bit —
-#: enforced by ``tests/sim/test_timer_model_differential.py``.
-TIMER_MODELS = ("soft-deadline", "eager")
-
-_default_timer_model = env_default("REPRO_TIMER_MODEL")
-
-
-def default_timer_model() -> str:
-    """The RTO timer model new senders use unless told otherwise."""
-    return _default_timer_model
-
-
-def set_default_timer_model(model: str) -> None:
-    """Set the process-wide default RTO timer model."""
-    if model not in TIMER_MODELS:
-        raise ValueError(
-            f"unknown timer model {model!r}; expected one of {TIMER_MODELS}"
-        )
-    global _default_timer_model
-    _default_timer_model = model
-
-
-@contextmanager
-def timer_model(model: str):
-    """Temporarily switch the default RTO timer model (for tests)."""
-    previous = _default_timer_model
-    set_default_timer_model(model)
-    try:
-        yield
-    finally:
-        set_default_timer_model(previous)
-
 
 class TcpSender:
     """Common sending endpoint; subclasses specialise the ECN reaction.
 
-    ``__slots__`` here (and on the subclasses in this module) is part of
-    the ``REPRO_DATAPATH`` fast lane: a sender is touched once per ACK,
-    and slot access beats dict lookup on every one of those reads.
+    ``__slots__`` here (and on the subclasses in this module) because a
+    sender is touched once per ACK, and slot access beats dict lookup on
+    every one of those reads.
     Subclasses defined elsewhere (CUBIC, D2TCP) declare no slots and so
     keep an instance ``__dict__`` — extra attributes and test
     monkeypatching continue to work there.
@@ -125,14 +75,11 @@ class TcpSender:
         "_sacked",
         "_sack_rtx_next",
         "rtt",
-        "timer_model",
-        "_rto_eager",
         "_rto_timer",
         "_rto_deadline",
         "_send_times",
         "_started",
         "_completed",
-        "_dp_fast",
         "packets_sent",
         "retransmits",
         "timeouts",
@@ -157,18 +104,11 @@ class TcpSender:
         use_sack: bool = False,
         receive_window: Optional[int] = None,
         on_complete: Optional[Callable[[float], None]] = None,
-        timer_model: Optional[str] = None,
     ):
         if total_packets is not None and total_packets <= 0:
             raise ValueError(f"total_packets must be positive, got {total_packets}")
         if initial_cwnd < 1:
             raise ValueError(f"initial_cwnd must be >= 1, got {initial_cwnd}")
-        if timer_model is None:
-            timer_model = _default_timer_model
-        elif timer_model not in TIMER_MODELS:
-            raise ValueError(
-                f"unknown timer model {timer_model!r}; expected one of {TIMER_MODELS}"
-            )
         if receive_window is not None and receive_window < 1:
             raise ValueError(
                 f"receive_window must be >= 1 packet, got {receive_window}"
@@ -209,16 +149,11 @@ class TcpSender:
         self.rtt = RttEstimator(
             min_rto=min_rto, max_rto=max_rto, initial_rto=initial_rto
         )
-        self.timer_model = timer_model
-        self._rto_eager = timer_model == "eager"
         self._rto_timer = None
         self._rto_deadline: Optional[float] = None
         self._send_times: Dict[int, float] = {}
         self._started = False
         self._completed = False
-        #: REPRO_DATAPATH at construction: the fast lane precomputes the
-        #: cumulative-ACK common case in ``_on_new_ack``/``_try_send``.
-        self._dp_fast = default_datapath() == "fast"
 
         # Counters for the harness.
         self.packets_sent = 0
@@ -272,7 +207,7 @@ class TcpSender:
         window = int(self.cwnd)
         if self.receive_window is not None:
             window = min(window, self.receive_window)
-        if self._dp_fast and not self.use_sack:
+        if not self.use_sack:
             # Fast lane: without SACK, ``pipe`` is ``next_seq -
             # highest_ack``, so the window test collapses to a bound on
             # ``next_seq`` computed once — nothing in the loop body can
@@ -345,12 +280,12 @@ class TcpSender:
             self._try_send()
 
     def _on_new_ack(self, packet: Packet) -> None:
-        if self._dp_fast and not self.use_sack and not self._in_recovery:
+        if not self.use_sack and not self._in_recovery:
             # Cumulative-ACK common case, straight-line: the SACK
             # scoreboard branches drop out and the usual one-packet
             # advance skips the empty RTT-cleanup range.  The ECN hook
             # may *enter* recovery (CUBIC does), so its outcome is
-            # re-checked exactly where the reference body checks it.
+            # re-checked exactly where the general body checks it.
             ack_seq = packet.ack_seq
             old_highest = self.highest_ack
             newly = ack_seq - old_highest
@@ -492,12 +427,16 @@ class TcpSender:
     def _arm_rto(self) -> None:
         """Slide the retransmission deadline forward from *now*.
 
-        Soft-deadline model (default): acknowledgements only move the
-        ``_rto_deadline`` variable; the single pending timer event checks
-        it when it fires and re-sleeps until the deadline.  This avoids
-        one heap cancellation per ACK.  The eager model re-schedules the
-        timer event on every call — the textbook implementation, kept as
-        the differential-test oracle (see :data:`TIMER_MODELS`).
+        Soft deadline: acknowledgements only move the ``_rto_deadline``
+        variable; the single pending timer event checks it when it fires
+        and re-sleeps until the deadline (:meth:`_on_rto`).  The
+        textbook alternative — cancel and re-push the timer event on
+        every ACK — costs one heap push per delivered segment and
+        litters the heap with cancelled entries.  The deadline is an
+        absolute time, not a sum of remainders, so the timeout executes
+        at the identical simulated instant either way; a test-local
+        eager subclass in ``tests/sim/test_timer_model_differential.py``
+        holds the traces to that, bit for bit.
         """
         if self.in_flight == 0:
             self._rto_deadline = None
@@ -505,17 +444,13 @@ class TcpSender:
         deadline = self.sim.now + self.rtt.rto
         self._rto_deadline = deadline
         timer = self._rto_timer
-        if self._rto_eager:
-            if timer is not None:
-                timer.cancel()
-            self._rto_timer = self.sim.schedule_at(deadline, self._on_rto)
-        elif timer is None:
+        if timer is None:
             self._rto_timer = self.sim.schedule_at(deadline, self._on_rto)
         elif timer.time > deadline:
             # The pending event would fire too late (the RTO shrank, e.g.
             # after the first RTT samples); bring it forward.  Strict
             # comparison: the timeout must land at the deadline exactly,
-            # or traces diverge from the eager oracle by an epsilon.
+            # or traces diverge from the eager re-arm by an epsilon.
             timer.cancel()
             self._rto_timer = self.sim.schedule_at(deadline, self._on_rto)
 

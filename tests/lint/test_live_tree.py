@@ -1,8 +1,8 @@
 """Meta-tests: the shipped tree itself satisfies the lint gate.
 
 These are the tests that make the gate real: if a change introduces a
-wall-clock read, an unseeded RNG, a stray ``os.environ["REPRO_*"]``, or
-an un-pinned kernel switch, the tier-1 suite fails — CI wiring or not.
+wall-clock read, an unseeded RNG or a stray ``os.environ["REPRO_*"]``,
+the tier-1 suite fails — CI wiring or not.
 """
 
 import json
@@ -45,12 +45,6 @@ def test_committed_baseline_is_empty():
     # that explains which findings were grandfathered and why.
     payload = json.loads(default_baseline_path().read_text())
     assert payload["findings"] == []
-
-
-def test_registry_matches_readme_and_ci():
-    from repro.sim.kernels import parity_problems
-
-    assert parity_problems(PROJECT_ROOT) == []
 
 
 def test_no_unregistered_repro_env_reads_anywhere():

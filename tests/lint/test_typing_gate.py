@@ -18,7 +18,6 @@ PROJECT_ROOT = Path(__file__).resolve().parents[2]
 #: Modules under the strict mypy overrides in pyproject.toml.
 STRICT_FILES = [
     PROJECT_ROOT / "src" / "repro" / "sim" / "engine.py",
-    PROJECT_ROOT / "src" / "repro" / "sim" / "packet_core.py",
     PROJECT_ROOT / "src" / "repro" / "campaign" / "grid.py",
 ] + sorted((PROJECT_ROOT / "src" / "repro" / "stats").rglob("*.py"))
 
@@ -59,7 +58,6 @@ def test_mypy_config_names_the_strict_modules():
     assert "[tool.mypy]" in text
     for module in (
         "repro.sim.engine",
-        "repro.sim.packet_core",
         "repro.stats",
         "repro.campaign.grid",
     ):

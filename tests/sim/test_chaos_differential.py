@@ -7,8 +7,9 @@ Two contracts:
   module: same delivery records (times, seq, CE bits), same queue
   counters, same per-flow outcomes, same event count.  Checked on the
   paper's three topology families (fig01-style dumbbell, fig14-style
-  incast testbed, leaf–spine fabric) under both link models, both
-  datapaths, and both RTO timer models.
+  incast testbed, leaf–spine fabric), with every link pinned to either
+  model and against the eager-timer oracle sender
+  (:mod:`tests.sim.oracles`).
 * **Seed determinism** — a *non-empty* schedule is a pure function of
   (spec, seed): the same seed replays byte-identically, a different
   seed produces a genuinely different trace.
@@ -25,11 +26,10 @@ from repro.sim.apps.bulk import launch_bulk_flows
 from repro.sim.apps.incast import FanInApp
 from repro.sim.apps.short_flows import ShortFlowGenerator
 from repro.sim.chaos import ChaosSchedule
-from repro.sim.datapath import datapath
-from repro.sim.link import link_model
 from repro.sim.packet_log import PacketLogger
-from repro.sim.tcp.sender import DctcpSender, timer_model
+from repro.sim.tcp.sender import DctcpSender
 from repro.sim.topology import dumbbell, leaf_spine, paper_testbed
+from tests.sim.oracles import TIMER_SENDERS, pin_link_model
 
 KB = 1024
 
@@ -48,127 +48,124 @@ def _queue_stats(queue):
     return {field: getattr(raw, field) for field in raw.__slots__}
 
 
-def _run_dumbbell(schedule, link: str, path: str, duration: float = 0.003):
+def _run_dumbbell(schedule, link: str, duration: float = 0.003):
     """Fig01-style dumbbell; ``schedule=None`` never imports chaos state."""
-    with link_model(link), datapath(path):
-        network = dumbbell(
-            4, lambda: SingleThresholdMarker.from_threshold(40.0)
+    network = dumbbell(
+        4, lambda: SingleThresholdMarker.from_threshold(40.0)
+    )
+    pin_link_model(network.network, link)
+    if schedule is not None:
+        schedule.install(network.network)
+    iface = network.network.interface_between(
+        network.switch.node_id, network.receiver.node_id
+    )
+    log = PacketLogger().attach(iface)
+    flows = launch_bulk_flows(network, sender_cls=DctcpSender)
+    network.sim.run(until=duration)
+    per_flow = [
+        (
+            f.sender.packets_sent,
+            f.sender.timeouts,
+            f.sender.retransmits,
+            f.receiver.packets_received,
         )
-        if schedule is not None:
-            schedule.install(network.network)
-        iface = network.network.interface_between(
-            network.switch.node_id, network.receiver.node_id
-        )
-        log = PacketLogger().attach(iface)
-        flows = launch_bulk_flows(network, sender_cls=DctcpSender)
-        network.sim.run(until=duration)
-        per_flow = [
-            (
-                f.sender.packets_sent,
-                f.sender.timeouts,
-                f.sender.retransmits,
-                f.receiver.packets_received,
-            )
-            for f in flows
-        ]
-        return (
-            _normalised_records(log),
-            _queue_stats(iface.queue),
-            per_flow,
-            network.sim.events_processed,
-        )
+        for f in flows
+    ]
+    return (
+        _normalised_records(log),
+        _queue_stats(iface.queue),
+        per_flow,
+        network.sim.events_processed,
+    )
 
 
 def _run_incast(schedule, timer: str):
     """Fig14-style incast on the paper testbed."""
-    with timer_model(timer):
-        testbed = paper_testbed(
-            lambda: SingleThresholdMarker.from_threshold(20.0),
-            bandwidth_bps=1e9,
-        )
-        if schedule is not None:
-            schedule.install(testbed.network)
-        iface = testbed.network.interface_between(
-            testbed.core_switch.node_id, testbed.aggregator.node_id
-        )
-        log = PacketLogger().attach(iface)
-        app = FanInApp(
-            testbed.aggregator,
-            testbed.workers,
-            n_flows=8,
-            bytes_per_flow=64 * KB,
-            n_queries=1,
-            sender_cls=DctcpSender,
-            initial_cwnd=2,
-            start_jitter=10e-6,
-            on_done=testbed.sim.stop,
-        )
-        app.start()
-        testbed.sim.run(until=1.0)
-        per_query = [
-            (r.completion_time, r.timeouts, r.retransmits)
-            for r in app.results
-        ]
-        return (
-            _normalised_records(log),
-            _queue_stats(testbed.bottleneck_queue),
-            per_query,
-            testbed.sim.events_processed,
-        )
+    testbed = paper_testbed(
+        lambda: SingleThresholdMarker.from_threshold(20.0),
+        bandwidth_bps=1e9,
+    )
+    if schedule is not None:
+        schedule.install(testbed.network)
+    iface = testbed.network.interface_between(
+        testbed.core_switch.node_id, testbed.aggregator.node_id
+    )
+    log = PacketLogger().attach(iface)
+    app = FanInApp(
+        testbed.aggregator,
+        testbed.workers,
+        n_flows=8,
+        bytes_per_flow=64 * KB,
+        n_queries=1,
+        sender_cls=TIMER_SENDERS[timer],
+        initial_cwnd=2,
+        start_jitter=10e-6,
+        on_done=testbed.sim.stop,
+    )
+    app.start()
+    testbed.sim.run(until=1.0)
+    per_query = [
+        (r.completion_time, r.timeouts, r.retransmits)
+        for r in app.results
+    ]
+    return (
+        _normalised_records(log),
+        _queue_stats(testbed.bottleneck_queue),
+        per_query,
+        testbed.sim.events_processed,
+    )
 
 
-def _run_leaf_spine(schedule, path: str, duration: float = 0.004):
+def _run_leaf_spine(schedule, duration: float = 0.004):
     """A leaf–spine fabric under Poisson short flows, ECMP active."""
-    with datapath(path):
-        fabric = leaf_spine(
-            3, 2, 2, lambda: SingleThresholdMarker.from_threshold(40.0),
-            ecmp_seed=7,
+    fabric = leaf_spine(
+        3, 2, 2, lambda: SingleThresholdMarker.from_threshold(40.0),
+        ecmp_seed=7,
+    )
+    if schedule is not None:
+        schedule.install(fabric.network)
+    client = fabric.host(0, 0)
+    log = PacketLogger().attach(
+        fabric.network.interface_between(
+            fabric.leaves[0].node_id, client.node_id
         )
-        if schedule is not None:
-            schedule.install(fabric.network)
-        client = fabric.host(0, 0)
-        log = PacketLogger().attach(
-            fabric.network.interface_between(
-                fabric.leaves[0].node_id, client.node_id
-            )
+    )
+    generators = [
+        ShortFlowGenerator(
+            fabric.host(leaf_idx, 0),
+            client,
+            flow_bytes=20 * KB,
+            arrival_rate=20_000.0,
+            sender_cls=DctcpSender,
+            seed=11 + leaf_idx,
         )
-        generators = [
-            ShortFlowGenerator(
-                fabric.host(leaf_idx, 0),
-                client,
-                flow_bytes=20 * KB,
-                arrival_rate=20_000.0,
-                sender_cls=DctcpSender,
-                seed=11 + leaf_idx,
-            )
-            for leaf_idx in (1, 2)
-        ]
-        for generator in generators:
-            generator.start()
-        fabric.sim.run(until=duration)
-        per_generator = [
-            (
-                g.flows_started,
-                g.flows_completed,
-                tuple(g.completion_times),
-            )
-            for g in generators
-        ]
-        return (
-            _normalised_records(log),
-            per_generator,
-            fabric.sim.events_processed,
+        for leaf_idx in (1, 2)
+    ]
+    for generator in generators:
+        generator.start()
+    fabric.sim.run(until=duration)
+    per_generator = [
+        (
+            g.flows_started,
+            g.flows_completed,
+            tuple(g.completion_times),
         )
+        for g in generators
+    ]
+    return (
+        _normalised_records(log),
+        per_generator,
+        fabric.sim.events_processed,
+    )
 
 
 class TestZeroFaultTransparency:
     """An empty schedule may not perturb a single byte of the run."""
 
     @pytest.mark.parametrize("link", ["busy-until", "two-event"])
-    @pytest.mark.parametrize("path", ["fast", "reference"])
-    def test_dumbbell_all_kernel_combos(self, link, path):
-        clean = _run_dumbbell(None, link, path)
-        chaosless = _run_dumbbell(ChaosSchedule(seed=123), link, path)
+    def test_dumbbell_both_link_models(self, link):
+        clean = _run_dumbbell(None, link)
+        chaosless = _run_dumbbell(ChaosSchedule(seed=123), link)
         assert len(clean[0]) > 300, "scenario too small to be meaningful"
         assert chaosless == clean
 
@@ -180,10 +177,9 @@ class TestZeroFaultTransparency:
         assert clean[2], "no query completed"
         assert chaosless == clean
 
-    @pytest.mark.parametrize("path", ["fast", "reference"])
-    def test_leaf_spine_both_datapaths(self, path):
-        clean = _run_leaf_spine(None, path)
-        chaosless = _run_leaf_spine(ChaosSchedule(seed=5), path)
+    def test_leaf_spine(self):
+        clean = _run_leaf_spine(None)
+        chaosless = _run_leaf_spine(ChaosSchedule(seed=5))
         assert len(clean[0]) > 100, "scenario too small to be meaningful"
         assert chaosless == clean
 
@@ -203,23 +199,22 @@ def _faulty_schedule(seed: int) -> ChaosSchedule:
 
 class TestSeedDeterminism:
     @pytest.mark.parametrize("link", ["busy-until", "two-event"])
-    @pytest.mark.parametrize("path", ["fast", "reference"])
-    def test_same_spec_and_seed_replays_byte_identically(self, link, path):
-        first = _run_dumbbell(_faulty_schedule(42), link, path)
-        second = _run_dumbbell(_faulty_schedule(42), link, path)
+    def test_same_spec_and_seed_replays_byte_identically(self, link):
+        first = _run_dumbbell(_faulty_schedule(42), link)
+        second = _run_dumbbell(_faulty_schedule(42), link)
         assert len(first[0]) > 100, "scenario too small to be meaningful"
         assert second == first
 
     def test_schedule_survives_spec_round_trip(self):
         original = _faulty_schedule(42)
         rebuilt = ChaosSchedule.from_spec(original.to_spec())
-        assert _run_dumbbell(rebuilt, "two-event", "fast") == _run_dumbbell(
-            original, "two-event", "fast"
+        assert _run_dumbbell(rebuilt, "two-event") == _run_dumbbell(
+            original, "two-event"
         )
 
     def test_different_seed_changes_the_trace(self):
         # Same fault spec, different seed: the loss/jitter streams
         # differ, so the delivery trace must differ too.
-        first = _run_dumbbell(_faulty_schedule(42), "two-event", "fast")
-        second = _run_dumbbell(_faulty_schedule(43), "two-event", "fast")
+        first = _run_dumbbell(_faulty_schedule(42), "two-event")
+        second = _run_dumbbell(_faulty_schedule(43), "two-event")
         assert second[0] != first[0]

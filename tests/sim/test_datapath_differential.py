@@ -1,13 +1,21 @@
-"""Differential tests: fast per-packet datapath vs reference oracle.
+"""Differential tests: every per-packet fast lane vs the general body
+it shortcuts.
 
-The fast datapath (``REPRO_DATAPATH=fast``: memoized ECMP routes, fused
-forward→enqueue bodies, sender-side cumulative-ack fast paths) claims
-*exact* equivalence with the straight-line reference: same delivery
-trace — times, flow ids, sequence numbers, CE/ECE bits — same queue
-counters and same per-flow outcomes, on every marker type, both link
-models, and departure marking.  These tests compare everything
-observable; the memoization-soundness tests then attack the route
-cache's invalidation edges directly.
+No switch selects these lanes; the code takes them from what it
+observes, so the tests steer them through the same observables and
+require *exact* equivalence — same delivery trace on every interface
+(times, flow ids, sequence numbers, CE/ECE bits), same queue counters,
+same per-flow outcomes:
+
+* fused send (``type(queue) is FifoQueue``) vs the method-call path: a
+  :class:`TrackedFifoQueue` bottleneck swapped in before traffic, across
+  every marker type and departure marking;
+* the sender's cumulative-ACK and window-loop fast bodies
+  (``use_sack=False``) vs the general ``_try_send``/``_on_new_ack``:
+  ``use_sack=True`` on a lossless run, where no SACK block is ever
+  emitted and the general bodies must reproduce the trace;
+* the switch's memoized egress vs the pure :meth:`Switch.route_for`,
+  attacked at every invalidation edge.
 """
 
 from __future__ import annotations
@@ -25,20 +33,14 @@ from repro.core.marking import (
     SingleThresholdMarker,
 )
 from repro.sim.apps.bulk import launch_bulk_flows
-from repro.sim.datapath import (
-    DATAPATHS,
-    datapath,
-    default_datapath,
-    resolve_datapath,
-    set_default_datapath,
-)
 from repro.sim.engine import Simulator
-from repro.sim.link import link_model
+from repro.sim.node import Switch
 from repro.sim.packet import Packet, packet_pool_size
 from repro.sim.packet_log import PacketLogger
 from repro.sim.queues import FifoQueue
 from repro.sim.tcp.sender import DctcpSender
 from repro.sim.topology import Network, dumbbell
+from repro.sim.trace import TrackedFifoQueue
 
 MARKERS = {
     "null": lambda: NullMarker(),
@@ -49,71 +51,101 @@ MARKERS = {
 
 
 def _run_dumbbell(
-    path: str,
-    marker_key: str,
-    link: str,
+    marker,
+    tracked: bool = False,
     n_flows: int = 4,
     duration: float = 0.003,
     mark_on_dequeue: bool = False,
+    **sender_kwargs,
 ):
-    """One dumbbell run; returns (delivery records, queue stats, flows)."""
-    with datapath(path), link_model(link):
-        network = dumbbell(n_flows, MARKERS[marker_key])
-        iface = network.network.interface_between(
-            network.switch.node_id, network.receiver.node_id
+    """One dumbbell run with every interface tapped.
+
+    ``tracked`` swaps the bottleneck queue for a :class:`TrackedFifoQueue`
+    of the same configuration before traffic, which takes the interface
+    off the fused send.  Returns (delivery records, bottleneck stats,
+    per-flow outcomes, events processed, bottleneck interface).
+    """
+    network = dumbbell(n_flows, marker)
+    iface = network.network.interface_between(
+        network.switch.node_id, network.receiver.node_id
+    )
+    if tracked or mark_on_dequeue:
+        config = dict(
+            marker=marker(), name="bottleneck", mark_on_dequeue=mark_on_dequeue
         )
-        if mark_on_dequeue:
-            iface.queue = FifoQueue(
-                network.bottleneck_queue.capacity_bytes,
-                marker=MARKERS[marker_key](),
-                name="bottleneck",
-                mark_on_dequeue=True,
-            )
-        log = PacketLogger().attach(iface)
-        flows = launch_bulk_flows(network, sender_cls=DctcpSender)
-        base = min(f.sender.flow_id for f in flows)
-        network.sim.run(until=duration)
-        records = [
-            dataclasses.replace(r, flow_id=r.flow_id - base)
-            for r in log.records
-        ]
-        raw = iface.queue.stats
-        stats = {field: getattr(raw, field) for field in raw.__slots__}
-        per_flow = [
-            (
-                f.sender.packets_sent,
-                f.sender.timeouts,
-                f.sender.retransmits,
-                f.receiver.packets_received,
-            )
-            for f in flows
-        ]
-        events = network.sim.events_processed
-    return records, stats, per_flow, events
+        capacity = network.bottleneck_queue.capacity_bytes
+        iface.queue = (
+            TrackedFifoQueue(network.sim, capacity, **config)
+            if tracked
+            else FifoQueue(capacity, **config)
+        )
+    log = PacketLogger()
+    for interface in network.network.all_interfaces():
+        log.attach(interface)
+    flows = launch_bulk_flows(network, sender_cls=DctcpSender, **sender_kwargs)
+    base = min(f.sender.flow_id for f in flows)
+    network.sim.run(until=duration)
+    records = [
+        dataclasses.replace(r, flow_id=r.flow_id - base) for r in log.records
+    ]
+    raw = iface.queue.stats
+    stats = {field: getattr(raw, field) for field in raw.__slots__}
+    per_flow = [
+        (
+            f.sender.packets_sent,
+            f.sender.timeouts,
+            f.sender.retransmits,
+            f.receiver.packets_received,
+        )
+        for f in flows
+    ]
+    return records, stats, per_flow, network.sim.events_processed, iface
+
+
+def _compare_plain_vs_tracked(marker, **kwargs):
+    *plain, plain_iface = _run_dumbbell(marker, tracked=False, **kwargs)
+    *tracked, tracked_iface = _run_dumbbell(marker, tracked=True, **kwargs)
+    assert len(plain[0]) > 300, "scenario too small to be meaningful"
+    assert tracked == plain
+    return plain_iface, tracked_iface
 
 
 class TestDumbbellTraces:
     @pytest.mark.parametrize("marker_key", sorted(MARKERS))
-    @pytest.mark.parametrize("link", ["busy-until", "two-event"])
-    def test_traces_identical_across_markers_and_link_models(
-        self, marker_key, link
+    def test_traces_identical_across_markers_and_link_send_paths(
+        self, marker_key
     ):
-        reference = _run_dumbbell("reference", marker_key, link)
-        fast = _run_dumbbell("fast", marker_key, link)
-        assert len(reference[0]) > 300, "scenario too small to be meaningful"
-        assert fast == reference
+        plain_iface, tracked_iface = _compare_plain_vs_tracked(
+            MARKERS[marker_key]
+        )
+        # The two runs really took the two bodies of Interface.send.
+        assert plain_iface._q_fused and plain_iface.model == "busy-until"
+        assert not tracked_iface._q_fused
+        assert tracked_iface.model == "busy-until"
 
     @pytest.mark.parametrize("marker_key", ["single", "double"])
     def test_traces_identical_under_departure_marking(self, marker_key):
-        # mark_on_dequeue forces the two-event link lane; the datapath
-        # fast bodies in enqueue/dequeue must still match exactly.
-        reference = _run_dumbbell(
-            "reference", marker_key, "busy-until", mark_on_dequeue=True
+        # mark_on_dequeue forces the two-event link lane; the base
+        # enqueue/dequeue bodies and the time-stamping subclass on top
+        # of them must still agree exactly.
+        plain_iface, tracked_iface = _compare_plain_vs_tracked(
+            MARKERS[marker_key], mark_on_dequeue=True
         )
-        fast = _run_dumbbell(
-            "fast", marker_key, "busy-until", mark_on_dequeue=True
-        )
-        assert fast == reference
+        assert plain_iface.model == tracked_iface.model == "two-event"
+        assert plain_iface.queue.stats.marked > 0
+
+    @pytest.mark.parametrize("marker_key", ["single", "double"])
+    def test_sender_fast_bodies_match_general_bodies_when_lossless(
+        self, marker_key
+    ):
+        *fast, _ = _run_dumbbell(MARKERS[marker_key], use_sack=False)
+        *general, iface = _run_dumbbell(MARKERS[marker_key], use_sack=True)
+        assert len(fast[0]) > 300, "scenario too small to be meaningful"
+        # Lossless, so the receivers never emitted a SACK block and the
+        # scoreboard stayed empty: only the code path differed.
+        assert iface.queue.stats.dropped == 0
+        assert all(rtx == 0 for _, _, rtx, _ in general[2])
+        assert general == fast
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -128,95 +160,14 @@ class TestDumbbellTraces:
             MARKERS,
             single=lambda: SingleThresholdMarker.from_threshold(threshold),
         )
-
-        def run(path):
-            with datapath(path):
-                network = dumbbell(n_flows, markers[marker_key])
-                iface = network.network.interface_between(
-                    network.switch.node_id, network.receiver.node_id
-                )
-                log = PacketLogger().attach(iface)
-                flows = launch_bulk_flows(network, sender_cls=DctcpSender)
-                base = min(f.sender.flow_id for f in flows)
-                network.sim.run(until=0.0015)
-                return (
-                    [
-                        dataclasses.replace(r, flow_id=r.flow_id - base)
-                        for r in log.records
-                    ],
-                    [f.sender.packets_sent for f in flows],
-                    network.sim.events_processed,
-                )
-
-        assert run("fast") == run("reference")
-
-
-class TestExperimentCells:
-    """Full experiment cells produce identical result dicts."""
-
-    def _compare(self, case):
-        from repro.exec.cases import execute_case
-
-        with datapath("reference"):
-            reference = execute_case(case)
-        with datapath("fast"):
-            fast = execute_case(case)
-        assert fast == reference
-
-    def test_fig01_oscillation_cell(self):
-        from repro.exec.cases import Case
-
-        self._compare(
-            Case(
-                "repro.experiments.fig01_oscillation",
-                "diff",
-                {
-                    "protocol": "dctcp-sim",
-                    "n_flows": 2,
-                    "sim_duration": 0.004,
-                    "warmup": 0.001,
-                    "sample_interval": 20e-6,
-                },
-            )
+        *plain, _ = _run_dumbbell(
+            markers[marker_key], n_flows=n_flows, duration=0.0015
         )
-
-    def test_fig14_incast_cell(self):
-        from repro.exec.cases import Case
-
-        self._compare(
-            Case(
-                "repro.experiments.fig14_incast",
-                "diff",
-                {
-                    "protocol": "dctcp-testbed",
-                    "n_flows": 6,
-                    "n_queries": 1,
-                    "response_bytes": 64 * 1024,
-                    "bandwidth_bps": 1e9,
-                },
-            )
+        *tracked, _ = _run_dumbbell(
+            markers[marker_key], tracked=True, n_flows=n_flows,
+            duration=0.0015,
         )
-
-    def test_leaf_spine_campaign_cell(self):
-        from repro.campaign.cells import run_cell
-        from repro.campaign.grid import CampaignGrid
-
-        grid = CampaignGrid(
-            thresholds=((40.0,),),
-            loads=(0.4,),
-            fan_ins=(4,),
-            scenarios=("buildup",),
-            seeds=(1,),
-            duration=0.004,
-            warmup=0.001,
-        )
-        params = grid.expand()[0].params
-        with datapath("reference"):
-            reference = run_cell(params)
-        with datapath("fast"):
-            fast = run_cell(params)
-        assert fast == reference
-        assert fast["flows_completed"] > 0
+        assert tracked == plain
 
 
 def _two_way_switch():
@@ -245,9 +196,8 @@ def _packet(flow_id, dst):
 
 
 class TestRouteMemoization:
-    def test_fast_switch_caches_routable_flows_only(self):
+    def test_switch_caches_routable_flows_only(self):
         _, switch, left, _, _ = _two_way_switch()
-        switch._fast = True
         switch.receive(_packet(7, left.node_id))
         assert (7, 0, left.node_id) in switch._route_cache
         switch.receive(_packet(9, 999))  # unroutable destination
@@ -256,7 +206,6 @@ class TestRouteMemoization:
 
     def test_set_routes_invalidates_cache(self):
         _, switch, left, if_left, if_right = _two_way_switch()
-        switch._fast = True
         switch.set_routes(left.node_id, (if_left,))
         switch.receive(_packet(3, left.node_id))
         assert switch._route_cache[(3, 0, left.node_id)].__self__ is if_left
@@ -269,7 +218,6 @@ class TestRouteMemoization:
 
     def test_ecmp_seed_change_invalidates_cache(self):
         _, switch, left, _, _ = _two_way_switch()
-        switch._fast = True
         switch.receive(_packet(5, left.node_id))
         assert switch._route_cache
         switch.ecmp_seed = 12345
@@ -284,9 +232,19 @@ class TestRouteMemoization:
                 is expected
             )
 
+    def test_withdraw_route_invalidates_cache(self):
+        _, switch, left, _, _ = _two_way_switch()
+        switch.receive(_packet(4, left.node_id))
+        assert switch._route_cache
+        switch.withdraw_route(left.node_id)
+        assert switch._route_cache == {}
+        # Not forwarded into the withdrawn group from a stale entry.
+        switch.receive(_packet(4, left.node_id))
+        assert switch.packets_unroutable == 1
+        assert switch.packets_forwarded == 1
+
     def test_reset_forgets_routes_and_cache(self):
         _, switch, left, _, _ = _two_way_switch()
-        switch._fast = True
         switch.receive(_packet(2, left.node_id))
         assert switch.packets_forwarded == 1
         switch.reset()
@@ -296,9 +254,8 @@ class TestRouteMemoization:
         switch.receive(_packet(2, left.node_id))
         assert switch.packets_unroutable == 1
 
-    def test_fast_and_reference_pick_identical_egresses(self):
+    def test_memoized_and_pure_routes_pick_identical_egresses(self):
         _, switch, left, _, _ = _two_way_switch()
-        switch._fast = True
         for flow_id in range(64):
             expected = switch.route_for(_packet(flow_id, left.node_id))
             switch.receive(_packet(flow_id, left.node_id))
@@ -309,34 +266,6 @@ class TestRouteMemoization:
         assert switch.packets_unroutable == 0
 
 
-class TestSwitchConfig:
-    def test_datapath_validated_at_construction(self):
-        from repro.sim.node import Switch
-
-        with pytest.raises(ValueError, match="datapath"):
-            Switch(Simulator(), datapath="bogus")
-        with pytest.raises(ValueError, match="datapath"):
-            FifoQueue(1e6, datapath="bogus")
-
-    def test_resolve_and_default_round_trip(self):
-        assert resolve_datapath(None) == default_datapath()
-        for path in DATAPATHS:
-            assert resolve_datapath(path) == path
-        with pytest.raises(ValueError):
-            resolve_datapath("bogus")
-        with pytest.raises(ValueError):
-            set_default_datapath("bogus")
-
-    def test_context_manager_restores_default(self):
-        before = default_datapath()
-        with datapath("reference"):
-            assert default_datapath() == "reference"
-            with datapath("fast"):
-                assert default_datapath() == "fast"
-            assert default_datapath() == "reference"
-        assert default_datapath() == before
-
-
 class TestPacketPoolAccounting:
     """Drop and unroutable paths must return pooled packets (ISSUE 9).
 
@@ -345,35 +274,29 @@ class TestPacketPoolAccounting:
     free list and the pool drained under sustained overload.
     """
 
-    @pytest.mark.parametrize("path", DATAPATHS)
-    def test_overflow_drop_refills_free_list(self, path):
-        with datapath(path):
-            queue = FifoQueue(1500.0, name="tiny")
-            assert queue.enqueue(
-                Packet.acquire(flow_id=0, src=0, dst=1, seq=0,
-                               size_bytes=1500)
-            )
-            victim = Packet.acquire(
-                flow_id=0, src=0, dst=1, seq=1, size_bytes=1500
-            )
-            before = packet_pool_size()
-            assert not queue.enqueue(victim)
-            assert packet_pool_size() == before + 1
-            assert queue.stats.dropped == 1
+    def test_overflow_drop_refills_free_list(self):
+        queue = FifoQueue(1500.0, name="tiny")
+        assert queue.enqueue(
+            Packet.acquire(flow_id=0, src=0, dst=1, seq=0,
+                           size_bytes=1500)
+        )
+        victim = Packet.acquire(
+            flow_id=0, src=0, dst=1, seq=1, size_bytes=1500
+        )
+        before = packet_pool_size()
+        assert not queue.enqueue(victim)
+        assert packet_pool_size() == before + 1
+        assert queue.stats.dropped == 1
 
-    @pytest.mark.parametrize("path", DATAPATHS)
-    def test_unroutable_packet_refills_free_list(self, path):
-        from repro.sim.node import Switch
-
-        with datapath(path):
-            switch = Switch(Simulator(), "lone")
-            victim = Packet.acquire(
-                flow_id=0, src=0, dst=42, seq=0, size_bytes=1500
-            )
-            before = packet_pool_size()
-            switch.receive(victim)
-            assert packet_pool_size() == before + 1
-            assert switch.packets_unroutable == 1
+    def test_unroutable_packet_refills_free_list(self):
+        switch = Switch(Simulator(), "lone")
+        victim = Packet.acquire(
+            flow_id=0, src=0, dst=42, seq=0, size_bytes=1500
+        )
+        before = packet_pool_size()
+        switch.receive(victim)
+        assert packet_pool_size() == before + 1
+        assert switch.packets_unroutable == 1
 
     def test_unpooled_packets_unaffected(self):
         # recycle() on a directly constructed packet is a no-op, so the

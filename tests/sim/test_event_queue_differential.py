@@ -1,22 +1,20 @@
-"""Differential tests for the event scheduler and the packet core.
+"""Differential tests for the event scheduler.
 
-Three layers of evidence:
+Two layers of evidence:
 
 * hypothesis property tests drive :class:`Simulator` through random
   operation programs (ties, cancels, self-rescheduling chains, sparse
   far-future outliers, mid-run stops) under three run regimes
   (free-running, event-budget steps, ``until`` steps) and require the
   trace of a sorted-list model of ``(time, sequence)`` order — the
-  scheduler's whole contract, written the slow obvious way;
-* end-to-end kernel-matrix tests run Figure 1 (queue oscillation),
-  Figure 14/15 (incast collapse), a leaf-spine campaign cell and a
-  shrunk ``space-dc`` chaos cell under both ``REPRO_PACKET_CORE`` values
-  and require identical delivery traces and results;
-* golden digests: sha256 of the same four captures, committed in
-  ``golden_trace_digests.json`` per link model, pin whatever kernels
-  the environment selects (the defaults in tier-1, every oracle in the
-  CI oracle-matrix job) to a frozen artifact rather than only to each
-  other.
+  scheduler's whole contract, written the slow obvious way — for
+  cancellable (``schedule``) and flat fire-and-forget (``post``)
+  events alike;
+* golden digests: sha256 of the full all-interface delivery traces and
+  results of Figure 1 (queue oscillation), Figure 14/15 (incast
+  collapse), a leaf-spine campaign cell and a shrunk ``space-dc`` chaos
+  cell, committed in ``golden_trace_digests.json``, pin the simulator
+  to a frozen artifact instead of to a second implementation.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ from repro.experiments.protocols import dctcp_testbed
 from repro.sim import topology
 from repro.sim.apps.incast import FanInApp
 from repro.sim.engine import Simulator
-from repro.sim.link import LINK_MODELS, default_link_model, link_model
-from repro.sim.packet_core import PACKET_CORES, packet_core
 from repro.sim.packet_log import PacketLogger
 from repro.sim.topology import paper_testbed
 
@@ -220,45 +216,42 @@ def _drive(sim, ops, mode: str):
 @given(ops=_ops)
 @pytest.mark.parametrize("mode", ["free", "budget", "until"])
 def test_heap_matches_sorted_list_model(mode, ops):
-    model = _drive(_SortedListModel(), ops, mode)
-    for core in PACKET_CORES:
-        assert _drive(Simulator(packet_core=core), ops, mode) == model, core
+    assert _drive(Simulator(), ops, mode) == _drive(
+        _SortedListModel(), ops, mode
+    )
 
 
 @settings(max_examples=20, deadline=None)
 @given(ops=_ops)
-def test_reset_rewinds_both_kernels_identically(ops):
-    traces = []
-    for core in PACKET_CORES:
-        sim = Simulator(packet_core=core)
-        trace = []
-        for i, op in enumerate(ops):
-            if op[0] in ("at", "far"):
-                t = op[1] + (1e3 if op[0] == "far" else 0.0)
-                sim.schedule_at(t, trace.append, (sim.now, i))
-            elif op[0] == "post":
-                sim.post_at(op[1], trace.append, (sim.now, i))
-        sim.run(until=2.0)
-        sim.reset()
-        assert sim.pending_events == 0
-        assert sim.now == 0.0
-        # A replay after reset must look like a fresh process.
-        for t in (1.0, 1.0, 0.5):
-            sim.schedule_at(
-                t, trace.append, ("replay", t, sim.events_scheduled)
-            )
-        sim.run()
-        assert trace[-3:] == [
-            ("replay", 0.5, 2),
-            ("replay", 1.0, 0),
-            ("replay", 1.0, 1),
-        ]
-        traces.append(trace)
-    assert traces[0] == traces[1]
+def test_reset_rewinds_like_a_fresh_simulator(ops):
+    sim = Simulator()
+    trace = []
+    for i, op in enumerate(ops):
+        if op[0] in ("at", "far"):
+            t = op[1] + (1e3 if op[0] == "far" else 0.0)
+            sim.schedule_at(t, trace.append, (sim.now, i))
+        elif op[0] == "post":
+            sim.post_at(op[1], trace.append, (sim.now, i))
+    sim.run(until=2.0)
+    sim.reset()
+    assert sim.pending_events == 0
+    assert sim.now == 0.0
+    # A replay after reset must look like a fresh process.
+    for t in (1.0, 1.0, 0.5):
+        sim.schedule_at(
+            t, trace.append, ("replay", t, sim.events_scheduled)
+        )
+    sim.run()
+    assert trace[-3:] == [
+        ("replay", 0.5, 2),
+        ("replay", 1.0, 0),
+        ("replay", 1.0, 1),
+    ]
 
 
 # ----------------------------------------------------------------------
-# End-to-end layer: full delivery traces of real experiments.
+# Golden layer: full delivery traces of real experiments against a
+# frozen artifact.
 # ----------------------------------------------------------------------
 
 
@@ -379,41 +372,11 @@ CAPTURES = {
 }
 
 
-def _matrix(capture):
-    """Run ``capture()`` under each packet core; compare to the oracle."""
-    results = {}
-    for core in PACKET_CORES:
-        with packet_core(core):
-            results[core] = capture()
-    assert results["flat"] == results["object"], "flat diverged from object"
-
-
-def test_fig01_oscillation_identical_across_kernel_matrix():
-    _matrix(_fig01)
-
-
-def test_fig14_incast_identical_across_kernel_matrix():
-    _matrix(_fig14)
-
-
-def test_leaf_spine_campaign_cell_identical_across_kernel_matrix():
-    _matrix(_leaf_spine)
-
-
-def test_space_dc_cell_identical_across_kernel_matrix():
-    _matrix(_space_dc)
-
-
-# ----------------------------------------------------------------------
-# Golden layer: the same captures against a frozen artifact.
-# ----------------------------------------------------------------------
-
-
 def _digest(records, result) -> str:
     """sha256 of every delivery (times as exact hex) plus the result.
 
-    ``events_processed`` is left out: it counts scheduler work, which
-    the link and timer oracles legitimately do more of.
+    ``events_processed`` is left out: it counts scheduler work, not
+    anything the network did.
     """
     sha = hashlib.sha256()
     for r in records:
@@ -433,30 +396,17 @@ def _digest(records, result) -> str:
 @pytest.mark.parametrize("name", sorted(CAPTURES))
 def test_capture_matches_golden_digest(name):
     """The digests were generated at commit 08725f8 (PR 11, the last
-    with a calendar queue, a handle pool and flat log columns) by
-    running this module as a script there; every kernel configuration
-    since must reproduce them bit for bit.
-
-    They are keyed by link model because that pair is *not* trace-
-    identical on these captures: packets reaching a switch at the same
-    instant from two ingress links are enqueued in a different order
-    under ``two-event`` (fig14: flows 10 and 14 swap at t = 603.105 us),
-    which moves per-flow delivery times but no queue counter.  The
-    packet-core, timer and datapath oracles reproduce the digest of
-    whichever link model is active.
+    with a calendar queue, a handle pool, flat log columns and five
+    kernel switches) by running this module as a script there; every
+    commit since must reproduce them bit for bit.
     """
     golden = json.loads(GOLDEN.read_text())
-    assert _digest(*CAPTURES[name]()) == golden[default_link_model()][name]
+    assert _digest(*CAPTURES[name]()) == golden[name]
 
 
 if __name__ == "__main__":
     # Deliberate regeneration only:
     #   PYTHONPATH=src python -m tests.sim.test_event_queue_differential
-    digests = {}
-    for model in LINK_MODELS:
-        with link_model(model):
-            digests[model] = {
-                name: _digest(*CAPTURES[name]()) for name in sorted(CAPTURES)
-            }
+    digests = {name: _digest(*CAPTURES[name]()) for name in sorted(CAPTURES)}
     GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
     print(GOLDEN.read_text(), end="")

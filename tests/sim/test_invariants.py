@@ -23,18 +23,19 @@ from repro.sim.invariants import (
     invariants_enabled,
     network_held_packets,
 )
-from repro.sim.link import link_model
 from repro.sim.packet import Packet, live_pooled_packets
 from repro.sim.tcp.sender import DctcpSender
 from repro.sim.topology import dumbbell
+from tests.sim.oracles import pin_link_model
 
 
 def _marker():
     return SingleThresholdMarker.from_threshold(40.0)
 
 
-def _busy_dumbbell(n_flows: int = 4):
+def _busy_dumbbell(n_flows: int = 4, link: str = "busy-until"):
     network = dumbbell(n_flows, _marker)
+    pin_link_model(network.network, link)
     watchdog = InvariantWatchdog(network.network)  # before traffic
     flows = launch_bulk_flows(network, sender_cls=DctcpSender)
     return network, watchdog, flows
@@ -43,14 +44,13 @@ def _busy_dumbbell(n_flows: int = 4):
 class TestHealthyRuns:
     @pytest.mark.parametrize("link", ["busy-until", "two-event"])
     def test_periodic_checks_pass_mid_run(self, link):
-        with link_model(link):
-            network, watchdog, _ = _busy_dumbbell()
-            # Audit every 100 us: checks land mid-busy-period, where the
-            # busy-until lane's deferred queue bookkeeping must still
-            # balance the ledgers.
-            watchdog.start(interval=100e-6)
-            network.sim.run(until=0.003)
-            watchdog.check()
+        network, watchdog, _ = _busy_dumbbell(link=link)
+        # Audit every 100 us: checks land mid-busy-period, where the
+        # busy-until lane's deferred queue bookkeeping must still
+        # balance the ledgers.
+        watchdog.start(interval=100e-6)
+        network.sim.run(until=0.003)
+        watchdog.check()
         assert watchdog.checks_run >= 30
         assert network.sim.events_processed > 1000
 

@@ -1,22 +1,26 @@
-"""The REPRO_* switch registry and its README/CI parity checks."""
+"""The REPRO_* switch registry: two configuration switches, no kernels."""
+
+import importlib
+import os
+import warnings
 
 import pytest
 
+from repro.campaign.grid import CampaignGrid
+from repro.exec.cases import execute_case
 from repro.sim import kernels
 
 
 class TestRegistry:
-    def test_every_kernel_pair_has_oracle_and_choices(self):
-        for switch in kernels.kernel_switches():
-            assert switch.oracle is not None
-            assert switch.choices is not None
-            assert switch.default in switch.choices
-            assert switch.oracle in switch.choices
-            assert switch.default != switch.oracle
-
-    def test_cache_dir_is_config_not_kernel(self):
-        switch = kernels.registered("REPRO_CACHE_DIR")
-        assert not switch.is_kernel
+    def test_registry_holds_only_the_two_configuration_switches(self):
+        """Regression: ``REPRO_LINK_MODEL=two-event`` changed a cell's
+        results under an unchanged cache key.  No registered switch may
+        select between implementations again without this test (and the
+        cache key) being revisited."""
+        assert sorted(kernels.REGISTRY) == [
+            "REPRO_CACHE_DIR", "REPRO_INVARIANTS",
+        ]
+        assert kernels.kernel_switches() == ()
 
     def test_unregistered_read_raises_with_fix(self):
         with pytest.raises(KeyError, match="REGISTRY"):
@@ -25,10 +29,10 @@ class TestRegistry:
             kernels.env_value("REPRO_BOGUS")
 
     def test_env_default_prefers_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LINK_MODEL", raising=False)
-        assert kernels.env_default("REPRO_LINK_MODEL") == "busy-until"
-        monkeypatch.setenv("REPRO_LINK_MODEL", "two-event")
-        assert kernels.env_default("REPRO_LINK_MODEL") == "two-event"
+        monkeypatch.delenv("REPRO_INVARIANTS", raising=False)
+        assert kernels.env_default("REPRO_INVARIANTS") == "0"
+        monkeypatch.setenv("REPRO_INVARIANTS", "1")
+        assert kernels.env_default("REPRO_INVARIANTS") == "1"
 
     @pytest.mark.parametrize(
         "switch",
@@ -38,9 +42,8 @@ class TestRegistry:
     def test_env_default_rejects_values_outside_choices(
         self, switch, monkeypatch
     ):
-        """Regression: a misspelt value was silently taken for one of
-        the kernels (``REPRO_DATAPATH=fats`` ran the reference datapath,
-        ``REPRO_INVARIANTS=yes`` left the watchdog off)."""
+        """Regression: a misspelt value was silently taken for the
+        default (``REPRO_INVARIANTS=yes`` left the watchdog off)."""
         typo = switch.choices[0] + "x"
         monkeypatch.setenv(switch.env, typo)
         with pytest.raises(ValueError) as excinfo:
@@ -60,50 +63,51 @@ class TestRegistry:
         assert kernels.env_value("REPRO_CACHE_DIR") == "/tmp/x"
 
 
-GOOD_TABLE = """\
-| variable | default | oracle | selects |
-|---|---|---|---|
-| `REPRO_PACKET_CORE` | `flat` | `object` | event records |
-| `REPRO_LINK_MODEL` | `busy-until` | `two-event` | transmitter |
-| `REPRO_TIMER_MODEL` | `soft-deadline` | `eager` | RTO re-arm |
-| `REPRO_DATAPATH` | `fast` | `reference` | per-packet datapath |
-"""
+class TestUnknownNamesWarn:
+    """Regression: an unknown ``REPRO_*`` name was ignored in silence —
+    a deleted switch still exported by a shell or CI file, or a typo
+    like ``REPRO_INVARIENTS=1`` that leaves the watchdog off."""
+
+    def test_import_warns_once_naming_every_unknown_variable(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_LINK_MODEL", "two-event")
+        monkeypatch.setenv("REPRO_INVARIENTS", "1")
+        monkeypatch.setenv("REPRO_INVARIANTS", "1")
+        with pytest.warns(RuntimeWarning) as caught:
+            importlib.reload(kernels)
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert "REPRO_LINK_MODEL" in message and "REPRO_INVARIENTS" in message
+        # ... and says what would have been understood.
+        assert "REPRO_CACHE_DIR" in message and "REPRO_INVARIANTS" in message
+
+    def test_registered_names_alone_are_quiet(self, monkeypatch):
+        for name in list(os.environ):
+            if name.startswith("REPRO_"):
+                monkeypatch.delenv(name)
+        monkeypatch.setenv("REPRO_INVARIANTS", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/x")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            importlib.reload(kernels)
 
 
-class TestReadmeParity:
-    def test_matching_table_is_clean(self):
-        assert kernels.readme_parity_problems(GOOD_TABLE) == []
+def test_invariants_switch_is_result_neutral(monkeypatch):
+    """The one switch that runs inside a cached cell must not move a
+    single number: the cache key does not (and need not) include it.
 
-    def test_missing_row_reported(self):
-        text = "\n".join(
-            line for line in GOOD_TABLE.splitlines() if "TIMER" not in line
-        )
-        problems = kernels.readme_parity_problems(text)
-        assert any("REPRO_TIMER_MODEL" in p and "no row" in p for p in problems)
-
-    def test_wrong_default_and_oracle_reported(self):
-        text = GOOD_TABLE.replace("`flat`", "`object`", 1)
-        problems = kernels.readme_parity_problems(text)
-        assert any("default" in p for p in problems)
-
-    def test_unregistered_row_reported(self):
-        text = GOOD_TABLE + "| `REPRO_MYSTERY` | `a` | `b` | ? |\n"
-        problems = kernels.readme_parity_problems(text)
-        assert any("REPRO_MYSTERY" in p for p in problems)
-
-
-class TestCiParity:
-    def test_all_pins_present_is_clean(self):
-        ci = (
-            "REPRO_PACKET_CORE=object REPRO_LINK_MODEL=two-event "
-            "REPRO_TIMER_MODEL=eager REPRO_DATAPATH=reference"
-        )
-        assert kernels.ci_parity_problems(ci) == []
-
-    def test_missing_pin_reported(self):
-        ci = "REPRO_PACKET_CORE=object"
-        problems = kernels.ci_parity_problems(ci)
-        assert len(problems) == 3
-        assert any("REPRO_LINK_MODEL=two-event" in p for p in problems)
-        assert any("REPRO_TIMER_MODEL=eager" in p for p in problems)
-        assert any("REPRO_DATAPATH=reference" in p for p in problems)
+    The probe is the leaf-spine incast cell on which the deleted
+    ``REPRO_LINK_MODEL`` returned 3037 fabric marks instead of 3046
+    under the same ``case_key``.
+    """
+    case = CampaignGrid(
+        thresholds=((40.0,),), loads=(0.4,), fan_ins=(8,),
+        scenarios=("incast",), seeds=(1,), duration=0.008, warmup=0.0016,
+    ).expand()[0]
+    monkeypatch.delenv("REPRO_INVARIANTS", raising=False)
+    default = execute_case(case)
+    monkeypatch.setenv("REPRO_INVARIANTS", "1")
+    audited = execute_case(case)
+    assert default["fabric_marks"] == 3046
+    assert audited == default

@@ -1,20 +1,20 @@
 """Unit tests for interfaces (queue + transmitter + propagation).
 
 Every behavioural test runs under both link models — the busy-until
-fast lane and the two-event reference oracle — via the ``model``
-fixture; the two implementations must be observably identical.
+fast lane and the two-event schedule, pinned before traffic — via the
+``model`` fixture; the two implementations must be observably identical.
 """
 
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.link import LINK_MODELS, Interface, link_model
+from repro.sim.link import Interface
 from repro.sim.node import Node
 from repro.sim.packet import Packet
 from repro.sim.queues import FifoQueue
 
 
-@pytest.fixture(params=LINK_MODELS)
+@pytest.fixture(params=["busy-until", "two-event"])
 def model(request):
     return request.param
 
@@ -30,9 +30,11 @@ class Sink(Node):
         self.received.append((self.sim.now, packet))
 
 
-def make_iface(sim, bw=1e9, delay=10e-6, capacity=1_000_000, model=None):
+def make_iface(sim, bw=1e9, delay=10e-6, capacity=1_000_000, model="busy-until"):
     sink = Sink(sim)
-    iface = Interface(sim, bw, delay, FifoQueue(capacity), name="test", model=model)
+    iface = Interface(sim, bw, delay, FifoQueue(capacity), name="test")
+    if model == "two-event":
+        iface.pin_two_event()
     iface.connect(sink)
     return iface, sink
 
@@ -117,39 +119,56 @@ class TestDropsAndCounters:
 
 
 class TestModelSelection:
-    def test_default_model_context_manager(self):
-        with link_model("two-event"):
-            iface = Interface(Simulator(), 1e9, 1e-6, FifoQueue(1000))
-            assert iface.model == "two-event"
-        with link_model("busy-until"):
-            iface = Interface(Simulator(), 1e9, 1e-6, FifoQueue(1000))
-            assert iface.model == "busy-until"
-
-    def test_explicit_model_overrides_default(self):
-        with link_model("busy-until"):
-            iface = Interface(
-                Simulator(), 1e9, 1e-6, FifoQueue(1000), model="two-event"
-            )
-            assert iface.model == "two-event"
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            Interface(Simulator(), 1e9, 1e-6, FifoQueue(1000), model="bogus")
-        with pytest.raises(ValueError):
-            with link_model("bogus"):
-                pass  # pragma: no cover
+    def test_every_interface_starts_on_busy_until(self):
+        iface = Interface(Simulator(), 1e9, 1e-6, FifoQueue(1000))
+        assert iface.model == "busy-until"
 
     def test_dequeue_marking_queue_downgrades_to_two_event(self):
-        """Queues with dequeue-instant semantics force the reference
+        """Queues with dequeue-instant semantics force the two-event
         schedule; the downgrade happens on the first send."""
         sim = Simulator()
         queue = FifoQueue(1_000_000)
         queue.mark_on_dequeue = True
-        iface = Interface(sim, 1e9, 10e-6, queue, model="busy-until")
+        iface = Interface(sim, 1e9, 10e-6, queue)
         iface.connect(Sink(sim))
         iface.send(data_packet())
         assert iface.model == "two-event"
         sim.run()
+
+
+class TestPinTwoEvent:
+    def test_pin_after_first_send_raises_naming_the_interface(self):
+        sim = Simulator()
+        iface, _ = make_iface(sim)
+        iface.send(data_packet())
+        with pytest.raises(RuntimeError, match="'test'.*carried traffic"):
+            iface.pin_two_event()
+        assert iface.model == "busy-until"
+        sim.run()
+        # Still refused once the wire is idle again: the busy-until
+        # bookkeeping has run, the schedules are no longer aligned.
+        with pytest.raises(RuntimeError, match="'test'"):
+            iface.pin_two_event()
+
+    def test_pin_clears_an_installed_drain_hook(self):
+        # The first send installs the hook even when the queue then
+        # rejects the packet, so the transmitter has still never run.
+        sim = Simulator()
+        iface, _ = make_iface(sim, capacity=1000)
+        assert not iface.send(data_packet(size=1500))
+        assert iface.queue.drain_hook is not None
+        iface.pin_two_event()
+        assert iface.model == "two-event"
+        assert iface.queue.drain_hook is None
+
+    def test_pinning_twice_is_a_no_op(self):
+        sim = Simulator()
+        iface, sink = make_iface(sim, model="two-event")
+        iface.send(data_packet())
+        iface.pin_two_event()  # already two-event: no traffic check
+        assert iface.model == "two-event"
+        sim.run()
+        assert len(sink.received) == 1
 
 
 class TestValidation:

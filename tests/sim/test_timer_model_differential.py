@@ -1,5 +1,9 @@
 """Differential test: soft-deadline RTO timers vs the eager oracle.
 
+The oracle is :class:`tests.sim.oracles.EagerDctcpSender`, a test-local
+subclass whose ``_arm_rto`` cancels and re-pushes the timer on every
+ACK, handed in through the apps' ``sender_cls=`` parameter.
+
 The soft-deadline model's contract (ISSUE 4) is *exact* equivalence
 with the cancel-and-reschedule-per-ACK reference: identical
 retransmission and delivery traces — times, flow ids, sequence numbers,
@@ -31,8 +35,8 @@ from repro.experiments.protocols import dctcp_testbed, dt_dctcp_testbed
 from repro.sim.apps.bulk import launch_bulk_flows
 from repro.sim.apps.incast import FanInApp
 from repro.sim.packet_log import PacketLogger
-from repro.sim.tcp.sender import DctcpSender, timer_model
 from repro.sim.topology import dumbbell, paper_testbed
+from tests.sim.oracles import TIMER_SENDERS
 
 KB = 1024
 
@@ -51,50 +55,48 @@ def _normalised_records(log: PacketLogger):
 
 def _run_incast(protocol, model: str, n_flows: int):
     """One Figure 14/15-style incast query; everything observable."""
-    with timer_model(model):
-        testbed = paper_testbed(protocol.marker_factory, bandwidth_bps=1e9)
-        bottleneck_iface = testbed.network.interface_between(
-            testbed.core_switch.node_id, testbed.aggregator.node_id
-        )
-        log = PacketLogger().attach(bottleneck_iface)
-        app = FanInApp(
-            testbed.aggregator,
-            testbed.workers,
-            n_flows=n_flows,
-            bytes_per_flow=64 * KB,
-            n_queries=1,
-            sender_cls=protocol.sender_cls,
-            initial_cwnd=TESTBED_INITIAL_CWND,
-            start_jitter=TESTBED_START_JITTER,
-            on_done=testbed.sim.stop,
-        )
-        app.start()
-        testbed.sim.run(until=60.0)
-        raw = testbed.bottleneck_queue.stats
-        stats = {field: getattr(raw, field) for field in raw.__slots__}
-        per_query = [
-            (r.completion_time, r.timeouts, r.retransmits) for r in app.results
-        ]
-        total_timeouts = sum(r.timeouts for r in app.results)
+    testbed = paper_testbed(protocol.marker_factory, bandwidth_bps=1e9)
+    bottleneck_iface = testbed.network.interface_between(
+        testbed.core_switch.node_id, testbed.aggregator.node_id
+    )
+    log = PacketLogger().attach(bottleneck_iface)
+    app = FanInApp(
+        testbed.aggregator,
+        testbed.workers,
+        n_flows=n_flows,
+        bytes_per_flow=64 * KB,
+        n_queries=1,
+        sender_cls=TIMER_SENDERS[model],
+        initial_cwnd=TESTBED_INITIAL_CWND,
+        start_jitter=TESTBED_START_JITTER,
+        on_done=testbed.sim.stop,
+    )
+    app.start()
+    testbed.sim.run(until=60.0)
+    raw = testbed.bottleneck_queue.stats
+    stats = {field: getattr(raw, field) for field in raw.__slots__}
+    per_query = [
+        (r.completion_time, r.timeouts, r.retransmits) for r in app.results
+    ]
+    total_timeouts = sum(r.timeouts for r in app.results)
     return _normalised_records(log), stats, per_query, total_timeouts
 
 
 def _run_dumbbell(model: str, n_flows: int, duration: float):
     """Multi-flow DCTCP dumbbell: ACK-heavy, timers armed constantly."""
-    with timer_model(model):
-        network = dumbbell(
-            n_flows, lambda: SingleThresholdMarker.from_threshold(40.0)
-        )
-        bottleneck_iface = network.network.interface_between(
-            network.switch.node_id, network.receiver.node_id
-        )
-        log = PacketLogger().attach(bottleneck_iface)
-        flows = launch_bulk_flows(network, sender_cls=DctcpSender)
-        network.sim.run(until=duration)
-        per_flow = [
-            (f.sender.packets_sent, f.sender.timeouts, f.receiver.packets_received)
-            for f in flows
-        ]
+    network = dumbbell(
+        n_flows, lambda: SingleThresholdMarker.from_threshold(40.0)
+    )
+    bottleneck_iface = network.network.interface_between(
+        network.switch.node_id, network.receiver.node_id
+    )
+    log = PacketLogger().attach(bottleneck_iface)
+    flows = launch_bulk_flows(network, sender_cls=TIMER_SENDERS[model])
+    network.sim.run(until=duration)
+    per_flow = [
+        (f.sender.packets_sent, f.sender.timeouts, f.receiver.packets_received)
+        for f in flows
+    ]
     return _normalised_records(log), per_flow
 
 
@@ -130,23 +132,22 @@ def test_soft_deadline_schedules_fewer_timer_events():
     """Same simulated incast, strictly less heap traffic."""
 
     def pushes(model):
-        with timer_model(model):
-            testbed = paper_testbed(
-                dctcp_testbed().marker_factory, bandwidth_bps=1e9
-            )
-            app = FanInApp(
-                testbed.aggregator,
-                testbed.workers,
-                n_flows=12,
-                bytes_per_flow=64 * KB,
-                n_queries=1,
-                sender_cls=DctcpSender,
-                initial_cwnd=TESTBED_INITIAL_CWND,
-                start_jitter=TESTBED_START_JITTER,
-                on_done=testbed.sim.stop,
-            )
-            app.start()
-            testbed.sim.run(until=60.0)
-            return testbed.sim.events_scheduled
+        testbed = paper_testbed(
+            dctcp_testbed().marker_factory, bandwidth_bps=1e9
+        )
+        app = FanInApp(
+            testbed.aggregator,
+            testbed.workers,
+            n_flows=12,
+            bytes_per_flow=64 * KB,
+            n_queries=1,
+            sender_cls=TIMER_SENDERS[model],
+            initial_cwnd=TESTBED_INITIAL_CWND,
+            start_jitter=TESTBED_START_JITTER,
+            on_done=testbed.sim.stop,
+        )
+        app.start()
+        testbed.sim.run(until=60.0)
+        return testbed.sim.events_scheduled
 
     assert pushes("soft-deadline") < pushes("eager")
