@@ -31,7 +31,7 @@ from repro.exec.cases import Case
 from repro.sim.apps.incast import FanInApp
 from repro.sim.apps.short_flows import ShortFlowGenerator
 from repro.sim.chaos import ChaosController, ChaosSchedule
-from repro.sim.invariants import InvariantWatchdog, invariants_enabled
+from repro.sim.invariants import InvariantWatchdog
 from repro.sim.node import Host, Switch
 from repro.sim.tcp.cubic import CubicSender
 from repro.sim.tcp.flow import Flow, open_flow
@@ -155,11 +155,6 @@ def run_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         # Before traffic, so targeted interfaces pin to the two-event
         # link model while their transmitters have never run.
         chaos = _install_chaos(fabric, params, warmup)
-    watchdog = None
-    if bool(params.get("invariants")) or invariants_enabled():
-        # Post-run audit only: a periodic watchdog would add events and
-        # perturb the cached ``events_processed`` count for nothing.
-        watchdog = InvariantWatchdog(fabric.network)
     client = fabric.host(0, 0)
     sources = [
         fabric.host(leaf_idx, 0) for leaf_idx in range(1, len(fabric.leaves))
@@ -231,8 +226,9 @@ def run_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     )
     monitor.start()
     fabric.sim.run(until=duration)
-    if watchdog is not None:
-        watchdog.check()
+    # Post-run audit only: a periodic watchdog would add events and
+    # perturb the cached ``events_processed`` count for nothing.
+    InvariantWatchdog(fabric.network).check()
 
     queue = monitor.series(after=warmup)
     totals = _fabric_totals(fabric)

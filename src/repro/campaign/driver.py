@@ -72,8 +72,14 @@ class CampaignResult:
         return all(cell.complete for cell in self.cells)
 
     def to_dict(self) -> Dict[str, Any]:
+        grid = dataclasses.asdict(self.grid)
+        # Frozen output key: the grid option it recorded is gone (every
+        # cell audits itself), but aggregates and the ledger's
+        # ``result_digest`` cover this JSON byte for byte, so the key
+        # keeps the one value every committed result carries.
+        grid["invariants"] = False
         return {
-            "grid": dataclasses.asdict(self.grid),
+            "grid": grid,
             "cells": [cell.to_dict() for cell in self.cells],
             "complete": self.complete,
         }

@@ -129,10 +129,6 @@ class CampaignGrid:
     flap_down: float = 0.5
     flap_count: int = 3
 
-    #: Run the invariant watchdog inside every cell (conservation audit
-    #: after the window closes; violations fail the case).
-    invariants: bool = False
-
     def __post_init__(self) -> None:
         if not self.thresholds:
             raise ValueError("campaign needs at least one threshold config")
@@ -219,10 +215,9 @@ class CampaignGrid:
     def cell_params(self, coord: CellCoord, seed: int) -> Dict[str, Any]:
         """The flat, JSON-serialisable parameter set of one cell.
 
-        New optional keys (``sender``, the chaos knobs, ``invariants``)
-        are included only when they deviate from historic behaviour, so
-        every pre-existing grid keeps its exact content-addressed cache
-        keys.
+        New optional keys (``sender``, the chaos knobs) are included
+        only when they deviate from historic behaviour, so every
+        pre-existing grid keeps its exact content-addressed cache keys.
         """
         params = {
             "thresholds": list(coord.thresholds),
@@ -249,8 +244,6 @@ class CampaignGrid:
             params["flap_period"] = self.flap_period
             params["flap_down"] = self.flap_down
             params["flap_count"] = self.flap_count
-        if self.invariants:
-            params["invariants"] = True
         return params
 
     @property

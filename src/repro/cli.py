@@ -151,15 +151,22 @@ def _run_figure(args: argparse.Namespace) -> int:
     scale = quick_scale() if args.quick else full_scale()
     use_cache = not args.no_cache
     if args.id == "all":
-        from repro.experiments.runner import run_all
+        from repro.experiments.runner import exit_code, run_all
 
-        run_all(
+        if args.chunk_size is not None:
+            print("--chunk-size applies to one figure's sweep; "
+                  "'figure all' does not take it", file=sys.stderr)
+            return 2
+        report = run_all(
             quick=args.quick,
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             use_cache=use_cache,
+            timeout=args.timeout,
+            retries=args.retries,
+            failure_policy=args.failure_policy,
         )
-        return 0
+        return exit_code(report)
     module_name = FIGURES.get(args.id)
     if module_name is None:
         print(f"unknown figure {args.id!r}; choose from "
@@ -385,7 +392,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             flap_period=args.flap_period,
             flap_down=args.flap_down,
             flap_count=args.flap_count,
-            invariants=args.invariants,
         )
     except ValueError as exc:
         print(f"invalid campaign grid: {exc}", file=sys.stderr)
@@ -666,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=0.03)
     p.add_argument("--rtt", type=float, default=100e-6)
     p.add_argument("--invariants", action="store_true",
-                   help="audit packet conservation / queue / pool "
+                   help="audit packet conservation / queue "
                         "invariants during and after the run")
     _add_profile_args(p)
     p.set_defaults(func=cmd_simulate)
@@ -736,9 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="space-dc cells: outage length per flap")
     p.add_argument("--flap-count", type=int, default=3,
                    help="space-dc cells: flaps in the train (0 disables)")
-    p.add_argument("--invariants", action="store_true",
-                   help="audit conservation invariants inside every cell "
-                        "(a violation fails the case)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for the sweep executor")
     p.add_argument("--cache-dir", type=Path, default=None,

@@ -122,6 +122,18 @@ def run_all(
     return executor.report
 
 
+def exit_code(report: RunReport) -> int:
+    """3, with a resume hint on stderr, when any case failed; else 0."""
+    if not report.failures:
+        return 0
+    print(
+        f"{len(report.failures)} case(s) failed; re-run the same "
+        "command to resume from the stage manifests",
+        file=sys.stderr,
+    )
+    return 3
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -183,13 +195,7 @@ def main() -> None:
         retries=args.retries,
         failure_policy=args.failure_policy,
     )
-    if report.failures:
-        print(
-            f"{len(report.failures)} case(s) failed; re-run the same "
-            "command to resume from the stage manifests",
-            file=sys.stderr,
-        )
-        raise SystemExit(3)
+    raise SystemExit(exit_code(report))
 
 
 if __name__ == "__main__":

@@ -548,9 +548,9 @@ class KernelRegistryRule(Rule):
     id = "KRN001"
     title = "REPRO_* environment read bypasses repro.sim.kernels"
     rationale = (
-        "The kernels registry lists every environment switch and "
-        "validates its value; a direct os.environ read can introduce an "
-        "option that changes results without entering the cache key."
+        "The kernels registry lists every environment switch; a direct "
+        "os.environ read can introduce an option that changes results "
+        "without entering the cache key."
     )
     #: The registry itself is the one sanctioned reader.
     exempt = ("repro.sim.kernels",)
@@ -566,8 +566,8 @@ class KernelRegistryRule(Rule):
                     self.id,
                     node,
                     f"direct environment read of {key}; route it through "
-                    "repro.sim.kernels (env_default/env_value) so the "
-                    "switch is registered and validated",
+                    "repro.sim.kernels (env_value) so the switch is "
+                    "registered",
                 )
 
     @staticmethod

@@ -18,7 +18,7 @@ Semantics
 
 * **Outage** — while a directed link is down, packets handed to it are
   dropped at admission and packets already on the wire are destroyed at
-  their delivery instant (both recycled, both counted on the hook).  If
+  their delivery instant (both counted on the hook).  If
   the sending node is a switch, the downed interface is withdrawn from
   every ECMP group of its FIB for the duration — flows re-resolve over
   the surviving members, or become unroutable when none remain — and
@@ -233,16 +233,14 @@ class LinkChaos:
         return self.send_drops + self.loss_drops + self.wire_drops
 
     def admit(self, packet: Packet, now: float) -> bool:
-        """Gate one send attempt; False consumes (recycles) the packet."""
+        """Gate one send attempt; False consumes the packet."""
         if self.down_depth:
             self.send_drops += 1
-            packet.recycle()
             return False
         for t0, t1, rate in self.loss_windows:
             if t0 <= now < t1:
                 if self.loss_rng.next_float() < rate:
                     self.loss_drops += 1
-                    packet.recycle()
                     return False
                 break
         return True
@@ -268,7 +266,6 @@ class LinkChaos:
         """Gate one delivery; False means the wire ate the packet."""
         if self.down_depth:
             self.wire_drops += 1
-            packet.recycle()
             return False
         for t0, t1, mode in self.ecn_windows:
             if t0 <= now < t1:

@@ -1,4 +1,4 @@
-"""Runtime invariant watchdog: packet conservation, clocks, queues, pools.
+"""Runtime invariant watchdog: packet conservation, clocks, queues.
 
 The simulator's correctness rests on a handful of ledger identities that
 hold at every quiescent instant (between events).  This module checks
@@ -17,31 +17,22 @@ periodically during a run (:class:`InvariantWatchdog`):
   equal packets forwarded plus packets unroutable, and every forwarded
   packet was offered to exactly one egress (queue admission + queue drop
   + fault-layer drops).  Per host, deliveries equal ``packets_received``.
-* **Pool balance** — :func:`repro.sim.packet.live_pooled_packets` minus
-  the packets the ledgers can locate inside interfaces must stay
-  constant: growth is a leak (a consumer destroyed a pooled packet
-  without :meth:`~repro.sim.packet.Packet.recycle`).  The comparison is
-  *baseline-relative* because the counter is process-wide and earlier
-  simulations may have ended mid-flight; it assumes all traffic is
-  pool-backed (true for every experiment; tests that hand-construct
-  packets skip this check).
 * **Clock monotonicity** and **flow liveness** (watchdog only) — the
   simulated clock never runs backwards between checks, and no incomplete
   sender sits on unacknowledged data with its RTO timer disarmed (the
   silent-wedge failure mode outages would otherwise hide).
 
-Enable inside campaign cells with ``REPRO_INVARIANTS=1`` (a registered
-configuration switch; results are unchanged) or pass ``--invariants`` to the
-CLI's ``simulate``/``campaign`` commands.
+Every campaign cell audits itself once after its run (one
+:meth:`InvariantWatchdog.check`, which schedules nothing); ``--invariants``
+on the CLI's ``simulate`` command and ``run_scenario(invariants=True)``
+additionally audit periodically *during* the run.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
-from repro.sim.kernels import env_default
 from repro.sim.node import Host, Switch
-from repro.sim.packet import live_pooled_packets
 from repro.sim.tcp.sender import TcpSender
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,9 +43,7 @@ __all__ = [
     "InvariantViolation",
     "audit_network",
     "held_by_interface",
-    "network_held_packets",
     "InvariantWatchdog",
-    "invariants_enabled",
 ]
 
 
@@ -71,11 +60,6 @@ class InvariantViolation(AssertionError):
         )
 
 
-def invariants_enabled() -> bool:
-    """Whether ``REPRO_INVARIANTS=1`` asked for in-run auditing."""
-    return env_default("REPRO_INVARIANTS") == "1"
-
-
 def held_by_interface(iface: "Interface") -> int:
     """Packets currently in ``iface``'s custody: queued, transmitting,
     or propagating.
@@ -90,11 +74,6 @@ def held_by_interface(iface: "Interface") -> int:
     return iface.queue.stats.enqueued - iface.packets_delivered - wire_drops
 
 
-def network_held_packets(network: "Network") -> int:
-    """Packets currently inside any interface of ``network``."""
-    return sum(held_by_interface(iface) for iface in network.all_interfaces())
-
-
 def _chaos_admission_drops(iface: "Interface") -> int:
     chaos = iface.chaos
     if chaos is None:
@@ -102,16 +81,8 @@ def _chaos_admission_drops(iface: "Interface") -> int:
     return chaos.send_drops + chaos.loss_drops
 
 
-def audit_network(
-    network: "Network", pool_baseline: Optional[int] = None
-) -> List[str]:
-    """Every invariant violation currently observable on ``network``.
-
-    ``pool_baseline`` is the expected value of
-    ``live_pooled_packets() - network_held_packets(network)`` — capture
-    it before traffic starts (the watchdog does this automatically) to
-    arm the leak check; ``None`` skips it.
-    """
+def audit_network(network: "Network") -> List[str]:
+    """Every invariant violation currently observable on ``network``."""
     violations: List[str] = []
 
     for iface in network.all_interfaces():
@@ -172,15 +143,6 @@ def audit_network(
                     f"packets_received = {node.packets_received}"
                 )
 
-    if pool_baseline is not None:
-        external = live_pooled_packets() - network_held_packets(network)
-        if external != pool_baseline:
-            violations.append(
-                f"pool leak: {external - pool_baseline} pooled packet(s) "
-                "live but not locatable in any queue or wire "
-                f"(baseline {pool_baseline}, now {external})"
-            )
-
     return violations
 
 
@@ -214,9 +176,8 @@ def _wedged_senders(network: "Network") -> List[str]:
 class InvariantWatchdog:
     """Periodic in-run auditor; raises on the first violated check.
 
-    Construct *before traffic* so the pool baseline is clean, then
-    either call :meth:`check` at moments of interest or :meth:`start`
-    to self-schedule every ``interval`` seconds.  Periodic mode re-arms
+    Call :meth:`check` at moments of interest or :meth:`start` to
+    self-schedule every ``interval`` seconds.  Periodic mode re-arms
     unconditionally, so it is only suitable for ``run(until=...)``
     bounded simulations (like the monitors it rides alongside).
     """
@@ -226,9 +187,6 @@ class InvariantWatchdog:
         self.sim = network.sim
         self.checks_run = 0
         self._last_now = self.sim.now
-        self._pool_baseline = live_pooled_packets() - network_held_packets(
-            network
-        )
 
     def check(self) -> None:
         """Audit everything now; raise :class:`InvariantViolation` on failure."""
@@ -239,9 +197,7 @@ class InvariantWatchdog:
                 f"clock ran backwards: {now} < {self._last_now}"
             )
         self._last_now = now
-        violations.extend(
-            audit_network(self.network, pool_baseline=self._pool_baseline)
-        )
+        violations.extend(audit_network(self.network))
         violations.extend(_wedged_senders(self.network))
         self.checks_run += 1
         if violations:

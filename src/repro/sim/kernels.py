@@ -1,11 +1,10 @@
 """Central registry of ``REPRO_*`` environment switches.
 
-Two switches exist, and neither can change a result: ``REPRO_CACHE_DIR``
-(where the result cache lives) and ``REPRO_INVARIANTS`` (whether
-campaign cells also run the read-only invariant watchdog).  There is no
-kernel switch: the simulator has one code path per input, chosen from
-what the code observes (see ``docs/SIMULATOR.md``, "Kernel rulings"), so
-results are a function of ``Case.params`` alone.
+One switch exists, and it cannot change a result: ``REPRO_CACHE_DIR``
+(where the result cache lives).  There is no kernel switch: the
+simulator has one code path per input, chosen from what the code
+observes (see ``docs/SIMULATOR.md``, "Kernel rulings"), so results are a
+function of ``Case.params`` alone.
 
 This registry is the *only* sanctioned place to read a ``REPRO_*``
 variable (rule ``KRN001`` in :mod:`repro.lint` flags any other call
@@ -27,20 +26,14 @@ __all__ = [
     "kernel_switches",
     "registered",
     "env_value",
-    "env_default",
 ]
 
 
 @dataclass(frozen=True)
 class KernelSwitch:
-    """One registered ``REPRO_*`` environment switch.
-
-    ``choices`` is ``None`` for free-form values (paths).
-    """
+    """One registered ``REPRO_*`` environment switch."""
 
     env: str
-    default: Optional[str]
-    choices: Optional[Tuple[str, ...]]
     description: str
 
 
@@ -50,18 +43,7 @@ REGISTRY: Dict[str, KernelSwitch] = {
     for switch in (
         KernelSwitch(
             env="REPRO_CACHE_DIR",
-            default=None,
-            choices=None,
             description="result-cache directory (a path)",
-        ),
-        KernelSwitch(
-            env="REPRO_INVARIANTS",
-            default="0",
-            choices=("0", "1"),
-            description=(
-                "run the invariant watchdog inside campaign cells "
-                "(read-only diagnostic; results are unchanged)"
-            ),
         ),
     )
 }
@@ -70,8 +52,8 @@ REGISTRY: Dict[str, KernelSwitch] = {
 def kernel_switches() -> Tuple[KernelSwitch, ...]:
     """The switches that select between kernel implementations: none.
 
-    Kept because the performance ledger stamps every result with
-    ``{s.env: env_default(s.env) for s in kernel_switches()}``.
+    Kept because the performance ledger iterates it to stamp every
+    result with the kernel settings it ran under.
     """
     return ()
 
@@ -95,29 +77,6 @@ def env_value(env: str) -> Optional[str]:
     """
     registered(env)
     return os.environ.get(env)
-
-
-def env_default(env: str) -> str:
-    """The environment value of a registered switch, or its default.
-
-    A value outside the entry's ``choices`` raises here, at the one
-    place every switch is read, so a misspelt setting can never be
-    taken silently for the default.
-    """
-    switch = registered(env)
-    if switch.default is None:
-        raise ValueError(
-            f"{env} has no default; use env_value() and handle None"
-        )
-    value = os.environ.get(env)
-    if value is None:
-        return switch.default
-    if switch.choices is not None and value not in switch.choices:
-        raise ValueError(
-            f"{env}={value!r} is not a valid setting; choose from "
-            f"{switch.choices}"
-        )
-    return value
 
 
 def _warn_unregistered() -> None:

@@ -90,7 +90,7 @@ class Interface:
         "_draining",
         "_peer_receive",
         "_post_at",
-        "_q_plain",
+        "_drain_hook",
         "_q_fused",
         "packets_delivered",
         "tap",
@@ -123,23 +123,23 @@ class Interface:
         #: (re)armed once per packet, and the attribute walk costs on
         #: the hottest lines in the tree.
         self._post_at = sim.post_at
+        #: ``self._drain`` bound once: every attribute access builds a
+        #: new bound-method object, so only a cached one can be
+        #: compared by identity with what a queue's ``drain_hook`` holds.
+        self._drain_hook = self._drain
         #: True while ``self.queue`` is an exact :class:`FifoQueue` —
         #: the fused send/drain bodies below may then manipulate its
         #: deque/byte-count/stats directly instead of paying a method
         #: call per packet.  Recomputed whenever the drain hook is
-        #: (re)installed, i.e. on the first send and after every queue
-        #: swap; subclasses (``TrackedFifoQueue``) always take the
-        #: method-call path.
-        #: ``_q_fused`` additionally requires arrival marking and no
-        #: shared buffer pool — the full precondition of the fused
-        #: per-packet body (``mark_on_dequeue``/``pool`` are part of the
-        #: queue's configuration, fixed before traffic like the queue
-        #: object itself).
-        self._q_plain = False
+        #: installed, i.e. on the first send through a queue object;
+        #: subclasses (``TrackedFifoQueue``) always take the method-call
+        #: path.  Dequeue-instant queues (``mark_on_dequeue``, shared
+        #: buffer pool) never get here: they run two-event.
         self._q_fused = False
         #: ``"busy-until"`` or ``"two-event"``: which transmitter this
         #: interface runs (see the module docstring).  Only ever moves
-        #: to ``"two-event"``, and only while the transmitter is idle.
+        #: to ``"two-event"``, and only before the transmitter has run
+        #: (:meth:`pin_two_event`).
         self.model = "busy-until"
         self._transmitting = False
         #: Busy-until state: when the transmitter frees up (-inf = never
@@ -200,31 +200,20 @@ class Interface:
             raise RuntimeError(f"interface {self.name!r} is not connected")
         if self.model == "busy-until":
             queue = self.queue
-            if queue.drain_hook is not self._drain:
+            if self._drain_hook is not queue.drain_hook:
                 # Cold path: first send through this queue object (the
                 # hook survives for the queue's lifetime, so this runs
                 # once per queue, not once per packet).
-                if (queue.mark_on_dequeue or queue.pool is not None) and (
-                    not self._tx_starts
-                    and not self._in_flight
-                    and self.sim.now >= self._busy_until
-                ):
+                if queue.mark_on_dequeue or queue.pool is not None:
                     # Dequeue-instant semantics (departure marking,
                     # shared buffer admission) need the exact eager
-                    # schedule; fall back to it while the transmitter is
-                    # idle.  Queues are configured/swapped before
-                    # traffic, so the downgrade happens on the very
-                    # first packet.
-                    self.model = "two-event"
+                    # schedule.  Queues are configured/swapped before
+                    # traffic, so this is the very first packet; a swap
+                    # after traffic raises in pin_two_event().
+                    self.pin_two_event()
                     return self._send_two_event(packet)
-                queue.drain_hook = self._drain
-                plain = type(queue) is FifoQueue
-                self._q_plain = plain
-                self._q_fused = (
-                    plain
-                    and not queue.mark_on_dequeue
-                    and queue.pool is None
-                )
+                queue.drain_hook = self._drain_hook
+                self._q_fused = type(queue) is FifoQueue
             # -------- busy-until fast lane: one event per packet ------
             # ``sim._now`` read directly: the ``now`` property costs a
             # descriptor call per packet on the hottest line in the
@@ -240,8 +229,8 @@ class Interface:
             if self._q_fused:
                 # Fused enqueue: the exact FifoQueue.enqueue body,
                 # inlined — per-packet, the method call plus its
-                # re-dispatch on mark_on_dequeue/pool (both folded into
-                # _q_fused above) are pure overhead.  The DCTCP
+                # re-dispatch on mark_on_dequeue/pool (neither reaches
+                # this lane) are pure overhead.  The DCTCP
                 # single-threshold rule is additionally inlined to a
                 # compare; every other marker keeps its pre-bound call.
                 qd = queue._queue
@@ -256,7 +245,6 @@ class Interface:
                     wants_mark = queue._marker_should_mark(len(qd))
                 if queue._bytes + size > queue.capacity_bytes:
                     stats.dropped += 1
-                    packet.recycle()
                     return False
                 if wants_mark and packet.ecn_capable:
                     packet.ce = True
@@ -285,20 +273,6 @@ class Interface:
                     queue._bytes += size
                     starts.append(start)
             else:
-                if (queue.mark_on_dequeue or queue.pool is not None) and (
-                    not starts
-                    and not self._in_flight
-                    and now >= self._busy_until
-                ):
-                    # A dequeue-instant queue swapped in mid-busy-period
-                    # keeps being re-checked here and downgrades at the
-                    # first idle instant, exactly like the cold path
-                    # would have.
-                    self.model = "two-event"
-                    if queue.drain_hook is self._drain:
-                        queue.drain_hook = None
-                    self._q_fused = False
-                    return self._send_two_event(packet)
                 if not queue.enqueue(packet):
                     return False
                 prev_busy = self._busy_until
@@ -346,15 +320,11 @@ class Interface:
         self._draining = True
         try:
             queue = self.queue
-            if (
-                self._q_plain
-                and not queue.mark_on_dequeue
-                and queue.pool is None
-            ):
+            if self._q_fused:
                 # Fused replay: the FifoQueue.dequeue body with the
                 # per-packet method call and its dispatch checks hoisted
                 # out of the loop.  ``at_time`` only matters to
-                # time-stamping subclasses, which _q_plain excludes.
+                # time-stamping subclasses, which _q_fused excludes.
                 qd = queue._queue
                 stats = queue._stats
                 while starts and starts[0] < now:
@@ -405,17 +375,15 @@ class Interface:
                 "interface already carried traffic"
             )
         self.model = "two-event"
-        # ``==``, not ``is``: every ``self._drain`` access builds a new
-        # bound-method object, so identity never matches.
-        if self.queue.drain_hook == self._drain:
+        if self.queue.drain_hook is self._drain_hook:
             self.queue.drain_hook = None
 
     def _send_two_event(self, packet: Packet) -> bool:
         chaos = self.chaos
         if chaos is not None and not chaos.admit(packet, self.sim._now):
             # Consumed by the fault layer (link down, or a seeded loss
-            # draw): recycled and counted there, exactly like a queue
-            # drop from the caller's point of view.
+            # draw): counted there, exactly like a queue drop from the
+            # caller's point of view.
             return False
         admitted = self.queue.enqueue(packet)
         if admitted and not self._transmitting:
@@ -477,8 +445,8 @@ class Interface:
         chaos = self.chaos
         if chaos is not None and not chaos.deliver(packet, self.sim._now):
             # The wire was cut under this packet (or an ECN-mangling
-            # window rewrote it and then the link dropped): recycled and
-            # counted by the hook.
+            # window rewrote it and then the link dropped): counted by
+            # the hook.
             return
         self.packets_delivered += 1
         if self.tap is not None:

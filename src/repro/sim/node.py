@@ -154,10 +154,6 @@ class Host(Node):
             endpoint.on_packet(packet)
         # Unknown flows (late retransmits after teardown) are dropped
         # silently, like segments to a closed port.
-        # Either way the packet is consumed here: endpoints never retain
-        # the object (sequence numbers and flags are copied out), so a
-        # pooled packet goes straight back to the free list.
-        packet.recycle()
 
 
 class Switch(Node):
@@ -295,10 +291,6 @@ class Switch(Node):
             egress = self.route_for(packet)
             if egress is None:
                 self.packets_unroutable += 1
-                # The packet ends its life here exactly like one
-                # consumed by a host; without the recycle every
-                # unroutable arrival leaked a pooled packet.
-                packet.recycle()
                 return
             send = egress.send
             self._route_cache[key] = send

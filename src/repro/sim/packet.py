@@ -6,30 +6,15 @@ throughout), and the three ECN-related bits that DCTCP needs — CE set by
 switches, ECE echoed by receivers.
 
 ``__slots__`` keeps per-packet overhead low; simulations push hundreds of
-thousands of these through the heap.  The hot path additionally avoids
-the allocator entirely: endpoints create packets with
-:meth:`Packet.acquire` and the terminating host hands them back with
-:meth:`Packet.recycle`, so a steady-state flow cycles a small free list
-instead of allocating one object per segment and per ACK.
-
-Pooling lifecycle rules:
-
-* only packets obtained from :meth:`Packet.acquire` are ever pooled —
-  directly constructed packets (tests, probes) stay exclusively owned by
-  their creator and :meth:`recycle` is a no-op on them;
-* a packet may be recycled only once it has no live holders; in this
-  simulator that is the moment the terminating host's endpoint returns
-  from ``on_packet`` (observers such as :class:`PacketLogger` copy
-  fields, never retain the object);
-* ``acquire`` re-runs ``__init__`` on the reused object, so a recycled
-  packet is indistinguishable from a freshly constructed one (including
-  a fresh ``uid``) — a property the test suite asserts field by field.
+thousands of these through the heap.  Packets are plain objects:
+endpoints construct one per segment and per ACK, and whoever consumes a
+packet (the terminating host, a dropping queue, the fault layer) simply
+lets go of it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List
 
 __all__ = [
     "Packet",
@@ -37,8 +22,6 @@ __all__ = [
     "ACK_BYTES",
     "HEADER_BYTES",
     "reset_packet_uids",
-    "packet_pool_size",
-    "live_pooled_packets",
 ]
 
 #: Maximum segment size: the paper's "each packet is about 1.5KB".
@@ -49,27 +32,6 @@ ACK_BYTES = 40
 HEADER_BYTES = 40
 
 _packet_ids = itertools.count()
-
-#: LIFO free list shared by every simulation in the process (simulations
-#: are single-threaded; parallel sweeps use worker *processes*).
-_free_list: List["Packet"] = []
-#: Free-list cap: enough for the deepest experiment backlog, small
-#: enough that a burst does not pin memory forever.
-_MAX_POOL = 8192
-
-#: Pool-backed packets currently live (acquired, not yet recycled).
-#: The invariant watchdog (:mod:`repro.sim.invariants`) balances this
-#: against the packets it can locate in queues and on the wire: any
-#: surplus is a leak — a consumer that dropped a pooled packet without
-#: recycling it.  Never reset: a live packet from an earlier simulation
-#: must still decrement the counter when (if ever) it is recycled, so
-#: leak checks are taken relative to a baseline, not to zero.
-_live_pooled = 0
-
-
-def live_pooled_packets() -> int:
-    """Pool-backed packets acquired and not yet recycled, process-wide."""
-    return _live_pooled
 
 
 def reset_packet_uids(start: int = 0) -> None:
@@ -82,11 +44,6 @@ def reset_packet_uids(start: int = 0) -> None:
     """
     global _packet_ids
     _packet_ids = itertools.count(start)
-
-
-def packet_pool_size() -> int:
-    """Packets currently parked on the free list (for tests/benchmarks)."""
-    return len(_free_list)
 
 
 class Packet:
@@ -108,7 +65,6 @@ class Packet:
         "is_retransmit",
         "delayed_ack_count",
         "sack_blocks",
-        "pooled",
         "deliver_at",
     )
 
@@ -148,73 +104,9 @@ class Packet:
         #: SACK option: up to three ``(start, end)`` received-out-of-order
         #: ranges beyond the cumulative point (empty when SACK is off).
         self.sack_blocks: tuple = ()
-        #: True only between :meth:`acquire` and :meth:`recycle`: marks
-        #: packets the pool owns and may reclaim.  Directly constructed
-        #: packets are never pooled.
-        self.pooled = False
         #: Scratch field owned by the in-flight interface: the simulated
         #: instant a busy-until link hands this packet to its peer.
         self.deliver_at = -1.0
-
-    @classmethod
-    def acquire(
-        cls,
-        flow_id: int,
-        src: int,
-        dst: int,
-        seq: int,
-        size_bytes: int,
-        is_ack: bool = False,
-        ack_seq: int = -1,
-        ecn_capable: bool = True,
-    ) -> "Packet":
-        """A pool-backed packet, field-identical to a fresh constructor call.
-
-        Reuses a recycled object when one is available (re-running
-        ``__init__``, so every slot — including a fresh ``uid`` — is
-        re-initialised exactly as construction would), else constructs.
-        """
-        global _live_pooled
-        _live_pooled += 1
-        if _free_list:
-            packet = _free_list.pop()
-            packet.__init__(
-                flow_id,
-                src,
-                dst,
-                seq,
-                size_bytes,
-                is_ack=is_ack,
-                ack_seq=ack_seq,
-                ecn_capable=ecn_capable,
-            )
-        else:
-            packet = cls(
-                flow_id,
-                src,
-                dst,
-                seq,
-                size_bytes,
-                is_ack=is_ack,
-                ack_seq=ack_seq,
-                ecn_capable=ecn_capable,
-            )
-        packet.pooled = True
-        return packet
-
-    def recycle(self) -> None:
-        """Return an :meth:`acquire`-d packet to the free list.
-
-        No-op for directly constructed packets and for packets already
-        recycled (the ``pooled`` flag is cleared on the way in, so a
-        double recycle can never put one object on the list twice).
-        """
-        if self.pooled:
-            global _live_pooled
-            _live_pooled -= 1
-            self.pooled = False
-            if len(_free_list) < _MAX_POOL:
-                _free_list.append(self)
 
     def __repr__(self) -> str:
         kind = "ACK" if self.is_ack else "DATA"

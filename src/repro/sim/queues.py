@@ -185,11 +185,6 @@ class FifoQueue:
         interface's send() fast lane does this inline); the marking
         decision below observes raw occupancy.  The only enqueue caller
         in the tree is :meth:`repro.sim.link.Interface.send`.
-
-        A dropped packet is *consumed* here: the queue recycles it (a
-        no-op for directly constructed packets), because no caller
-        retains a reference to a rejected packet — without this, every
-        overflow leaked one pooled packet off the free list.
         """
         stats = self._stats
         occupancy = len(self._queue)
@@ -210,13 +205,11 @@ class FifoQueue:
         size = packet.size_bytes
         if self._bytes + size > self.capacity_bytes:
             stats.dropped += 1
-            packet.recycle()
             return False
         if self.pool is not None and not self.pool.admit(
             self._bytes, size
         ):
             stats.dropped += 1
-            packet.recycle()
             return False
         if wants_mark and packet.ecn_capable:
             packet.ce = True

@@ -140,9 +140,7 @@ class TcpReceiver:
             self._delack_timer = None
 
     def _emit_ack(self, ece: bool, covered: int) -> None:
-        # Pooled like data segments: the sending host's endpoint consumes
-        # the ACK and the host recycles it (see Packet.acquire).
-        ack = Packet.acquire(
+        ack = Packet(
             flow_id=self.flow_id,
             src=self.host.node_id,
             dst=self.peer_node_id,

@@ -200,43 +200,33 @@ class TcpSender:
     # Transmission
     # ------------------------------------------------------------------
 
-    def _more_to_send(self) -> bool:
-        return self.total_packets is None or self.next_seq < self.total_packets
-
     def _try_send(self) -> None:
         window = int(self.cwnd)
         if self.receive_window is not None:
             window = min(window, self.receive_window)
-        if not self.use_sack:
-            # Fast lane: without SACK, ``pipe`` is ``next_seq -
-            # highest_ack``, so the window test collapses to a bound on
-            # ``next_seq`` computed once — nothing in the loop body can
-            # move ``highest_ack`` (transmission is asynchronous; no
-            # callback re-enters this sender before the loop exits).
-            # The retransmit flag against a frozen high-water mark is
-            # identical too: after sending seq, the mark is
-            # ``max(high, seq + 1)``, so ``seq + 1 < mark`` iff
-            # ``seq + 1 < high``.
-            next_seq = self.next_seq
-            limit = self.highest_ack + window
-            total = self.total_packets
-            high = self._high_water
-            while next_seq < limit and (total is None or next_seq < total):
-                self._transmit(next_seq, retransmit=next_seq < high)
-                next_seq += 1
-            self.next_seq = next_seq
-            self._arm_rto()
-            return
-        while self._more_to_send() and self.pipe < window:
-            self._transmit(self.next_seq, retransmit=self.next_seq < self._high_water)
-            self.next_seq += 1
+        # ``pipe < window`` is a bound on ``next_seq`` computed once:
+        # nothing in the loop body can move ``highest_ack`` or the SACK
+        # scoreboard (transmission is asynchronous; no callback
+        # re-enters this sender before the loop exits).  The retransmit
+        # flag against a frozen high-water mark is exact too: after
+        # sending seq, the mark is ``max(high, seq + 1)``, so
+        # ``seq + 1 < mark`` iff ``seq + 1 < high``.
+        next_seq = self.next_seq
+        limit = self.highest_ack + window
+        if self.use_sack:
+            # RFC 6675 pipe: packets the receiver already holds are not
+            # in the network.
+            limit += len(self._sacked)
+        total = self.total_packets
+        high = self._high_water
+        while next_seq < limit and (total is None or next_seq < total):
+            self._transmit(next_seq, retransmit=next_seq < high)
+            next_seq += 1
+        self.next_seq = next_seq
         self._arm_rto()
 
     def _transmit(self, seq: int, retransmit: bool) -> None:
-        # Pool-backed allocation: the receiving host recycles the packet
-        # once its endpoint has consumed it, so steady-state traffic
-        # cycles a short free list instead of hitting the allocator.
-        packet = Packet.acquire(
+        packet = Packet(
             flow_id=self.flow_id,
             src=self.host.node_id,
             dst=self.peer_node_id,
@@ -280,69 +270,37 @@ class TcpSender:
             self._try_send()
 
     def _on_new_ack(self, packet: Packet) -> None:
-        if not self.use_sack and not self._in_recovery:
-            # Cumulative-ACK common case, straight-line: the SACK
-            # scoreboard branches drop out and the usual one-packet
-            # advance skips the empty RTT-cleanup range.  The ECN hook
-            # may *enter* recovery (CUBIC does), so its outcome is
-            # re-checked exactly where the general body checks it.
-            ack_seq = packet.ack_seq
-            old_highest = self.highest_ack
-            newly = ack_seq - old_highest
-            self.highest_ack = ack_seq
-            if self.next_seq < ack_seq:
-                self.next_seq = ack_seq
-            self.dup_acks = 0
-            send_times = self._send_times
-            sample_time = send_times.pop(ack_seq - 1, None)
-            if newly > 1:
-                for seq in range(old_highest, ack_seq - 1):
-                    send_times.pop(seq, None)
-            now = self.sim._now
-            if sample_time is not None and now > sample_time:
-                self.rtt.on_sample(now - sample_time)
-                self.rtt.reset_backoff()
-            self._on_ecn_feedback(packet, newly)
-            if self._in_recovery:
-                if ack_seq >= self._recover_seq:
-                    self._in_recovery = False
-                    self.cwnd = max(self.ssthresh, 1.0)
-                else:
-                    self._transmit(self.highest_ack, retransmit=True)
-            else:
-                self._grow_window(newly)
-            if (
-                self.total_packets is not None
-                and ack_seq >= self.total_packets
-            ):
-                self._complete()
-                return
-            self._arm_rto()
-            return
-        newly = packet.ack_seq - self.highest_ack
+        ack_seq = packet.ack_seq
         old_highest = self.highest_ack
-        self.highest_ack = packet.ack_seq
+        newly = ack_seq - old_highest
+        self.highest_ack = ack_seq
         # After a go-back-N rewind the cumulative ACK can leap past the
         # send pointer (the receiver had the "lost" tail buffered all
         # along); snap the pointer forward so in_flight stays correct.
-        self.next_seq = max(self.next_seq, self.highest_ack)
+        if self.next_seq < ack_seq:
+            self.next_seq = ack_seq
         self.dup_acks = 0
         if self.use_sack:
-            self._sacked.remove_below(self.highest_ack)
+            self._sacked.remove_below(ack_seq)
 
-        sample_time = self._send_times.pop(packet.ack_seq - 1, None)
-        for seq in range(old_highest, packet.ack_seq - 1):
-            self._send_times.pop(seq, None)
+        send_times = self._send_times
+        sample_time = send_times.pop(ack_seq - 1, None)
+        if newly > 1:
+            for seq in range(old_highest, ack_seq - 1):
+                send_times.pop(seq, None)
         # Guard against zero-delay acknowledgements (possible only with
         # synthetic/looped-back ACKs): the estimator needs rtt > 0.
-        if sample_time is not None and self.sim.now > sample_time:
-            self.rtt.on_sample(self.sim.now - sample_time)
+        now = self.sim._now
+        if sample_time is not None and now > sample_time:
+            self.rtt.on_sample(now - sample_time)
             self.rtt.reset_backoff()
 
+        # The ECN hook may *enter* recovery (CUBIC does), so the flag is
+        # read only after it ran.
         self._on_ecn_feedback(packet, newly)
 
         if self._in_recovery:
-            if packet.ack_seq >= self._recover_seq:
+            if ack_seq >= self._recover_seq:
                 self._in_recovery = False
                 self.cwnd = max(self.ssthresh, 1.0)
             elif self.use_sack:
@@ -350,14 +308,11 @@ class TcpSender:
                 self._sack_retransmit_one()
             else:
                 # NewReno partial ACK: the next hole is lost too.
-                self._transmit(self.highest_ack, retransmit=True)
+                self._transmit(ack_seq, retransmit=True)
         else:
             self._grow_window(newly)
 
-        if (
-            self.total_packets is not None
-            and self.highest_ack >= self.total_packets
-        ):
+        if self.total_packets is not None and ack_seq >= self.total_packets:
             self._complete()
             return
         self._arm_rto()

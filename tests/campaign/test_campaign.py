@@ -6,8 +6,10 @@ from repro.campaign.aggregate import FctAggregate, aggregate_fcts
 from repro.campaign.driver import run_campaign
 from repro.campaign.grid import CampaignGrid
 from repro.exec.cache import ResultCache
-from repro.exec.cases import case_key
+from repro.exec.cases import case_key, execute_case
 from repro.exec.executor import SweepExecutor
+from repro.sim.invariants import InvariantViolation, InvariantWatchdog
+from repro.sim.node import Switch
 
 
 def tiny_grid(**overrides):
@@ -113,14 +115,41 @@ class TestRunCampaign:
         b = run_campaign(tiny_grid())
         assert a.to_dict() == b.to_dict()
 
-    def test_invariants_audit_runs_clean_and_read_only(self):
-        # The in-cell watchdog must neither raise nor change a single
-        # aggregate (it only reads ledgers; only the cache key differs).
+    def test_invariants_audit_runs_clean_and_read_only(self, monkeypatch):
+        # Every cell audits itself after its run, with no flag or env
+        # var; the audit must neither raise nor change an aggregate (it
+        # only reads ledgers).
+        checks = []
+        real_check = InvariantWatchdog.check
+
+        def counted_check(watchdog):
+            checks.append(watchdog)
+            real_check(watchdog)
+
+        monkeypatch.setattr(InvariantWatchdog, "check", counted_check)
+        audited = run_campaign(tiny_grid()).cells[0]
+        assert len(checks) == tiny_grid().n_cases
+        monkeypatch.setattr(InvariantWatchdog, "check", lambda self: None)
         plain = run_campaign(tiny_grid()).cells[0]
-        audited = run_campaign(tiny_grid(invariants=True)).cells[0]
         assert audited.fct == plain.fct
         assert audited.mean_queue_pkts == plain.mean_queue_pkts
         assert audited.std_queue_pkts == plain.std_queue_pkts
+
+    def test_corrupted_cell_fails_the_audit(self, monkeypatch):
+        """A cell whose forwarding ledger is off by one when the window
+        closes raises, without anyone having asked for an audit."""
+        real_check = InvariantWatchdog.check
+
+        def corrupt_then_check(watchdog):
+            switch = next(
+                n for n in watchdog.network.nodes if isinstance(n, Switch)
+            )
+            switch.packets_forwarded += 1
+            real_check(watchdog)
+
+        monkeypatch.setattr(InvariantWatchdog, "check", corrupt_then_check)
+        with pytest.raises(InvariantViolation, match="forwarded"):
+            execute_case(tiny_grid().expand()[0])
 
 
 class TestExecutorIntegration:

@@ -179,7 +179,7 @@ class TestCacheKeyCompat:
     """New optional axes must not disturb pre-existing cache keys."""
 
     #: The exact parameter set every pre-chaos grid produced; a default
-    #: (DCTCP, non-chaos, no-invariants) cell must still produce exactly
+    #: (DCTCP, non-chaos) cell must still produce exactly
     #: this, or every historic content-addressed cache entry goes cold.
     HISTORIC_KEYS = {
         "thresholds", "scenario", "load", "fan_in", "seed",
@@ -208,12 +208,6 @@ class TestCacheKeyCompat:
         for case in cubic_block:
             assert case.params["sender"] == "cubic"
             assert set(case.params) == self.HISTORIC_KEYS | {"sender"}
-
-    def test_invariants_opt_in_changes_keys(self):
-        base = case_key(grid().expand()[0])
-        audited = case_key(grid(invariants=True).expand()[0])
-        assert audited != base
-        assert grid(invariants=True).expand()[0].params["invariants"] is True
 
     def test_chaos_knobs_enter_key_only_for_space_dc(self):
         # Changing a chaos knob re-keys space-dc cells but must leave

@@ -120,3 +120,55 @@ class TestCommands:
         # skipped the second time round.
         assert warm.out == cold.out
         assert "2 cache hits, 0 executed" in warm.err
+
+
+class TestFigureAll:
+    """Regression: ``figure all`` parsed the supervision flags, dropped
+    them on the floor (a skip policy silently became ``raise``) and
+    returned 0 whatever the report said."""
+
+    @staticmethod
+    def stub_run_all(monkeypatch, failures=()):
+        from repro.exec.report import RunReport
+
+        calls = []
+
+        def run_all(**kwargs):
+            calls.append(kwargs)
+            report = RunReport()
+            for record in failures:
+                report.add_failure(record)
+            return report
+
+        monkeypatch.setattr("repro.experiments.runner.run_all", run_all)
+        return calls
+
+    def test_supervision_flags_reach_run_all(self, monkeypatch):
+        calls = self.stub_run_all(monkeypatch)
+        assert main([
+            "figure", "all", "--quick", "--jobs", "3", "--no-cache",
+            "--timeout", "7.5", "--retries", "2",
+            "--failure-policy", "retry-then-skip",
+        ]) == 0
+        assert calls == [dict(
+            quick=True, jobs=3, cache_dir=None, use_cache=False,
+            timeout=7.5, retries=2, failure_policy="retry-then-skip",
+        )]
+
+    def test_recorded_failures_exit_3(self, monkeypatch, capsys):
+        from repro.exec.report import FailureRecord
+
+        failure = FailureRecord(
+            stage="Figure 10", experiment="fig10", label="N=10",
+            case_key="0" * 16, kind="timeout", message="deadline",
+            attempts=1,
+        )
+        self.stub_run_all(monkeypatch, failures=[failure])
+        assert main(["figure", "all", "--failure-policy", "skip"]) == 3
+        assert "1 case(s) failed" in capsys.readouterr().err
+
+    def test_chunk_size_is_rejected_not_eaten(self, monkeypatch, capsys):
+        calls = self.stub_run_all(monkeypatch)
+        assert main(["figure", "all", "--chunk-size", "4"]) == 2
+        assert calls == []
+        assert "--chunk-size" in capsys.readouterr().err

@@ -50,7 +50,7 @@ def send_at(net, host, t: float, flow_id: int = 0, seq: int = 0):
     net.sim.schedule_at(
         t,
         lambda: host.send(
-            Packet.acquire(
+            Packet(
                 flow_id=flow_id,
                 src=host.node_id,
                 dst=(1 - host.node_id) if host.node_id < 2 else 0,
@@ -294,19 +294,6 @@ class TestOutageSemantics:
         assert b.packets_received == 2
         assert hook.dropped == 1
 
-    def test_dropped_packets_return_to_pool(self):
-        from repro.sim.packet import live_pooled_packets
-
-        net, a, _, _ = two_hosts(prop_delay=1e-3)
-        ChaosSchedule(seed=0).outage(
-            "a", "b", t0=0.0, duration=1.0, direction="a->b"
-        ).install(net)
-        before = live_pooled_packets()
-        send_at(net, a, 0.5)
-        net.sim.run(until=0.6)
-        # acquired, admission-dropped, recycled — no pooled packet leaks
-        assert live_pooled_packets() == before
-
     def test_overlapping_outages_nest(self):
         net, a, b, _ = two_hosts(prop_delay=1e-6)
         controller = (
@@ -423,7 +410,7 @@ class TestEcnWindows:
         log = PacketLogger().attach(iface)
 
         def fire():
-            packet = Packet.acquire(
+            packet = Packet(
                 flow_id=0, src=a.node_id, dst=b.node_id, seq=0,
                 size_bytes=1500, ecn_capable=ecn_capable,
             )

@@ -1,5 +1,6 @@
 """Differential tests: every per-packet fast lane vs the general body
-it shortcuts.
+it shortcuts, and the sender's one body vs the general bodies it
+replaced.
 
 No switch selects these lanes; the code takes them from what it
 observes, so the tests steer them through the same observables and
@@ -10,10 +11,10 @@ same per-flow outcomes:
 * fused send (``type(queue) is FifoQueue``) vs the method-call path: a
   :class:`TrackedFifoQueue` bottleneck swapped in before traffic, across
   every marker type and departure marking;
-* the sender's cumulative-ACK and window-loop fast bodies
-  (``use_sack=False``) vs the general ``_try_send``/``_on_new_ack``:
-  ``use_sack=True`` on a lossless run, where no SACK block is ever
-  emitted and the general bodies must reproduce the trace;
+* the sender's single ``_try_send``/``_on_new_ack`` vs
+  :class:`tests.sim.oracles.GeneralBodySender` (the deleted general
+  bodies, handed in through ``sender_cls=``) under loss — fast
+  retransmit, partial ACKs, RTOs, go-back-N — with SACK off and on;
 * the switch's memoized egress vs the pure :meth:`Switch.route_for`,
   attacked at every invalidation edge.
 """
@@ -32,15 +33,20 @@ from repro.core.marking import (
     REDMarker,
     SingleThresholdMarker,
 )
+from repro.experiments.fig14_incast import (
+    TESTBED_INITIAL_CWND,
+    TESTBED_START_JITTER,
+)
+from repro.experiments.protocols import dctcp_testbed
 from repro.sim.apps.bulk import launch_bulk_flows
-from repro.sim.engine import Simulator
-from repro.sim.node import Switch
-from repro.sim.packet import Packet, packet_pool_size
+from repro.sim.apps.incast import FanInApp
+from repro.sim.packet import MSS_BYTES, Packet
 from repro.sim.packet_log import PacketLogger
 from repro.sim.queues import FifoQueue
 from repro.sim.tcp.sender import DctcpSender
-from repro.sim.topology import Network, dumbbell
+from repro.sim.topology import Network, dumbbell, paper_testbed
 from repro.sim.trace import TrackedFifoQueue
+from tests.sim.oracles import GeneralBodySender
 
 MARKERS = {
     "null": lambda: NullMarker(),
@@ -50,22 +56,37 @@ MARKERS = {
 }
 
 
+def _rebased_records(log: PacketLogger):
+    """Delivery records with flow ids rebased to zero (flow ids come
+    from a process-global counter; rebasing makes them positional)."""
+    base = min(r.flow_id for r in log.records)
+    return [dataclasses.replace(r, flow_id=r.flow_id - base) for r in log.records]
+
+
 def _run_dumbbell(
     marker,
     tracked: bool = False,
     n_flows: int = 4,
     duration: float = 0.003,
     mark_on_dequeue: bool = False,
+    sender_cls=DctcpSender,
+    buffer_pkts=None,
     **sender_kwargs,
 ):
     """One dumbbell run with every interface tapped.
 
     ``tracked`` swaps the bottleneck queue for a :class:`TrackedFifoQueue`
     of the same configuration before traffic, which takes the interface
-    off the fused send.  Returns (delivery records, bottleneck stats,
+    off the fused send; ``buffer_pkts`` shrinks the bottleneck buffer
+    until it overflows.  Returns (delivery records, bottleneck stats,
     per-flow outcomes, events processed, bottleneck interface).
     """
-    network = dumbbell(n_flows, marker)
+    if buffer_pkts is None:
+        network = dumbbell(n_flows, marker)
+    else:
+        network = dumbbell(
+            n_flows, marker, bottleneck_buffer_bytes=buffer_pkts * MSS_BYTES
+        )
     iface = network.network.interface_between(
         network.switch.node_id, network.receiver.node_id
     )
@@ -82,12 +103,9 @@ def _run_dumbbell(
     log = PacketLogger()
     for interface in network.network.all_interfaces():
         log.attach(interface)
-    flows = launch_bulk_flows(network, sender_cls=DctcpSender, **sender_kwargs)
-    base = min(f.sender.flow_id for f in flows)
+    flows = launch_bulk_flows(network, sender_cls=sender_cls, **sender_kwargs)
     network.sim.run(until=duration)
-    records = [
-        dataclasses.replace(r, flow_id=r.flow_id - base) for r in log.records
-    ]
+    records = _rebased_records(log)
     raw = iface.queue.stats
     stats = {field: getattr(raw, field) for field in raw.__slots__}
     per_flow = [
@@ -134,19 +152,6 @@ class TestDumbbellTraces:
         assert plain_iface.model == tracked_iface.model == "two-event"
         assert plain_iface.queue.stats.marked > 0
 
-    @pytest.mark.parametrize("marker_key", ["single", "double"])
-    def test_sender_fast_bodies_match_general_bodies_when_lossless(
-        self, marker_key
-    ):
-        *fast, _ = _run_dumbbell(MARKERS[marker_key], use_sack=False)
-        *general, iface = _run_dumbbell(MARKERS[marker_key], use_sack=True)
-        assert len(fast[0]) > 300, "scenario too small to be meaningful"
-        # Lossless, so the receivers never emitted a SACK block and the
-        # scoreboard stayed empty: only the code path differed.
-        assert iface.queue.stats.dropped == 0
-        assert all(rtx == 0 for _, _, rtx, _ in general[2])
-        assert general == fast
-
     @settings(max_examples=8, deadline=None)
     @given(
         n_flows=st.integers(min_value=2, max_value=6),
@@ -168,6 +173,76 @@ class TestDumbbellTraces:
             duration=0.0015,
         )
         assert tracked == plain
+
+
+def _run_incast(sender_cls, use_sack: bool, n_flows: int = 45):
+    """One Figure 14-style incast query past collapse, every interface
+    tapped; everything observable."""
+    testbed = paper_testbed(dctcp_testbed().marker_factory, bandwidth_bps=1e9)
+    log = PacketLogger()
+    for interface in testbed.network.all_interfaces():
+        log.attach(interface)
+    app = FanInApp(
+        testbed.aggregator,
+        testbed.workers,
+        n_flows=n_flows,
+        bytes_per_flow=64 * 1024,
+        n_queries=1,
+        sender_cls=sender_cls,
+        initial_cwnd=TESTBED_INITIAL_CWND,
+        start_jitter=TESTBED_START_JITTER,
+        on_done=testbed.sim.stop,
+        use_sack=use_sack,
+    )
+    app.start()
+    testbed.sim.run(until=60.0)
+    records = _rebased_records(log)
+    raw = testbed.bottleneck_queue.stats
+    stats = {field: getattr(raw, field) for field in raw.__slots__}
+    per_query = [
+        (r.completion_time, r.timeouts, r.retransmits) for r in app.results
+    ]
+    return records, stats, per_query, testbed.sim.events_processed
+
+
+class TestSenderBodies:
+    """The sender's one body vs the general bodies it replaced, where
+    they could differ: under loss."""
+
+    @pytest.mark.parametrize("use_sack", [False, True], ids=["reno", "sack"])
+    def test_incast_collapse_matches_general_bodies(self, use_sack):
+        one = _run_incast(DctcpSender, use_sack)
+        general = _run_incast(GeneralBodySender, use_sack)
+        records, stats, per_query, _ = general
+        # 45 synchronized 64 KB responses overflow the 128 KB buffer:
+        # drops, fast retransmits and real RTOs with go-back-N.
+        assert stats["dropped"] > 0
+        assert sum(timeouts for _, timeouts, _ in per_query) > 0
+        assert sum(rtx for _, _, rtx in per_query) > 0
+        assert len(records) > 2000, "scenario too small to be meaningful"
+        assert one == general
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        n_flows=st.integers(min_value=2, max_value=6),
+        buffer_pkts=st.integers(min_value=4, max_value=24),
+        marker_key=st.sampled_from(["null", "single"]),
+        use_sack=st.booleans(),
+    )
+    def test_lossy_dumbbell_matches_general_bodies(
+        self, n_flows, buffer_pkts, marker_key, use_sack
+    ):
+        kwargs = dict(
+            n_flows=n_flows, buffer_pkts=buffer_pkts, duration=0.006,
+            use_sack=use_sack, min_rto=500e-6,
+        )
+        *one, _ = _run_dumbbell(MARKERS[marker_key], **kwargs)
+        *general, iface = _run_dumbbell(
+            MARKERS[marker_key], sender_cls=GeneralBodySender, **kwargs
+        )
+        assert iface.queue.stats.dropped > 0
+        assert any(rtx > 0 for _, _, rtx, _ in general[2])
+        assert one == general
 
 
 def _two_way_switch():
@@ -264,48 +339,3 @@ class TestRouteMemoization:
                 is expected
             )
         assert switch.packets_unroutable == 0
-
-
-class TestPacketPoolAccounting:
-    """Drop and unroutable paths must return pooled packets (ISSUE 9).
-
-    Before this PR a queue-overflow drop or an unroutable forward simply
-    dropped the object reference, so every such packet leaked off the
-    free list and the pool drained under sustained overload.
-    """
-
-    def test_overflow_drop_refills_free_list(self):
-        queue = FifoQueue(1500.0, name="tiny")
-        assert queue.enqueue(
-            Packet.acquire(flow_id=0, src=0, dst=1, seq=0,
-                           size_bytes=1500)
-        )
-        victim = Packet.acquire(
-            flow_id=0, src=0, dst=1, seq=1, size_bytes=1500
-        )
-        before = packet_pool_size()
-        assert not queue.enqueue(victim)
-        assert packet_pool_size() == before + 1
-        assert queue.stats.dropped == 1
-
-    def test_unroutable_packet_refills_free_list(self):
-        switch = Switch(Simulator(), "lone")
-        victim = Packet.acquire(
-            flow_id=0, src=0, dst=42, seq=0, size_bytes=1500
-        )
-        before = packet_pool_size()
-        switch.receive(victim)
-        assert packet_pool_size() == before + 1
-        assert switch.packets_unroutable == 1
-
-    def test_unpooled_packets_unaffected(self):
-        # recycle() on a directly constructed packet is a no-op, so the
-        # drop paths are safe for both allocation styles.
-        queue = FifoQueue(1500.0, name="tiny")
-        queue.enqueue(Packet(flow_id=0, src=0, dst=1, seq=0,
-                             size_bytes=1500))
-        before = packet_pool_size()
-        assert not queue.enqueue(
-            Packet(flow_id=0, src=0, dst=1, seq=1, size_bytes=1500)
-        )
-        assert packet_pool_size() == before

@@ -2,8 +2,8 @@
 
 Two halves: healthy simulations audit clean at every instant (under both
 link models, with and without active faults), and deliberately injected
-corruption — stolen packets, leaked pool packets, cooked counters,
-disarmed RTO timers — is caught and named.  The second half is the
+corruption — stolen packets, cooked counters, disarmed RTO timers — is
+caught and named.  The second half is the
 watchdog's reason to exist: a checker that never fires on real bugs is
 just overhead.
 """
@@ -20,10 +20,7 @@ from repro.sim.invariants import (
     InvariantWatchdog,
     audit_network,
     held_by_interface,
-    invariants_enabled,
-    network_held_packets,
 )
-from repro.sim.packet import Packet, live_pooled_packets
 from repro.sim.tcp.sender import DctcpSender
 from repro.sim.topology import dumbbell
 from tests.sim.oracles import pin_link_model
@@ -36,7 +33,7 @@ def _marker():
 def _busy_dumbbell(n_flows: int = 4, link: str = "busy-until"):
     network = dumbbell(n_flows, _marker)
     pin_link_model(network.network, link)
-    watchdog = InvariantWatchdog(network.network)  # before traffic
+    watchdog = InvariantWatchdog(network.network)
     flows = launch_bulk_flows(network, sender_cls=DctcpSender)
     return network, watchdog, flows
 
@@ -77,7 +74,7 @@ class TestHealthyRuns:
         launch_bulk_flows(network, sender_cls=DctcpSender)
         network.sim.run(until=2.1e-3)  # first packets still propagating
         net = network.network
-        assert network_held_packets(net) > 0
+        assert sum(held_by_interface(i) for i in net.all_interfaces()) > 0
         assert all(held_by_interface(i) >= 0 for i in net.all_interfaces())
         assert audit_network(net) == []
 
@@ -94,24 +91,12 @@ class TestInjectedCorruption:
         assert queue.len_packets > 0, "bottleneck empty; scenario too light"
         # Steal a parked packet without telling the ledgers — the classic
         # conservation bug a refactor of the queue fast path could add.
-        stolen = queue._queue.popleft()
+        queue._queue.popleft()
         with pytest.raises(InvariantViolation) as excinfo:
             watchdog.check()
         message = str(excinfo.value)
         assert "byte gauge" in message
         assert "enqueued-dequeued" in message
-        stolen.recycle()
-
-    def test_pool_leak_is_caught(self):
-        network, watchdog, _ = self.run_briefly()
-        # A pooled packet acquired and never recycled — exactly what the
-        # pre-chaos drop paths used to do under overload.
-        leaked = Packet.acquire(flow_id=0, src=0, dst=1, seq=0,
-                                size_bytes=1500)
-        with pytest.raises(InvariantViolation, match="pool leak"):
-            watchdog.check()
-        leaked.recycle()
-        watchdog.check()  # recycling repairs the balance
 
     def test_cooked_forwarding_counter_is_caught(self):
         network, watchdog, _ = self.run_briefly()
@@ -164,9 +149,3 @@ class TestReporting:
         watchdog = InvariantWatchdog(network.network)
         with pytest.raises(ValueError):
             watchdog.start(interval=0.0)
-
-    def test_env_switch_read(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INVARIANTS", raising=False)
-        assert not invariants_enabled()
-        monkeypatch.setenv("REPRO_INVARIANTS", "1")
-        assert invariants_enabled()

@@ -157,7 +157,6 @@ class TestEcmpDeterminism:
                             dst=dst.node_id, seq=0, size_bytes=100)
             egress = leaf.route_for(packet)
             assignment.append(egress.name)
-            packet.recycle()
         return assignment
 
     def test_same_seed_same_assignment(self):
@@ -186,7 +185,6 @@ class TestEcmpDeterminism:
             if first is None:
                 first = egress
             assert egress is first
-            packet.recycle()
 
     def test_full_run_replay_identical(self):
         """Same fabric + same seed -> byte-identical FCTs, including
@@ -248,7 +246,6 @@ class TestParallelLinksRegression:
             packet = Packet(flow_id=flow_id, src=h1.node_id,
                             dst=h2.node_id, seq=0, size_bytes=100)
             chosen.add(s1.route_for(packet).name)
-            packet.recycle()
         assert chosen == {"s1->s2", "s1->s2#1"}
 
     def test_parallel_links_deliver_traffic(self):

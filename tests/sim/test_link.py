@@ -7,6 +7,7 @@ fast lane and the two-event schedule, pinned before traffic — via the
 
 import pytest
 
+from repro.sim.buffer_pool import SharedBufferPool
 from repro.sim.engine import Simulator
 from repro.sim.link import Interface
 from repro.sim.node import Node
@@ -134,6 +135,81 @@ class TestModelSelection:
         iface.send(data_packet())
         assert iface.model == "two-event"
         sim.run()
+
+
+class CountingHookQueue(FifoQueue):
+    """Counts assignments to ``drain_hook`` (shadows the base slot)."""
+
+    hook_assignments = 0
+
+    @property
+    def drain_hook(self):
+        return self._hook
+
+    @drain_hook.setter
+    def drain_hook(self, hook):
+        self.hook_assignments += 1
+        self._hook = hook
+
+
+class TestDrainHookInstalledOnce:
+    """``Interface.send``'s cold path runs once per queue object: the
+    bound ``_drain`` is cached, so the identity check can succeed."""
+
+    def test_plain_queue_keeps_the_one_hook_object(self):
+        sim = Simulator()
+        iface, sink = make_iface(sim)
+        iface.send(data_packet())
+        hook = iface.queue.drain_hook
+        assert hook is iface._drain_hook
+        for seq in range(1, 200):
+            iface.send(data_packet(seq=seq))
+            assert iface.queue.drain_hook is hook
+        sim.run()
+        assert len(sink.received) == 200
+        assert iface._q_fused
+
+    def test_hook_is_assigned_exactly_once(self):
+        sim = Simulator()
+        queue = CountingHookQueue(1_000_000)
+        assert queue.hook_assignments == 1  # FifoQueue.__init__'s None
+        iface = Interface(sim, 1e9, 10e-6, queue, name="counted")
+        sink = Sink(sim)
+        iface.connect(sink)
+        for seq in range(200):
+            iface.send(data_packet(seq=seq))
+            if seq % 7 == 0:
+                sim.run()  # mix idle starts with back-to-back sends
+        sim.run()
+        assert len(sink.received) == 200
+        assert queue.hook_assignments == 2
+        assert not iface._q_fused  # a subclass: method-call path
+
+    @pytest.mark.parametrize("kind", ["mark_on_dequeue", "pool"])
+    def test_dequeue_instant_queue_after_traffic_raises(self, kind):
+        sim = Simulator()
+        iface, _ = make_iface(sim)
+        iface.send(data_packet())
+        sim.run()
+        if kind == "pool":
+            late = FifoQueue(1_000_000, pool=SharedBufferPool(4_000_000))
+        else:
+            late = FifoQueue(1_000_000, mark_on_dequeue=True)
+        iface.queue = late
+        with pytest.raises(RuntimeError, match="'test'.*carried traffic"):
+            iface.send(data_packet(seq=1))
+        assert iface.model == "busy-until"
+        assert late.drain_hook is None and late.stats.enqueued == 0
+
+    def test_pooled_queue_before_traffic_runs_two_event(self):
+        sim = Simulator()
+        iface, sink = make_iface(sim)
+        iface.queue = FifoQueue(1_000_000, pool=SharedBufferPool(4_000_000))
+        iface.send(data_packet())
+        assert iface.model == "two-event"
+        assert iface.queue.drain_hook is None
+        sim.run()
+        assert len(sink.received) == 1
 
 
 class TestPinTwoEvent:

@@ -127,8 +127,8 @@ def _burst(net, src, dst, t0: float, flows=range(16)):
         net.sim.schedule_at(
             t0 + i * 20e-6,
             lambda f=flow_id: src.send(
-                Packet.acquire(flow_id=f, src=src.node_id, dst=dst.node_id,
-                               seq=0, size_bytes=1500)
+                Packet(flow_id=f, src=src.node_id, dst=dst.node_id,
+                       seq=0, size_bytes=1500)
             ),
         )
 

@@ -1,6 +1,33 @@
 """Unit tests for the packet model."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.sim.packet import ACK_BYTES, MSS_BYTES, Packet
+
+packet_args = st.fixed_dictionaries(
+    {
+        "flow_id": st.integers(min_value=0, max_value=1000),
+        "src": st.integers(min_value=0, max_value=64),
+        "dst": st.integers(min_value=0, max_value=64),
+        "seq": st.integers(min_value=-1, max_value=10**6),
+        "size_bytes": st.integers(min_value=40, max_value=9000),
+        "is_ack": st.booleans(),
+        "ack_seq": st.integers(min_value=-1, max_value=10**6),
+        "ecn_capable": st.booleans(),
+    }
+)
+
+#: What every slot that is not a constructor argument starts as.
+PER_TRIP_DEFAULTS = {
+    "ce": False,
+    "ece": False,
+    "sent_at": -1.0,
+    "is_retransmit": False,
+    "delayed_ack_count": 1,
+    "sack_blocks": (),
+    "deliver_at": -1.0,
+}
 
 
 class TestPacket:
@@ -19,6 +46,18 @@ class TestPacket:
         assert p.delayed_ack_count == 1
         assert p.sack_blocks == ()
         assert p.sent_at == -1.0
+
+    @given(args=packet_args)
+    def test_fresh_packet_initialises_every_slot(self, args):
+        # Endpoints construct one packet per segment and per ACK, so
+        # construction alone must leave no slot unset or stale.
+        first = Packet(**args)
+        packet = Packet(**args)
+        assert packet.uid == first.uid + 1
+        expected = dict(args, uid=packet.uid, **PER_TRIP_DEFAULTS)
+        assert set(expected) == set(Packet.__slots__)
+        for field, value in expected.items():
+            assert getattr(packet, field) == value, field
 
     def test_constants_match_paper(self):
         assert MSS_BYTES == 1500  # "each packet is about 1.5KB"
