@@ -6,11 +6,11 @@ ECN, not the minimum window, governs behaviour, DT-DCTCP's normalised
 mean stays at least as flat as DCTCP's.
 """
 
-from repro.experiments import fig10_avg_queue
+from repro.experiments import queue_sweep
 
 
 def test_fig10_average_queue_paper_pipe(run_once, bench_scale):
-    sweep = run_once(fig10_avg_queue.run, bench_scale)
+    sweep = run_once(queue_sweep.run, bench_scale)
     dc = sweep.normalized("DCTCP")
     dt = sweep.normalized("DT-DCTCP")
     print(f"\nFigure 10 (paper pipe): DCTCP {dc}\n            DT-DCTCP {dt}")
@@ -20,7 +20,7 @@ def test_fig10_average_queue_paper_pipe(run_once, bench_scale):
 
 
 def test_fig10_average_queue_deep_pipe(run_once, bench_scale):
-    sweep = run_once(fig10_avg_queue.run, bench_scale, rtt=400e-6)
+    sweep = run_once(queue_sweep.run, bench_scale, rtt=400e-6)
     print(
         f"\nFigure 10 (deep pipe): max deviation DCTCP "
         f"{sweep.max_deviation('DCTCP'):.2f}, DT-DCTCP "

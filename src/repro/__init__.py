@@ -10,13 +10,13 @@ Subpackages:
 * :mod:`repro.sim`         — a packet-level discrete-event network
   simulator with DCTCP endpoints (the ns-2 substitute);
 * :mod:`repro.stats`       — statistics for the evaluation;
-* :mod:`repro.experiments` — one harness module per paper figure.
+* :mod:`repro.experiments` — the experiment index and one harness
+  module per paper figure or sweep.
 
 Quick start::
 
-    from repro.experiments import quick_scale
-    from repro.experiments.fig11_std_dev import main
-    main(quick_scale())
+    from repro.experiments import quick_scale, stage_by_id
+    stage_by_id("11").run(quick_scale())
 """
 
 __version__ = "1.0.0"

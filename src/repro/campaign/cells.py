@@ -22,20 +22,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.core.marking import (
-    DEFAULT_DIRECTION_DEADBAND,
-    DoubleThresholdMarker,
-    SingleThresholdMarker,
-)
 from repro.exec.cases import Case
 from repro.sim.apps.incast import FanInApp
 from repro.sim.apps.short_flows import ShortFlowGenerator
 from repro.sim.chaos import ChaosController, ChaosSchedule
 from repro.sim.invariants import InvariantWatchdog
 from repro.sim.node import Host, Switch
-from repro.sim.tcp.cubic import CubicSender
+from repro.sim.protocols import PROTOCOLS, marker_factory
 from repro.sim.tcp.flow import Flow, open_flow
-from repro.sim.tcp.sender import DctcpSender
 from repro.sim.topology import LeafSpineNetwork, leaf_spine
 from repro.sim.trace import QueueMonitor
 
@@ -54,19 +48,6 @@ SPACE_DC_MAX_RTO = 2.0
 
 #: Initial window of the latency-sensitive short flows.
 SHORT_FLOW_CWND = 10.0
-
-_SENDERS = {"dctcp": DctcpSender, "cubic": CubicSender}
-
-
-def _marker_factory(thresholds: List[float]):
-    if len(thresholds) == 1:
-        k = thresholds[0]
-        return lambda: SingleThresholdMarker.from_threshold(k)
-    k1, k2 = thresholds
-    deadband = min(DEFAULT_DIRECTION_DEADBAND, (k2 - k1) / 8.0)
-    return lambda: DoubleThresholdMarker.from_thresholds(
-        k1, k2, deadband=deadband
-    )
 
 
 def _disturbance_hosts(fabric: LeafSpineNetwork) -> List[Host]:
@@ -137,13 +118,13 @@ def run_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     flow_bytes = int(params["flow_bytes"])
     duration = float(params["duration"])
     warmup = float(params["warmup"])
-    sender_cls = _SENDERS[params.get("sender", "dctcp")]
+    sender_cls = PROTOCOLS[params.get("sender", "dctcp")].sender_cls
 
     fabric = leaf_spine(
         n_leaves=int(params["n_leaves"]),
         n_spines=int(params["n_spines"]),
         hosts_per_leaf=int(params["hosts_per_leaf"]),
-        marker_factory=_marker_factory(thresholds),
+        marker_factory=marker_factory(thresholds),
         host_bandwidth_bps=float(params["host_bandwidth_bps"]),
         fabric_bandwidth_bps=float(params["fabric_bandwidth_bps"]),
         per_hop_delay=float(params["per_hop_delay"]),

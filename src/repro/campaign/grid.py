@@ -19,17 +19,12 @@ them.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.exec.cases import Case
+from repro.sim.protocols import PROTOCOLS, threshold_label
 
-__all__ = [
-    "SCENARIOS",
-    "SENDERS",
-    "CampaignGrid",
-    "CellCoord",
-    "threshold_label",
-]
+__all__ = ["SCENARIOS", "CampaignGrid", "CellCoord"]
 
 #: The disturbance workloads a cell can run behind its short flows:
 #: ``buildup`` pins long-lived bulk flows on the client's downlink (the
@@ -40,17 +35,7 @@ __all__ = [
 #: from a seeded :class:`~repro.sim.chaos.ChaosSchedule`.
 SCENARIOS = ("buildup", "incast", "space-dc")
 
-#: Sender implementations a cell can drive its traffic with.
-SENDERS = ("dctcp", "cubic")
-
 EXPERIMENT = "repro.campaign.cells"
-
-
-def threshold_label(thresholds: Sequence[float]) -> str:
-    """Display name for one marking configuration."""
-    if len(thresholds) == 1:
-        return f"K={thresholds[0]:g}"
-    return f"K1={thresholds[0]:g},K2={thresholds[1]:g}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,9 +148,10 @@ class CampaignGrid:
                     f"threshold configs ({len(self.thresholds)})"
                 )
             for sender in self.senders:
-                if sender not in SENDERS:
+                if sender not in PROTOCOLS:
                     raise ValueError(
-                        f"unknown sender {sender!r}; choose from {SENDERS}"
+                        f"unknown sender {sender!r}; choose from "
+                        f"{sorted(PROTOCOLS)}"
                     )
         if self.jitter_s < 0:
             raise ValueError(f"jitter_s must be >= 0, got {self.jitter_s}")

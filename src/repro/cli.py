@@ -4,8 +4,9 @@ Commands:
 
 * ``analyze``   — DF stability work-up for one configuration
                   (margin, sufficient condition, predicted limit cycle);
-* ``figure``    — regenerate one paper figure's table (1, 2, 4, 6, 7,
-                  9, 10, 11, 12, 13, 14, 15) or ``all``;
+* ``figure``    — print one stage of the experiment index
+                  (:data:`repro.experiments.STAGES`: a figure number or
+                  an extension study's name), or ``all``;
 * ``simulate``  — one dumbbell run with chosen protocol and flow count,
                   printing queue statistics;
 * ``incast``    — one incast point on the testbed;
@@ -21,18 +22,23 @@ Commands:
 * ``cache``     — result-cache maintenance: ``stats``, ``verify``
                   (quarantine damaged entries), ``gc``.
 
-``figure`` and ``simulate`` accept ``--profile`` to wrap the run in
-cProfile (top-20 cumulative table on stderr, raw pstats via
-``--profile-out``).  Sweep-shaped figures accept ``--timeout``,
-``--retries``, and ``--failure-policy`` for fault-tolerant execution,
-plus ``--chunk-size`` to batch several cases per worker round trip;
-with a skip policy the exit code is 3 when a sweep completed partially
-(re-run the same command to resume the holes).
+``--protocol`` and ``--senders`` take names from the protocol table
+(:data:`repro.sim.protocols.PROTOCOLS`).  ``figure`` and ``simulate``
+accept ``--profile`` to wrap the run in cProfile (top-20 cumulative
+table on stderr, raw pstats via ``--profile-out``).  ``figure`` and
+``campaign`` share one set of executor flags: ``--jobs``,
+``--cache-dir``/``--no-cache``, ``--timeout``, ``--retries`` and
+``--failure-policy`` for fault-tolerant execution, plus ``--chunk-size``
+to batch several cases per worker round trip; with a skip policy the
+exit code is 3 when a sweep completed partially (re-run the same command
+to resume the holes).
 
 Examples::
 
     python -m repro.cli analyze --flows 55 --protocol dt-dctcp
     python -m repro.cli figure 14 --quick
+    python -m repro.cli figure deadlines
+    python -m repro.cli figure all --quick --jobs 4
     python -m repro.cli figure 10 --quick --profile
     python -m repro.cli figure 10 --jobs 8 --timeout 600 --retries 2 \\
         --failure-policy retry-then-skip
@@ -50,7 +56,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core import (
     analyze,
@@ -59,57 +65,66 @@ from repro.core import (
     paper_dt_dctcp,
     paper_network,
 )
-from repro.experiments import full_scale, quick_scale
-from repro.experiments.protocols import (
-    dctcp_sim,
-    dctcp_testbed,
-    dt_dctcp_sim,
-    dt_dctcp_testbed,
-)
+from repro.exec import ResultCache, SweepExecutor
+from repro.experiments import STAGES, full_scale, quick_scale, stage_by_id
+from repro.experiments.protocols import paper_config
 from repro.experiments.tables import print_table
 from repro.sim import kernels
+from repro.sim.protocols import PROTOCOLS
+from repro.sim.tcp.sender import DctcpSender
 
-__all__ = ["main"]
+__all__ = ["add_executor_args", "executor_from_args", "main"]
 
-FIGURES = {
-    "1": "repro.experiments.fig01_oscillation",
-    "2": "repro.experiments.fig02_marking",
-    "4": "repro.experiments.fig04_criterion",
-    "6": "repro.experiments.fig06_08_df",
-    "7": "repro.experiments.fig07_nyquist_loci",
-    "8": "repro.experiments.fig06_08_df",
-    "9": "repro.experiments.fig09_critical_n",
-    "10": "repro.experiments.fig10_avg_queue",
-    "11": "repro.experiments.fig11_std_dev",
-    "12": "repro.experiments.fig12_alpha",
-    "13": "repro.experiments.fig13_topology",
-    "14": "repro.experiments.fig14_incast",
-    "15": "repro.experiments.fig15_completion_time",
-}
+#: The paper's marking parameters by threshold count, for ``analyze``.
+_PAPER_PARAMS = {1: paper_dctcp, 2: paper_dt_dctcp}
 
-#: Figure mains that accept a Scale argument; these are the sweep-shaped
-#: figures, which also accept a SweepExecutor for --jobs / caching.
-SCALED_FIGURES = {"1", "10", "11", "12", "14", "15"}
+#: ``analyze`` models the DCTCP alpha loop around a threshold marker, so
+#: it takes the table's DCTCP-sender protocols only.
+_ANALYZABLE = sorted(
+    name
+    for name, protocol in PROTOCOLS.items()
+    if protocol.sender_cls is DctcpSender
+    and protocol.n_thresholds in _PAPER_PARAMS
+)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+def _checked(cast: Callable, ok: Callable, wants: str) -> Callable:
+    """An argparse ``type=``: ``cast(text)``, which must satisfy ``ok``."""
+
+    def convert(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wants}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _protocol_params(name: str):
-    if name == "dctcp":
-        return paper_dctcp()
-    if name == "dt-dctcp":
-        return paper_dt_dctcp()
-    raise ValueError(f"unknown protocol {name!r}")
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive_float = _checked(float, lambda v: v > 0, "a number > 0")
+_unit_interval = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+_open_unit_interval = _checked(
+    float, lambda v: 0 < v < 1, "a number in (0, 1)"
+)
+
+
+def _k1k2(text: str) -> Tuple[float, float]:
+    try:
+        k1, k2 = (float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"wants 'K1,K2', got {text!r}"
+        ) from None
+    return (k1, k2)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     net = paper_network(args.flows, g=args.g)
-    params = _protocol_params(args.protocol)
+    params = _PAPER_PARAMS[PROTOCOLS[args.protocol].n_thresholds]()
     scale = (
         args.gain_scale
         if args.gain_scale is not None
@@ -136,105 +151,38 @@ def _maybe_profiled(args: argparse.Namespace):
     if getattr(args, "profile", False):
         from repro.perf.profiling import profiled
 
-        return profiled(dump_path=getattr(args, "profile_out", None))
+        return profiled(dump_path=args.profile_out)
     import contextlib
 
     return contextlib.nullcontext()
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    with _maybe_profiled(args):
-        return _run_figure(args)
+    from repro.experiments.runner import exit_code, run_all, run_stage
 
-
-def _run_figure(args: argparse.Namespace) -> int:
     scale = quick_scale() if args.quick else full_scale()
-    use_cache = not args.no_cache
+    executor = executor_from_args(args)
     if args.id == "all":
-        from repro.experiments.runner import exit_code, run_all
-
-        if args.chunk_size is not None:
-            print("--chunk-size applies to one figure's sweep; "
-                  "'figure all' does not take it", file=sys.stderr)
-            return 2
-        report = run_all(
-            quick=args.quick,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=use_cache,
-            timeout=args.timeout,
-            retries=args.retries,
-            failure_policy=args.failure_policy,
-        )
-        return exit_code(report)
-    module_name = FIGURES.get(args.id)
-    if module_name is None:
+        return exit_code(run_all(scale, executor))
+    stage = stage_by_id(args.id)
+    if stage is None:
         print(f"unknown figure {args.id!r}; choose from "
-              f"{sorted(FIGURES)} or 'all'", file=sys.stderr)
+              f"{[s.id for s in STAGES]} or 'all'", file=sys.stderr)
         return 2
-    import importlib
-
-    module = importlib.import_module(module_name)
-    if args.id in SCALED_FIGURES:
-        from repro.exec import ResultCache, SweepExecutor, default_cache_dir
-
-        cache = (
-            ResultCache(
-                args.cache_dir if args.cache_dir is not None
-                else default_cache_dir()
-            )
-            if use_cache
-            else None
-        )
-        executor = SweepExecutor(
-            jobs=args.jobs,
-            cache=cache,
-            timeout=args.timeout,
-            retries=args.retries,
-            failure_policy=args.failure_policy,
-            chunk_size=args.chunk_size,
-        )
-        failures_before = len(executor.report.failures)
-        try:
-            module.main(scale, executor=executor)
-        except Exception:
-            # Under a skip policy a figure may be unable to tabulate
-            # around the holes; every completed cell is already durably
-            # cached, so report the partial state instead of aborting —
-            # but only when this run actually recorded case failures,
-            # else the exception is a real bug and must propagate.  The
-            # traceback still goes to stderr either way.
-            if len(executor.report.failures) == failures_before:
-                raise
-            import traceback
-
-            traceback.print_exc(file=sys.stderr)
+    run_stage(stage, scale, executor)
+    if "executor" in stage.takes:
         # Telemetry on stderr so the figure table on stdout stays
         # byte-identical to a plain sequential run.
         print(executor.report.render(), file=sys.stderr)
-        if executor.report.failures:
-            print(
-                f"{len(executor.report.failures)} case(s) failed; re-run "
-                "the same command to resume from the manifest",
-                file=sys.stderr,
-            )
-            return 3
-    else:
-        module.main()
-    return 0
+    return exit_code(executor.report)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    with _maybe_profiled(args):
-        return _run_simulate(args)
-
-
-def _run_simulate(args: argparse.Namespace) -> int:
     from repro.sim.apps.bulk import launch_bulk_flows
     from repro.sim.topology import dumbbell
     from repro.sim.trace import QueueMonitor
 
-    protocol = dctcp_sim() if args.protocol == "dctcp" else dt_dctcp_sim()
+    protocol = paper_config(args.protocol)
     network = dumbbell(args.flows, protocol.marker_factory, rtt=args.rtt)
     flows = launch_bulk_flows(network, sender_cls=protocol.sender_cls)
     monitor = QueueMonitor(network.sim, network.bottleneck_queue, 20e-6)
@@ -250,13 +198,16 @@ def _run_simulate(args: argparse.Namespace) -> int:
         watchdog.check()
     queue = monitor.series(after=args.duration * 0.4)
     delivered = sum(f.receiver.packets_received for f in flows)
-    alphas = [f.sender.alpha for f in flows]
+    # Baseline senders keep no congestion-extent estimate.
+    alphas = [
+        f.sender.alpha for f in flows if isinstance(f.sender, DctcpSender)
+    ]
     rows = [
         ("protocol", protocol.name),
         ("flows", args.flows),
         ("mean queue (pkts)", float(queue.mean())),
         ("std queue (pkts)", float(queue.std())),
-        ("mean alpha", sum(alphas) / len(alphas)),
+        ("mean alpha", sum(alphas) / len(alphas) if alphas else "n/a"),
         ("goodput (Gbps)", delivered * 1500 * 8 / args.duration / 1e9),
         ("marks", network.bottleneck_queue.stats.marked),
         ("drops", network.bottleneck_queue.stats.dropped),
@@ -271,10 +222,11 @@ def _run_simulate(args: argparse.Namespace) -> int:
 def cmd_incast(args: argparse.Namespace) -> int:
     from repro.experiments.fig14_incast import run_incast_point
 
-    protocol = (
-        dctcp_testbed() if args.protocol == "dctcp" else dt_dctcp_testbed()
+    point = run_incast_point(
+        paper_config(args.protocol, testbed=True),
+        args.flows,
+        n_queries=args.queries,
     )
-    point = run_incast_point(protocol, args.flows, n_queries=args.queries)
     print_table(
         ["quantity", "value"],
         [
@@ -288,17 +240,6 @@ def cmd_incast(args: argparse.Namespace) -> int:
         title="incast point",
     )
     return 0
-
-
-def _parse_threshold_configs(args: argparse.Namespace):
-    """``--k``/``--k1k2`` occurrences -> threshold tuples, in CLI order."""
-    configs = [(k,) for k in (args.k or [])]
-    for pair in args.k1k2 or []:
-        parts = pair.split(",")
-        if len(parts) != 2:
-            raise SystemExit(f"--k1k2 wants 'K1,K2', got {pair!r}")
-        configs.append((float(parts[0]), float(parts[1])))
-    return tuple(configs)
 
 
 def _csv(text: str, cast):
@@ -349,15 +290,13 @@ def _campaign_setting(args: argparse.Namespace, preset: dict, key: str):
     return preset.get(key, _CAMPAIGN_DEFAULTS[key])
 
 
-def cmd_campaign(args: argparse.Namespace) -> int:
-    """Run one declarative FCT grid campaign on the leaf-spine fabric."""
-    import json
-
-    from repro.campaign import CampaignGrid, run_campaign
-    from repro.exec import ResultCache, SweepExecutor, default_cache_dir
+def _campaign_grid(args: argparse.Namespace):
+    """The grid the ``campaign`` flags describe (``ValueError`` if invalid)."""
+    from repro.campaign import CampaignGrid
 
     preset = _CAMPAIGN_PRESETS.get(args.scenario or "", {})
-    thresholds = _parse_threshold_configs(args)
+    # ``--k`` occurrences, then ``--k1k2`` occurrences.
+    thresholds = tuple([(k,) for k in args.k or []] + (args.k1k2 or []))
     senders = args.senders
     if not thresholds:
         # Only when the user named no marking config at all may the
@@ -371,47 +310,42 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     def setting(key):
         return _campaign_setting(args, preset, key)
 
+    return CampaignGrid(
+        thresholds=thresholds,
+        loads=_csv(setting("loads"), float),
+        fan_ins=_csv(setting("fan_ins"), int),
+        scenarios=_csv(setting("scenarios"), str),
+        seeds=_csv(args.seeds, int),
+        n_leaves=args.leaves,
+        n_spines=args.spines,
+        hosts_per_leaf=args.hosts_per_leaf,
+        host_bandwidth_bps=setting("host_bandwidth"),
+        fabric_bandwidth_bps=setting("fabric_bandwidth"),
+        per_hop_delay=setting("per_hop_delay"),
+        flow_bytes=args.flow_bytes,
+        duration=setting("duration"),
+        warmup=setting("warmup"),
+        senders=_csv(senders, str) if senders is not None else None,
+        jitter_s=args.jitter,
+        flap_period=args.flap_period,
+        flap_down=args.flap_down,
+        flap_count=args.flap_count,
+    )
+
+
+def cmd_campaign(args: argparse.Namespace) -> int:
+    """Run one declarative FCT grid campaign on the leaf-spine fabric."""
+    import json
+
+    from repro.campaign import run_campaign
+    from repro.experiments.runner import exit_code
+
     try:
-        grid = CampaignGrid(
-            thresholds=thresholds,
-            loads=_csv(setting("loads"), float),
-            fan_ins=_csv(setting("fan_ins"), int),
-            scenarios=_csv(setting("scenarios"), str),
-            seeds=_csv(args.seeds, int),
-            n_leaves=args.leaves,
-            n_spines=args.spines,
-            hosts_per_leaf=args.hosts_per_leaf,
-            host_bandwidth_bps=setting("host_bandwidth"),
-            fabric_bandwidth_bps=setting("fabric_bandwidth"),
-            per_hop_delay=setting("per_hop_delay"),
-            flow_bytes=args.flow_bytes,
-            duration=setting("duration"),
-            warmup=setting("warmup"),
-            senders=_csv(senders, str) if senders is not None else None,
-            jitter_s=args.jitter,
-            flap_period=args.flap_period,
-            flap_down=args.flap_down,
-            flap_count=args.flap_count,
-        )
+        grid = _campaign_grid(args)
     except ValueError as exc:
         print(f"invalid campaign grid: {exc}", file=sys.stderr)
         return 2
-    cache = (
-        ResultCache(
-            args.cache_dir if args.cache_dir is not None
-            else default_cache_dir()
-        )
-        if not args.no_cache
-        else None
-    )
-    executor = SweepExecutor(
-        jobs=args.jobs,
-        cache=cache,
-        timeout=args.timeout,
-        retries=args.retries,
-        failure_policy=args.failure_policy,
-        chunk_size=args.chunk_size,
-    )
+    executor = executor_from_args(args)
     result = run_campaign(grid, executor)
     print_table(
         [
@@ -439,14 +373,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
         print(f"written: {args.output}")
     print(executor.report.render(), file=sys.stderr)
-    if executor.report.failures:
-        print(
-            f"{len(executor.report.failures)} cell(s) failed; re-run the "
-            "same command to resume the missing seeds",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    return exit_code(executor.report)
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
@@ -461,7 +388,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     """
     import tempfile
 
-    from repro.exec import ResultCache, SweepExecutor
     from repro.exec import faults as fl
 
     cases = fl.demo_cases(args.cases)
@@ -563,11 +489,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from repro.exec import ResultCache, default_cache_dir
-
-    cache = ResultCache(
-        args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    )
+    cache = ResultCache(args.cache_dir)
     if args.action == "stats":
         stats = cache.stats()
         rows = [
@@ -644,32 +566,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="DF stability work-up")
-    p.add_argument("--flows", type=int, default=55)
-    p.add_argument("--protocol", choices=["dctcp", "dt-dctcp"],
-                   default="dctcp")
-    p.add_argument("--g", type=float, default=1 / 16)
+    p.add_argument("--flows", type=_positive_int, default=55)
+    p.add_argument("--protocol", choices=_ANALYZABLE, default="dctcp")
+    p.add_argument("--g", type=_open_unit_interval, default=1 / 16)
     p.add_argument("--gain-scale", type=float, default=None,
                    help="loop gain scale (default: Figure 9 calibration)")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("figure", help="regenerate one paper figure")
-    p.add_argument("id", help="figure number or 'all'")
+    p = sub.add_parser("figure", help="print one experiment stage, or all")
+    p.add_argument("id", help="stage id (a figure number, an extension "
+                              "study's name) or 'all'")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes for sweep-shaped figures")
-    p.add_argument("--cache-dir", type=Path, default=None,
-                   help=_CACHE_DIR_HELP)
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and bypass the result cache")
-    _add_supervision_args(p)
+    add_executor_args(p)
     _add_profile_args(p)
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("simulate", help="one dumbbell run")
-    p.add_argument("--flows", type=int, default=10)
-    p.add_argument("--protocol", choices=["dctcp", "dt-dctcp"],
-                   default="dctcp")
-    p.add_argument("--duration", type=float, default=0.03)
+    p.add_argument("--flows", type=_positive_int, default=10)
+    p.add_argument("--protocol", choices=sorted(PROTOCOLS), default="dctcp")
+    p.add_argument("--duration", type=_positive_float, default=0.03)
     p.add_argument("--rtt", type=float, default=100e-6)
     p.add_argument("--invariants", action="store_true",
                    help="audit packet conservation / queue "
@@ -678,10 +593,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("incast", help="one incast point on the testbed")
-    p.add_argument("--flows", type=int, default=32)
-    p.add_argument("--protocol", choices=["dctcp", "dt-dctcp"],
-                   default="dctcp")
-    p.add_argument("--queries", type=int, default=10)
+    p.add_argument("--flows", type=_positive_int, default=32)
+    p.add_argument("--protocol", choices=sorted(PROTOCOLS), default="dctcp")
+    p.add_argument("--queries", type=_positive_int, default=10)
     p.set_defaults(func=cmd_incast)
 
     p = sub.add_parser(
@@ -695,13 +609,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "DCTCP vs DT-DCTCP vs CUBIC)")
     p.add_argument("--k", type=float, action="append", metavar="K",
                    help="one Fixed-K config in packets (repeatable)")
-    p.add_argument("--k1k2", type=str, action="append", metavar="K1,K2",
+    p.add_argument("--k1k2", type=_k1k2, action="append", metavar="K1,K2",
                    help="one DT-DCTCP config in packets (repeatable); "
                         "default grid when neither flag is given: "
                         "--k 40 --k1k2 30,50")
     p.add_argument("--senders", type=str, default=None, metavar="CSV",
-                   help="sender per marking config, zip-paired "
-                        "(from {dctcp, cubic}; default all-dctcp)")
+                   help="sender per marking config, zip-paired (from "
+                        f"{{{', '.join(sorted(PROTOCOLS))}}}; "
+                        "default all-dctcp)")
     p.add_argument("--loads", type=str, default=None,
                    help="comma-separated offered loads "
                         "(fraction of the client's access rate; "
@@ -742,15 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="space-dc cells: outage length per flap")
     p.add_argument("--flap-count", type=int, default=3,
                    help="space-dc cells: flaps in the train (0 disables)")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes for the sweep executor")
-    p.add_argument("--cache-dir", type=Path, default=None,
-                   help=_CACHE_DIR_HELP)
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and bypass the result cache")
     p.add_argument("--output", type=Path, default=None, metavar="PATH",
                    help="also write the full aggregates as JSON")
-    _add_supervision_args(p)
+    add_executor_args(p)
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser(
@@ -759,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cases", type=_positive_int, default=24,
                    help="demo sweep size")
-    p.add_argument("--rate", type=float, default=0.25,
+    p.add_argument("--rate", type=_unit_interval, default=0.25,
                    help="fraction of cases scheduled to fault")
     p.add_argument("--seed", type=int, default=13,
                    help="fault schedule seed (13 exercises all five kinds "
@@ -771,9 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attempts each fault keeps firing for "
                         "(default: permanent within the run)")
     p.add_argument("--jobs", type=_positive_int, default=4)
-    p.add_argument("--timeout", type=float, default=2.0,
+    p.add_argument("--timeout", type=_positive_float, default=2.0,
                    help="per-case deadline (catches injected hangs)")
-    p.add_argument("--retries", type=int, default=1)
+    p.add_argument("--retries", type=_non_negative_int, default=1)
     p.add_argument("--policy", choices=["skip", "retry-then-skip"],
                    default="retry-then-skip")
     p.add_argument("--cache-dir", type=Path, default=None,
@@ -809,11 +718,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_supervision_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+def add_executor_args(p: argparse.ArgumentParser) -> None:
+    """Declare the flags :func:`executor_from_args` reads."""
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes for the sweep executor")
+    p.add_argument("--cache-dir", type=Path, default=None,
+                   help=_CACHE_DIR_HELP)
+    p.add_argument("--no-cache", action="store_true",
+                   help="ignore and bypass the result cache")
+    p.add_argument("--timeout", type=_positive_float, default=None,
+                   metavar="SECONDS",
                    help="per-case deadline; a hung worker is torn down "
                         "and the case retried or failed")
-    p.add_argument("--retries", type=int, default=0,
+    p.add_argument("--retries", type=_non_negative_int, default=0,
                    help="bounded retries per case (exponential backoff)")
     p.add_argument("--failure-policy",
                    choices=["raise", "skip", "retry-then-skip"],
@@ -821,10 +738,23 @@ def _add_supervision_args(p: argparse.ArgumentParser) -> None:
                    help="what a terminal case failure does: abort the "
                         "stage, or record it and keep the partial sweep "
                         "(exit code 3; re-run to resume)")
-    p.add_argument("--chunk-size", type=int, default=None, metavar="N",
+    p.add_argument("--chunk-size", type=_positive_int, default=None,
+                   metavar="N",
                    help="ship up to N cases per worker round trip "
                         "(amortises pickle/IPC for grids of sub-second "
                         "cells; results are identical to unchunked)")
+
+
+def executor_from_args(args: argparse.Namespace) -> SweepExecutor:
+    """The sweep executor the parsed :func:`add_executor_args` flags ask for."""
+    return SweepExecutor(
+        jobs=args.jobs,
+        cache=None if args.no_cache else ResultCache(args.cache_dir),
+        timeout=args.timeout,
+        retries=args.retries,
+        failure_policy=args.failure_policy,
+        chunk_size=args.chunk_size,
+    )
 
 
 def _add_profile_args(p: argparse.ArgumentParser) -> None:
@@ -838,7 +768,8 @@ def _add_profile_args(p: argparse.ArgumentParser) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    with _maybe_profiled(args):
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -182,7 +182,3 @@ def main() -> List[PressureResult]:
         "incast; marking keeps the pool free."
     )
     return results
-
-
-if __name__ == "__main__":
-    main()

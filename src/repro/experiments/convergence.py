@@ -109,7 +109,3 @@ def main() -> Tuple[ConvergenceResult, ConvergenceResult]:
         "10 Gbps bottleneck",
     )
     return dc, dt
-
-
-if __name__ == "__main__":
-    main()

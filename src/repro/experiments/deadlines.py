@@ -140,7 +140,3 @@ def main() -> List[DeadlineResult]:
         "DCTCP shares blindly."
     )
     return results
-
-
-if __name__ == "__main__":
-    main()

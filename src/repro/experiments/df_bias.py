@@ -183,7 +183,3 @@ def main(scale: Scale = None) -> List[BiasPoint]:
         "(its measured residual oscillation is correspondingly smaller)."
     )
     return points
-
-
-if __name__ == "__main__":
-    main()

@@ -171,7 +171,3 @@ def main(
     print(f"queue, N={result.n_small:<3d} {sparkline(result.trace_small[1])}")
     print(f"queue, N={result.n_large:<3d} {sparkline(result.trace_large[1])}")
     return result
-
-
-if __name__ == "__main__":
-    main()

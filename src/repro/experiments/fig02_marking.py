@@ -103,7 +103,3 @@ def main() -> List[MarkingTrace]:
         "(K=40; K1=30, K2=50)",
     )
     return traces
-
-
-if __name__ == "__main__":
-    main()

@@ -80,7 +80,3 @@ def main() -> List[CriterionCase]:
         "(N=60)",
     )
     return cases
-
-
-if __name__ == "__main__":
-    main()

@@ -105,7 +105,3 @@ def main() -> List[DfComparison]:
     worst = max(max(r.numeric_error, r.marker_error) for r in results)
     print(f"worst-case disagreement across all rows: {worst:.2e}")
     return results
-
-
-if __name__ == "__main__":
-    main()

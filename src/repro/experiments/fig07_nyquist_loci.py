@@ -102,7 +102,3 @@ def main() -> Tuple[LociSummary, LociSummary]:
         f"{-math.pi:.4f}); DT-DCTCP's leaves it with positive imaginary part."
     )
     return dc, dt
-
-
-if __name__ == "__main__":
-    main()

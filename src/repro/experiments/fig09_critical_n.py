@@ -136,7 +136,3 @@ def main(flow_counts: Sequence[int] = tuple(range(10, 101, 5))) -> CriticalNResu
         f"{result.dt_margin_always_larger}"
     )
     return result
-
-
-if __name__ == "__main__":
-    main()

@@ -107,7 +107,3 @@ def main() -> TopologySummary:
         title="Figure 13 - testbed topology inventory",
     )
     return summary
-
-
-if __name__ == "__main__":
-    main()

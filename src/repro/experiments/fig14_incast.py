@@ -23,6 +23,7 @@ from repro.experiments.protocols import (
     ProtocolConfig,
     dctcp_testbed,
     dt_dctcp_testbed,
+    group_by_protocol,
     protocol_by_id,
 )
 from repro.experiments.tables import print_table
@@ -170,12 +171,7 @@ def run(
         executor,
         stage="Figure 14",
     )
-    all_points = [IncastPoint(**r) for r in raw]
-    points: Dict[str, List[IncastPoint]] = {}
-    per_protocol = len(flow_counts)
-    for i, _ in enumerate(TESTBED_PROTOCOL_IDS):
-        block = all_points[i * per_protocol : (i + 1) * per_protocol]
-        points[block[0].protocol] = block
+    points = group_by_protocol(IncastPoint(**r) for r in raw)
     return IncastResult(points=points, line_rate_bps=bandwidth_bps)
 
 
@@ -213,7 +209,3 @@ def main(
         f"{dt_collapse} flows (paper: 32 vs 37 - DT-DCTCP postpones collapse)"
     )
     return result
-
-
-if __name__ == "__main__":
-    main()

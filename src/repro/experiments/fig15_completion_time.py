@@ -21,6 +21,7 @@ from repro.experiments.protocols import (
     ProtocolConfig,
     dctcp_testbed,
     dt_dctcp_testbed,
+    group_by_protocol,
     protocol_by_id,
 )
 from repro.experiments.fig14_incast import (
@@ -163,12 +164,7 @@ def run(
         executor,
         stage="Figure 15",
     )
-    all_points = [CompletionPoint(**r) for r in raw]
-    points: Dict[str, List[CompletionPoint]] = {}
-    per_protocol = len(flow_counts)
-    for i, _ in enumerate(TESTBED_PROTOCOL_IDS):
-        block = all_points[i * per_protocol : (i + 1) * per_protocol]
-        points[block[0].protocol] = block
+    points = group_by_protocol(CompletionPoint(**r) for r in raw)
     return CompletionResult(
         points=points, base_time=total_bytes * 8.0 / bandwidth_bps
     )
@@ -208,7 +204,3 @@ def main(
         "(paper: 40 vs 42, with DCTCP oscillating from 34)"
     )
     return result
-
-
-if __name__ == "__main__":
-    main()

@@ -151,7 +151,3 @@ def main(
         title="Fluid model vs describing-function theory",
     )
     return points
-
-
-if __name__ == "__main__":
-    main()

@@ -13,22 +13,29 @@ The paper evaluates two switch configurations in two environments:
 
 A :class:`ProtocolConfig` bundles a display name, a marker factory for
 the switch, and the sender class — everything a topology builder and an
-experiment need.
+experiment need.  Senders and threshold markers come from the protocol
+table (:mod:`repro.sim.protocols`); this module only adds the paper's
+numbers.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Type
-
-from repro.core.marking import (
-    DoubleThresholdMarker,
-    Marker,
-    REDMarker,
-    SingleThresholdMarker,
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Type,
+    TypeVar,
 )
+
+from repro.core.marking import DEFAULT_DIRECTION_DEADBAND, Marker, REDMarker
 from repro.sim.packet import MSS_BYTES
-from repro.sim.tcp.sender import DctcpSender, EcnRenoSender, TcpSender
+from repro.sim.protocols import PROTOCOLS, marker_factory
+from repro.sim.tcp.sender import TcpSender
 
 __all__ = [
     "PROTOCOL_REGISTRY",
@@ -38,19 +45,22 @@ __all__ = [
     "dctcp_testbed",
     "dt_dctcp_testbed",
     "ecn_red_baseline",
+    "group_by_protocol",
+    "paper_config",
     "protocol_by_id",
 ]
 
 KB = 1024
 
-from repro.core.marking import DEFAULT_DIRECTION_DEADBAND
+_P = TypeVar("_P")
 
 #: Direction deadband for DT-DCTCP's packet-level hysteresis: wide-gap
 #: simulation thresholds tolerate a couple packets of jitter rejection.
 SIM_DEADBAND = DEFAULT_DIRECTION_DEADBAND
 #: The testbed thresholds are only ~4 packets apart, so the deadband
 #: must stay well below the gap or the hysteresis degenerates into a
-#: single effective threshold.
+#: single effective threshold.  Explicit, not the table's gap/8 rule:
+#: that gives 0.512 for 28/34 KB and would move Figures 14-15.
 TESTBED_DEADBAND = 0.5
 
 
@@ -66,47 +76,39 @@ class ProtocolConfig:
         return f"ProtocolConfig({self.name})"
 
 
+def _config(
+    name: str, thresholds: Sequence[float], deadband: Optional[float] = None
+) -> ProtocolConfig:
+    return ProtocolConfig(
+        name=name.upper(),
+        marker_factory=marker_factory(thresholds, deadband),
+        sender_cls=PROTOCOLS[name].sender_cls,
+    )
+
+
 def dctcp_sim(k: float = 40.0) -> ProtocolConfig:
     """DCTCP with the simulation-section threshold (packets)."""
-    return ProtocolConfig(
-        name="DCTCP",
-        marker_factory=lambda: SingleThresholdMarker.from_threshold(k),
-        sender_cls=DctcpSender,
-    )
+    return _config("dctcp", (k,))
 
 
 def dt_dctcp_sim(k1: float = 30.0, k2: float = 50.0) -> ProtocolConfig:
     """DT-DCTCP with the simulation-section thresholds (packets)."""
-    return ProtocolConfig(
-        name="DT-DCTCP",
-        marker_factory=lambda: DoubleThresholdMarker.from_thresholds(
-            k1, k2, deadband=SIM_DEADBAND
-        ),
-        sender_cls=DctcpSender,
-    )
+    return _config("dt-dctcp", (k1, k2), deadband=SIM_DEADBAND)
 
 
 def dctcp_testbed(k_bytes: float = 32 * KB) -> ProtocolConfig:
     """DCTCP with the testbed threshold (K = 32 KB -> packets)."""
-    return ProtocolConfig(
-        name="DCTCP",
-        marker_factory=lambda: SingleThresholdMarker.from_threshold(
-            k_bytes / MSS_BYTES
-        ),
-        sender_cls=DctcpSender,
-    )
+    return _config("dctcp", (k_bytes / MSS_BYTES,))
 
 
 def dt_dctcp_testbed(
     k1_bytes: float = 28 * KB, k2_bytes: float = 34 * KB
 ) -> ProtocolConfig:
     """DT-DCTCP with the testbed thresholds (28/34 KB -> packets)."""
-    return ProtocolConfig(
-        name="DT-DCTCP",
-        marker_factory=lambda: DoubleThresholdMarker.from_thresholds(
-            k1_bytes / MSS_BYTES, k2_bytes / MSS_BYTES, deadband=TESTBED_DEADBAND
-        ),
-        sender_cls=DctcpSender,
+    return _config(
+        "dt-dctcp",
+        (k1_bytes / MSS_BYTES, k2_bytes / MSS_BYTES),
+        deadband=TESTBED_DEADBAND,
     )
 
 
@@ -117,8 +119,24 @@ def ecn_red_baseline(
     return ProtocolConfig(
         name="RED-ECN",
         marker_factory=lambda: REDMarker(min_th=min_th, max_th=max_th, max_p=max_p),
-        sender_cls=EcnRenoSender,
+        sender_cls=PROTOCOLS["ecn-reno"].sender_cls,
     )
+
+
+def paper_config(name: str, testbed: bool = False) -> ProtocolConfig:
+    """Table protocol ``name`` at the paper's thresholds for its arity.
+
+    ``dctcp`` and ``dt-dctcp`` are exactly the named configurations
+    above; any other table entry gets the same switch with its own
+    sender (an unmarked protocol gets a DropTail queue).
+    """
+    sender_cls, n_thresholds = PROTOCOLS[name]
+    if n_thresholds == 2:
+        switch = dt_dctcp_testbed() if testbed else dt_dctcp_sim()
+    else:
+        switch = dctcp_testbed() if testbed else dctcp_sim()
+    make_marker = switch.marker_factory if n_thresholds else marker_factory(())
+    return ProtocolConfig(name.upper(), make_marker, sender_cls)
 
 
 #: Picklable protocol identifiers for the parallel executor.  A
@@ -147,3 +165,11 @@ def protocol_by_id(protocol_id: str) -> ProtocolConfig:
             f"{sorted(PROTOCOL_REGISTRY)}"
         ) from None
     return factory()
+
+
+def group_by_protocol(points: Iterable[_P]) -> Dict[str, List[_P]]:
+    """Sweep points keyed by their ``protocol`` display name, order kept."""
+    groups: Dict[str, List[_P]] = {}
+    for point in points:
+        groups.setdefault(point.protocol, []).append(point)  # type: ignore[attr-defined]
+    return groups

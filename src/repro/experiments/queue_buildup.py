@@ -143,7 +143,3 @@ def main() -> List[BuildupResult]:
         "latency - an order of magnitude below DropTail's."
     )
     return results
-
-
-if __name__ == "__main__":
-    main()

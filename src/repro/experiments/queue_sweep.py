@@ -1,9 +1,16 @@
-"""Shared N-sweep runner behind Figures 10, 11 and 12.
+"""Figures 10, 11 and 12: one N-sweep, three tables.
 
 One steady-state dumbbell run per (protocol, N) yields the bottleneck
 queue's mean and standard deviation and the senders' mean ``alpha``;
-Figures 10-12 are three views of the same sweep, so the sweep runs once
-and each figure module formats its column.
+Figures 10-12 are three views of the same sweep:
+
+* **Figure 10** — mean queue normalised to each protocol's own N = 10
+  baseline; the paper reports DCTCP straying from ~N = 35 (reaching
+  1.1-1.83x) while DT-DCTCP stays within 0.94-1.01x until N = 70;
+* **Figure 11** — both protocols' queue standard deviations grow with N
+  (heavier oscillation), DT-DCTCP's smaller at *every* flow count;
+* **Figure 12** — both protocols' alphas grow with N (the network gets
+  more congested), DT-DCTCP's consistently below DCTCP's (by ~0.1).
 
 The paper's exact configuration (10 Gbps, RTT 100 us) drives most of the
 N = 10..100 sweep into the minimum-window regime — the pipe holds only
@@ -15,20 +22,24 @@ which the whole sweep stays ECN-controlled; the benches report both.
 For the parallel executor the sweep is also exposed as a
 ``cases()``/``run_case()`` pair: every (protocol, N) cell is one
 :class:`~repro.exec.cases.Case` carrying only JSON-serialisable
-parameters, and because all three figure modules emit *identical*
-cases, the result cache makes Figures 11 and 12 free once Figure 10
-has run.
+parameters, and because all three printers submit the *same* cases,
+the result cache makes Figures 11 and 12 free once Figure 10 has run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.cases import Case
 from repro.exec.executor import SweepExecutor, execute_cases
-from repro.experiments.config import Scale
-from repro.experiments.protocols import ProtocolConfig, protocol_by_id
+from repro.experiments.config import Scale, full_scale
+from repro.experiments.protocols import (
+    ProtocolConfig,
+    group_by_protocol,
+    protocol_by_id,
+)
+from repro.experiments.tables import print_table
 from repro.sim.apps.bulk import launch_bulk_flows
 from repro.sim.topology import dumbbell
 from repro.sim.trace import AlphaMonitor, QueueMonitor
@@ -36,12 +47,15 @@ from repro.sim.trace import AlphaMonitor, QueueMonitor
 __all__ = [
     "EXPERIMENT",
     "SWEEP_PROTOCOL_IDS",
+    "QueueSweep",
     "SweepPoint",
     "cases",
     "run_case",
     "run_point",
-    "run_sweep",
-    "run_sweep_ids",
+    "run",
+    "main_fig10",
+    "main_fig11",
+    "main_fig12",
 ]
 
 #: Dotted module name workers import to execute one sweep cell.
@@ -168,44 +182,140 @@ def run_case(case: Case) -> dict:
     return dataclasses.asdict(point)
 
 
-def run_sweep_ids(
-    scale: Scale,
-    protocol_ids: Sequence[str] = SWEEP_PROTOCOL_IDS,
-    bandwidth_bps: float = 10e9,
+@dataclasses.dataclass(frozen=True)
+class QueueSweep:
+    """The Figures 10-12 sweep, per protocol display name in N order."""
+
+    points: Dict[str, List[SweepPoint]]
+
+    def baseline(self, protocol: str) -> float:
+        """Mean queue at the sweep's first flow count (Figure 10)."""
+        return self.points[protocol][0].mean_queue
+
+    def normalized(self, protocol: str) -> List[Tuple[int, float]]:
+        base = self.baseline(protocol)
+        return [
+            (p.n_flows, p.mean_queue / base) for p in self.points[protocol]
+        ]
+
+    def max_deviation(self, protocol: str) -> float:
+        """Largest |normalised - 1| over the sweep (flatter = better)."""
+        return max(abs(v - 1.0) for _, v in self.normalized(protocol))
+
+    def grows_with_n(self, protocol: str, metric: str) -> bool:
+        """``std_queue`` (Figure 11) or ``mean_alpha`` (Figure 12) is
+        larger at the top of the sweep than at the bottom."""
+        pts = self.points[protocol]
+        return getattr(pts[-1], metric) > getattr(pts[0], metric)
+
+    def fraction_dt_not_worse(self, slack: float = 1.05) -> float:
+        """Share of flow counts where DT-DCTCP's std <= DCTCP's * slack."""
+        dc = self.points["DCTCP"]
+        dt = self.points["DT-DCTCP"]
+        wins = sum(
+            1 for a, b in zip(dc, dt) if b.std_queue <= a.std_queue * slack
+        )
+        return wins / len(dc)
+
+    def fraction_dt_not_higher(self, slack: float = 0.02) -> float:
+        """Share of flow counts where DT's alpha <= DCTCP's + slack."""
+        dc = self.points["DCTCP"]
+        dt = self.points["DT-DCTCP"]
+        wins = sum(
+            1 for a, b in zip(dc, dt) if b.mean_alpha <= a.mean_alpha + slack
+        )
+        return wins / len(dc)
+
+
+def run(
+    scale: Optional[Scale] = None,
     rtt: float = 100e-6,
     executor: Optional[SweepExecutor] = None,
     stage: str = "queue sweep",
-) -> Dict[str, List[SweepPoint]]:
-    """The Figures 10-12 sweep, executor-ready.
+) -> QueueSweep:
+    """Run (or fetch from the executor's cache) the whole sweep."""
+    if scale is None:
+        scale = full_scale()
+    raw = execute_cases(cases(scale, rtt=rtt), executor, stage=stage)
+    return QueueSweep(group_by_protocol(SweepPoint(**r) for r in raw))
 
-    Results are grouped per protocol display name in sweep order —
-    identical to :func:`run_sweep` whatever the worker count.
-    """
-    sweep_cases = cases(
-        scale, protocol_ids, bandwidth_bps=bandwidth_bps, rtt=rtt
+
+def main_fig10(
+    scale: Optional[Scale] = None, executor: Optional[SweepExecutor] = None
+) -> QueueSweep:
+    sweep = run(scale, executor=executor, stage="Figure 10")
+    dc = dict(sweep.normalized("DCTCP"))
+    dt = dict(sweep.normalized("DT-DCTCP"))
+    raw_dc = {p.n_flows: p.mean_queue for p in sweep.points["DCTCP"]}
+    raw_dt = {p.n_flows: p.mean_queue for p in sweep.points["DT-DCTCP"]}
+    rows = [
+        (n, raw_dc[n], dc[n], raw_dt[n], dt[n])
+        for n in sorted(dc)
+    ]
+    print_table(
+        [
+            "N",
+            "DCTCP mean (pkts)",
+            "DCTCP / baseline",
+            "DT-DCTCP mean (pkts)",
+            "DT-DCTCP / baseline",
+        ],
+        rows,
+        title="Figure 10 - average queue length vs N "
+        "(normalised to each protocol's first point)",
     )
-    raw = execute_cases(sweep_cases, executor, stage=stage)
-    points = [SweepPoint(**r) for r in raw]
-    per_protocol = len(scale.flow_counts)
-    results: Dict[str, List[SweepPoint]] = {}
-    for i, _ in enumerate(protocol_ids):
-        block = points[i * per_protocol : (i + 1) * per_protocol]
-        results[block[0].protocol] = block
-    return results
+    print(
+        f"max |deviation from baseline|: DCTCP "
+        f"{sweep.max_deviation('DCTCP'):.2f}, DT-DCTCP "
+        f"{sweep.max_deviation('DT-DCTCP'):.2f} (paper: DT-DCTCP flatter)"
+    )
+    return sweep
 
 
-def run_sweep(
-    protocols: Sequence[ProtocolConfig],
-    scale: Scale,
-    bandwidth_bps: float = 10e9,
-    rtt: float = 100e-6,
-) -> Dict[str, List[SweepPoint]]:
-    """Sequential sweep over explicit (possibly custom) protocol configs."""
-    results: Dict[str, List[SweepPoint]] = {}
-    for protocol in protocols:
-        points = [
-            run_point(protocol, n, scale, bandwidth_bps=bandwidth_bps, rtt=rtt)
-            for n in scale.flow_counts
-        ]
-        results[protocol.name] = points
-    return results
+def main_fig11(
+    scale: Optional[Scale] = None, executor: Optional[SweepExecutor] = None
+) -> QueueSweep:
+    sweep = run(scale, executor=executor, stage="Figure 11")
+    dc = sweep.points["DCTCP"]
+    dt = sweep.points["DT-DCTCP"]
+    rows = [
+        (a.n_flows, a.std_queue, b.std_queue, b.std_queue <= a.std_queue)
+        for a, b in zip(dc, dt)
+    ]
+    print_table(
+        ["N", "DCTCP std (pkts)", "DT-DCTCP std (pkts)", "DT smaller"],
+        rows,
+        title="Figure 11 - queue standard deviation vs N",
+    )
+    print(
+        f"DT-DCTCP not worse at {sweep.fraction_dt_not_worse():.0%} of flow "
+        "counts (paper: smaller at every N)"
+    )
+    return sweep
+
+
+def main_fig12(
+    scale: Optional[Scale] = None, executor: Optional[SweepExecutor] = None
+) -> QueueSweep:
+    sweep = run(scale, executor=executor, stage="Figure 12")
+    dc = sweep.points["DCTCP"]
+    dt = sweep.points["DT-DCTCP"]
+    rows = [
+        (
+            a.n_flows,
+            a.mean_alpha,
+            b.mean_alpha,
+            a.mean_alpha - b.mean_alpha,
+        )
+        for a, b in zip(dc, dt)
+    ]
+    print_table(
+        ["N", "DCTCP alpha", "DT-DCTCP alpha", "difference"],
+        rows,
+        title="Figure 12 - mean congestion-extent estimate alpha vs N",
+    )
+    print(
+        f"DT-DCTCP alpha not higher at {sweep.fraction_dt_not_higher():.0%} "
+        "of flow counts (paper: lower by ~0.1 throughout)"
+    )
+    return sweep

@@ -102,7 +102,3 @@ def main() -> SensitivityGrid:
         "quantitative case for the double threshold."
     )
     return grid
-
-
-if __name__ == "__main__":
-    main()

@@ -6,7 +6,7 @@ data-driven entry point — the role ns-2's OTcl scripts played.  A
 :class:`Scenario` captures one dumbbell experiment as plain data:
 
     spec = Scenario(
-        protocol="dt-dctcp",          # dctcp | dt-dctcp | ecn-reno | reno
+        protocol="dt-dctcp",          # a repro.sim.protocols.PROTOCOLS name
         n_flows=10,
         bandwidth_bps=10e9,
         rtt=100e-6,
@@ -28,31 +28,15 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Tuple
 
-from repro.core.marking import (
-    DEFAULT_DIRECTION_DEADBAND,
-    DoubleThresholdMarker,
-    NullMarker,
-    SingleThresholdMarker,
-)
 from repro.sim.apps.bulk import launch_bulk_flows
 from repro.sim.apps.incast import FanInApp
 from repro.sim.invariants import InvariantWatchdog
-from repro.sim.tcp.sender import (
-    DctcpSender,
-    EcnRenoSender,
-    RenoSender,
-)
+from repro.sim.protocols import PROTOCOLS, marker_factory
+from repro.sim.tcp.sender import DctcpSender
 from repro.sim.topology import dumbbell, paper_testbed
 from repro.sim.trace import AlphaMonitor, QueueMonitor
 
 __all__ = ["Scenario", "ScenarioResult", "run_scenario"]
-
-_SENDERS = {
-    "dctcp": DctcpSender,
-    "dt-dctcp": DctcpSender,  # the sender is identical; the switch differs
-    "ecn-reno": EcnRenoSender,
-    "reno": RenoSender,
-}
 
 _WORKLOADS = ("bulk", "incast", "partition-aggregate")
 
@@ -88,10 +72,10 @@ class Scenario:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.protocol not in _SENDERS:
+        if self.protocol not in PROTOCOLS:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; choose from "
-                f"{sorted(_SENDERS)}"
+                f"{sorted(PROTOCOLS)}"
             )
         if self.workload not in _WORKLOADS:
             raise ValueError(
@@ -100,10 +84,12 @@ class Scenario:
             )
         if self.warmup >= self.duration:
             raise ValueError("warmup must be shorter than duration")
-        if self.protocol == "dt-dctcp" and len(self.thresholds) != 2:
-            raise ValueError("dt-dctcp needs thresholds=(K1, K2)")
-        if self.protocol == "dctcp" and len(self.thresholds) != 1:
-            raise ValueError("dctcp needs thresholds=(K,)")
+        wanted = PROTOCOLS[self.protocol].n_thresholds
+        if wanted and len(self.thresholds) != wanted:
+            raise ValueError(
+                f"{self.protocol} needs {wanted} marking threshold(s), "
+                f"got thresholds={self.thresholds}"
+            )
 
     @classmethod
     def from_dict(cls, spec: Dict) -> "Scenario":
@@ -116,18 +102,6 @@ class Scenario:
             spec = dict(spec)
             spec["thresholds"] = tuple(spec["thresholds"])
         return cls(**spec)
-
-    def marker_factory(self):
-        if self.protocol == "dt-dctcp":
-            k1, k2 = self.thresholds
-            deadband = min(DEFAULT_DIRECTION_DEADBAND, (k2 - k1) / 8.0)
-            return lambda: DoubleThresholdMarker.from_thresholds(
-                k1, k2, deadband=deadband
-            )
-        if self.protocol in ("dctcp", "ecn-reno"):
-            (k,) = self.thresholds
-            return lambda: SingleThresholdMarker.from_threshold(k)
-        return lambda: NullMarker()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,7 +132,8 @@ InvariantWatchdog` audits the packet-conservation ledgers periodically
     breach.  The watchdog only *reads* simulator state, so results are
     unchanged; it is off by default because the audit walks every queue.
     """
-    sender_cls = _SENDERS[scenario.protocol]
+    sender_cls, n_thresholds = PROTOCOLS[scenario.protocol]
+    make_marker = marker_factory(scenario.thresholds[:n_thresholds])
     sender_kwargs = {"use_sack": scenario.use_sack}
     if sender_cls is DctcpSender:
         sender_kwargs["g"] = scenario.g
@@ -166,7 +141,7 @@ InvariantWatchdog` audits the packet-conservation ledgers periodically
     if scenario.workload == "bulk":
         network = dumbbell(
             scenario.n_flows,
-            scenario.marker_factory(),
+            make_marker,
             bandwidth_bps=scenario.bandwidth_bps,
             rtt=scenario.rtt,
         )
@@ -205,7 +180,7 @@ InvariantWatchdog` audits the packet-conservation ledgers periodically
 
     # Query workloads run on the paper testbed.
     testbed = paper_testbed(
-        scenario.marker_factory(), bandwidth_bps=scenario.bandwidth_bps
+        make_marker, bandwidth_bps=scenario.bandwidth_bps
     )
     if scenario.workload == "incast":
         bytes_per_flow = scenario.transfer_bytes

@@ -4,14 +4,9 @@ import json
 
 import pytest
 
-from repro.campaign.grid import (
-    SCENARIOS,
-    SENDERS,
-    CampaignGrid,
-    CellCoord,
-    threshold_label,
-)
+from repro.campaign.grid import SCENARIOS, CampaignGrid, CellCoord
 from repro.exec.cases import Case, case_key
+from repro.sim.protocols import PROTOCOLS, threshold_label
 
 
 def grid(**overrides):
@@ -127,7 +122,8 @@ class TestValidation:
 
     def test_scenarios_registry(self):
         assert SCENARIOS == ("buildup", "incast", "space-dc")
-        assert SENDERS == ("dctcp", "cubic")
+        # The sender axis is the protocol table; the historic pair stays.
+        assert {"dctcp", "cubic"} <= set(PROTOCOLS)
 
 
 class TestSenderAxis:
@@ -152,7 +148,7 @@ class TestSenderAxis:
 
     @pytest.mark.parametrize("overrides", [
         dict(senders=("dctcp",)),                  # length mismatch
-        dict(senders=("dctcp", "reno")),           # unknown sender
+        dict(senders=("dctcp", "vegas")),          # unknown sender
     ])
     def test_rejected(self, overrides):
         with pytest.raises(ValueError):

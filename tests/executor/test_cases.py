@@ -1,5 +1,7 @@
 """Unit tests for the Case model and the content-addressed key."""
 
+import importlib
+
 import pytest
 
 from repro.exec.cases import Case, case_key, execute_case
@@ -45,21 +47,85 @@ class TestCaseKey:
         assert len(key) == 64
         int(key, 16)  # raises if not hex
 
-    def test_shared_sweep_cells_across_figures(self):
+    def test_shared_sweep_cells_across_figures(self, monkeypatch, capsys):
         """Figures 10, 11 and 12 must emit identical cases so the cache
         runs the underlying sweep once for all three."""
-        from repro.experiments import (
-            fig10_avg_queue,
-            fig11_std_dev,
-            fig12_alpha,
-        )
+        from repro.experiments import STAGES, queue_sweep
         from repro.experiments.config import quick_scale
 
-        scale = quick_scale()
-        keys10 = [case_key(c) for c in fig10_avg_queue.cases(scale)]
-        keys11 = [case_key(c) for c in fig11_std_dev.cases(scale)]
-        keys12 = [case_key(c) for c in fig12_alpha.cases(scale)]
-        assert keys10 == keys11 == keys12
+        keys = {}
+
+        def execute_cases(cases, executor, stage):
+            keys[stage] = [case_key(c) for c in cases]
+            return [
+                dict(protocol=name, n_flows=n, mean_queue=1.0, std_queue=1.0,
+                     mean_alpha=0.5, goodput_bps=1.0, timeouts=0, marks=0,
+                     drops=0)
+                for name in ("DCTCP", "DT-DCTCP")
+                for n in quick_scale().flow_counts
+            ]
+
+        monkeypatch.setattr(queue_sweep, "execute_cases", execute_cases)
+        for stage in STAGES:
+            if stage.id in ("10", "11", "12"):
+                stage.run(quick_scale())
+        assert keys["Figure 10"] == keys["Figure 11"] == keys["Figure 12"]
+        assert keys["Figure 10"] == [
+            case_key(c) for c in queue_sweep.cases(quick_scale())
+        ]
+
+
+#: ``(label, case_key)`` of the first quick-scale case of every
+#: executor-managed experiment and of the first cell of the CLI's two
+#: campaign grids, recorded at a9957f7.  A key that moves orphans every
+#: user's cache and every ledger digest: renaming an experiment module
+#: or touching a ``params`` dict must turn this red, and the new value
+#: goes in only with a stated reason.
+PINNED_KEYS = {
+    "fig01_oscillation": (
+        "dctcp-sim/N=10",
+        "02796dc00cc7af882a58c2813ba76b9f08b5bf89f71bb02f704ff5ba4fcf3887",
+    ),
+    "queue_sweep": (
+        "dctcp-sim/N=10",
+        "523361050628e23b20e2dcc2115a517ef63e151cc8e492c4e4b09e534946d1c1",
+    ),
+    "fig14_incast": (
+        "dctcp-testbed/flows=16",
+        "de6332972e791b6f54a139000c162bc17619e78ea6de50fb5c45750208407443",
+    ),
+    "fig15_completion_time": (
+        "dctcp-testbed/flows=16",
+        "33560ca9f81c044656ff1f3b2fe12e04202307fc70981452e7e9491f0e712e4c",
+    ),
+    "fluid_validation": (
+        "fluid/N=10",
+        "29cc50a27b549e367cd399da2e59078d8ad7f9dcfb4010bfdf1dbc8b5edb3182",
+    ),
+    "campaign": (
+        "K=40/buildup/load=0.2/fan=0/seed=1",
+        "6e64b356e6fa27f3b96a6e70555372a747b035ca8e58372a1372758602307af6",
+    ),
+    "campaign --scenario space-dc": (
+        "K=65/space-dc/load=0.1/fan=2/seed=1",
+        "c32348a825d8c390c60aa7d85b7da4378ac144d25d6fd70c95c9fd149be5754c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+def test_case_key_is_pinned(name):
+    from repro.experiments.config import quick_scale
+
+    if name.startswith("campaign"):
+        from repro.cli import _campaign_grid, build_parser
+
+        grid = _campaign_grid(build_parser().parse_args(name.split()))
+        first = grid.expand()[0]
+    else:
+        module = importlib.import_module(f"repro.experiments.{name}")
+        first = module.cases(quick_scale())[0]
+    assert (first.label, case_key(first)) == PINNED_KEYS[name]
 
 
 class TestExecuteCase:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.exec.cache import ResultCache
 from repro.exec.executor import SweepExecutor
-from repro.experiments import fig01_oscillation, fig10_avg_queue, fig12_alpha
+from repro.experiments import fig01_oscillation, queue_sweep
 from repro.experiments.config import Scale
 
 
@@ -30,8 +30,8 @@ def tiny_scale() -> Scale:
 class TestParallelEqualsSequential:
     def test_fig10_sweep_identical(self, tmp_path):
         scale = tiny_scale()
-        sequential = fig10_avg_queue.run(scale)
-        parallel = fig10_avg_queue.run(
+        sequential = queue_sweep.run(scale)
+        parallel = queue_sweep.run(
             scale, executor=SweepExecutor(jobs=2, cache=ResultCache(tmp_path))
         )
         assert sequential.points == parallel.points
@@ -57,12 +57,12 @@ class TestWarmCache:
         cache_dir = tmp_path / "cache"
 
         cold_ex = SweepExecutor(jobs=1, cache=ResultCache(cache_dir))
-        cold = fig10_avg_queue.run(scale, executor=cold_ex)
+        cold = queue_sweep.run(scale, executor=cold_ex)
         assert cold_ex.report.stages[0].cache_hits == 0
         assert cold_ex.report.stages[0].executed == 4
 
         warm_ex = SweepExecutor(jobs=1, cache=ResultCache(cache_dir))
-        warm = fig10_avg_queue.run(scale, executor=warm_ex)
+        warm = queue_sweep.run(scale, executor=warm_ex)
         assert warm_ex.report.stages[0].cache_hits == 4
         assert warm_ex.report.stages[0].executed == 0
         assert cold.points == warm.points
@@ -71,9 +71,13 @@ class TestWarmCache:
         """Figure 12 rides entirely on Figure 10's cached cells."""
         scale = tiny_scale()
         cache = ResultCache(tmp_path)
-        fig10_avg_queue.run(scale, executor=SweepExecutor(jobs=1, cache=cache))
+        queue_sweep.run(
+            scale,
+            executor=SweepExecutor(jobs=1, cache=cache),
+            stage="Figure 10",
+        )
         ex = SweepExecutor(jobs=1, cache=cache)
-        sweep = fig12_alpha.run(scale, executor=ex)
+        sweep = queue_sweep.run(scale, executor=ex, stage="Figure 12")
         assert ex.report.stages[0].cache_hits == 4
         for points in sweep.points.values():
             for p in points:
@@ -83,10 +87,10 @@ class TestWarmCache:
         """JSON float round-tripping must not perturb results."""
         scale = tiny_scale()
         cache = ResultCache(tmp_path)
-        cold = fig10_avg_queue.run(
+        cold = queue_sweep.run(
             scale, executor=SweepExecutor(jobs=1, cache=cache)
         )
-        warm = fig10_avg_queue.run(
+        warm = queue_sweep.run(
             scale, executor=SweepExecutor(jobs=1, cache=cache)
         )
         for protocol in cold.points:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import FIGURES, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments import STAGES, quick_scale, stage_by_id
 
 
 class TestParser:
@@ -22,7 +23,7 @@ class TestParser:
     def test_every_eval_figure_mapped(self):
         for fig in ("1", "2", "4", "6", "7", "8", "9", "10", "11", "12",
                     "13", "14", "15"):
-            assert fig in FIGURES
+            assert stage_by_id(fig) in STAGES
 
 
 class TestCommands:
@@ -129,16 +130,13 @@ class TestFigureAll:
 
     @staticmethod
     def stub_run_all(monkeypatch, failures=()):
-        from repro.exec.report import RunReport
-
         calls = []
 
-        def run_all(**kwargs):
-            calls.append(kwargs)
-            report = RunReport()
+        def run_all(scale, executor):
+            calls.append((scale, executor))
             for record in failures:
-                report.add_failure(record)
-            return report
+                executor.report.add_failure(record)
+            return executor.report
 
         monkeypatch.setattr("repro.experiments.runner.run_all", run_all)
         return calls
@@ -150,10 +148,16 @@ class TestFigureAll:
             "--timeout", "7.5", "--retries", "2",
             "--failure-policy", "retry-then-skip",
         ]) == 0
-        assert calls == [dict(
-            quick=True, jobs=3, cache_dir=None, use_cache=False,
-            timeout=7.5, retries=2, failure_policy="retry-then-skip",
-        )]
+        [(scale, executor)] = calls
+        assert scale == quick_scale()
+        assert dict(
+            jobs=executor.jobs, cache=executor.cache,
+            timeout=executor.timeout, retries=executor.retries,
+            failure_policy=executor.failure_policy,
+        ) == dict(
+            jobs=3, cache=None, timeout=7.5, retries=2,
+            failure_policy="retry-then-skip",
+        )
 
     def test_recorded_failures_exit_3(self, monkeypatch, capsys):
         from repro.exec.report import FailureRecord
@@ -164,11 +168,60 @@ class TestFigureAll:
             attempts=1,
         )
         self.stub_run_all(monkeypatch, failures=[failure])
-        assert main(["figure", "all", "--failure-policy", "skip"]) == 3
+        assert main([
+            "figure", "all", "--failure-policy", "skip", "--no-cache",
+        ]) == 3
         assert "1 case(s) failed" in capsys.readouterr().err
 
-    def test_chunk_size_is_rejected_not_eaten(self, monkeypatch, capsys):
+    def test_chunk_size_reaches_the_executor(self, monkeypatch):
+        """``figure all`` used to refuse the flag because its own copy of
+        the executor construction had no ``chunk_size``."""
         calls = self.stub_run_all(monkeypatch)
-        assert main(["figure", "all", "--chunk-size", "4"]) == 2
-        assert calls == []
-        assert "--chunk-size" in capsys.readouterr().err
+        assert main([
+            "figure", "all", "--chunk-size", "4", "--no-cache",
+        ]) == 0
+        [(_, executor)] = calls
+        assert executor.chunk_size == 4
+
+    def test_runner_module_is_figure_all(self, monkeypatch):
+        """``python -m repro.experiments.runner`` has no parser of its
+        own: its argv goes to ``figure all`` verbatim."""
+        from repro.experiments import runner
+
+        calls = self.stub_run_all(monkeypatch)
+        monkeypatch.setattr(
+            "sys.argv", ["runner", "--quick", "--jobs", "2", "--no-cache"]
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main()
+        assert exit_info.value.code == 0
+        [(scale, executor)] = calls
+        assert scale == quick_scale()
+        assert executor.jobs == 2 and executor.cache is None
+
+
+#: ROADMAP 4(d): each of these reached a library ``ValueError`` /
+#: ``ZeroDivisionError`` traceback instead of a usage error.
+BAD_ARGV = [
+    ["campaign", "--k1k2", "30,abc"],
+    ["simulate", "--duration", "0"],
+    ["simulate", "--flows", "0"],
+    ["incast", "--flows", "0"],
+    ["incast", "--queries", "0"],
+    ["analyze", "--flows", "0"],
+    ["analyze", "--g", "0"],
+    ["figure", "10", "--retries", "-1"],
+    ["figure", "10", "--timeout", "0"],
+    ["figure", "10", "--chunk-size", "0"],
+    ["faults", "--rate", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
+def test_bad_value_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro {argv[0]}: error: argument {argv[-2]}" in err
+    assert "Traceback" not in err

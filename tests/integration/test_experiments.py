@@ -18,12 +18,10 @@ from repro.experiments import (
     fig06_08_df,
     fig07_nyquist_loci,
     fig09_critical_n,
-    fig10_avg_queue,
-    fig11_std_dev,
-    fig12_alpha,
     fig14_incast,
     fig15_completion_time,
     fluid_validation,
+    queue_sweep,
 )
 
 
@@ -123,34 +121,27 @@ class TestFig09:
 
 class TestFig10to12:
     @pytest.fixture(scope="class")
-    def sweeps(self):
-        scale = tiny_scale()
-        return (
-            fig10_avg_queue.run(scale),
-            fig11_std_dev.run(scale),
-            fig12_alpha.run(scale),
-        )
+    def sweep(self):
+        # One sweep backs all three figures.
+        return queue_sweep.run(tiny_scale())
 
-    def test_fig10_baselines_sane(self, sweeps):
-        sweep = sweeps[0]
+    def test_fig10_baselines_sane(self, sweep):
         # Both protocols regulate near the 40-packet setpoint at N=10.
         assert 25 < sweep.baseline("DCTCP") < 60
         assert 25 < sweep.baseline("DT-DCTCP") < 60
 
-    def test_fig11_std_grows_with_n(self, sweeps):
-        sweep = sweeps[1]
-        assert sweep.grows_with_n("DCTCP")
+    def test_fig11_std_grows_with_n(self, sweep):
+        assert sweep.grows_with_n("DCTCP", "std_queue")
 
-    def test_fig11_dt_mostly_not_worse(self, sweeps):
-        assert sweeps[1].fraction_dt_not_worse() >= 0.5
+    def test_fig11_dt_mostly_not_worse(self, sweep):
+        assert sweep.fraction_dt_not_worse() >= 0.5
 
-    def test_fig12_alpha_grows_with_n(self, sweeps):
-        sweep = sweeps[2]
-        assert sweep.grows_with_n("DCTCP")
-        assert sweep.grows_with_n("DT-DCTCP")
+    def test_fig12_alpha_grows_with_n(self, sweep):
+        assert sweep.grows_with_n("DCTCP", "mean_alpha")
+        assert sweep.grows_with_n("DT-DCTCP", "mean_alpha")
 
-    def test_fig12_alpha_in_unit_interval(self, sweeps):
-        for points in sweeps[2].points.values():
+    def test_fig12_alpha_in_unit_interval(self, sweep):
+        for points in sweep.points.values():
             for p in points:
                 assert 0.0 <= p.mean_alpha <= 1.0
 
@@ -235,12 +226,10 @@ class TestInvariantWatchdogOverExperiments:
 
     def test_queue_sweep_figures_audit_clean(self, monkeypatch):
         # Figures 10-12 all measure through queue_sweep's dumbbells.
-        from repro.experiments import queue_sweep
-
         watchdogs = self._audited(
             monkeypatch, queue_sweep, "dumbbell", interval=1e-3
         )
-        fig11_std_dev.run(tiny_scale())
+        queue_sweep.run(tiny_scale())
         self._all_audited(watchdogs, expected_networks=4)
 
     def test_fig14_incast_testbeds_audit_clean(self, monkeypatch):

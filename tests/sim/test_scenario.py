@@ -17,7 +17,7 @@ class TestScenarioValidation:
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):
-            Scenario(protocol="cubic")
+            Scenario(protocol="vegas")
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError):
