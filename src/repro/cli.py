@@ -138,9 +138,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         ("stability margin", report.margin),
         ("oscillation predicted", report.oscillation_predicted),
     ]
-    if report.oscillation_predicted:
+    if report.intersections:
         rows.append(("limit-cycle amplitude (pkts)", report.predicted_amplitude))
         rows.append(("limit-cycle frequency (rad/s)", report.predicted_frequency))
+    elif report.oscillation_predicted:
+        # Tangency (the onset itself): the margin is closed but the
+        # double root has no transversal crossing to read (X, w) from.
+        rows.append(("limit cycle", "loci touch, no transversal root"))
     print_table(["quantity", "value"], rows,
                 title=f"DF stability analysis - {args.protocol}")
     return 0

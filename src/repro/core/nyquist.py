@@ -16,8 +16,9 @@ Figure 4.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import optimize
@@ -42,6 +43,7 @@ __all__ = [
     "phase_crossovers",
     "principal_phase_crossover",
     "min_curve_distance",
+    "locus_gap",
     "LocusIntersection",
     "find_intersections",
     "winding_number",
@@ -108,27 +110,46 @@ def plant_locus(
 def df_locus(
     params: MarkingParams, amplitudes: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(X, -1/N0(X))`` samples of the describing-function locus."""
+    """``(X, -1/N0(X))`` samples of the describing-function locus.
+
+    On the default amplitude grid the samples depend on ``params`` alone,
+    and a Figure 9 sweep asks for the same two loci at every flow count;
+    they come from a small per-``params`` table as read-only arrays that
+    every caller shares (copy before writing).
+    """
     if amplitudes is None:
-        amplitudes = default_amplitude_grid(params)
-    if isinstance(params, SingleThresholdParams):
-        values = np.array(
-            [neg_inv_relative_df_single(float(x), params.k) for x in amplitudes]
-        )
-    else:
-        values = np.array(
-            [
-                neg_inv_relative_df_double(float(x), params.k1, params.k2)
-                for x in amplitudes
-            ]
-        )
-    return amplitudes, values
+        return _default_df_locus(params)
+    neg_inv = _neg_inv_relative_df(params)
+    return amplitudes, np.array([neg_inv(float(x)) for x in amplitudes])
+
+
+@functools.lru_cache(maxsize=32)
+def _default_df_locus(params: MarkingParams) -> Tuple[np.ndarray, np.ndarray]:
+    """The table behind :func:`df_locus`: ~48 KB per entry, frozen so no
+    caller can change what the next one reads."""
+    locus = df_locus(params, default_amplitude_grid(params))
+    for samples in locus:
+        samples.setflags(write=False)
+    return locus
 
 
 def _neg_inv_relative_df(params: MarkingParams) -> Callable[[float], complex]:
     if isinstance(params, SingleThresholdParams):
         return lambda x: neg_inv_relative_df_single(x, params.k)
     return lambda x: neg_inv_relative_df_double(x, params.k1, params.k2)
+
+
+def locus_gap(
+    net: NetworkParams, params: MarkingParams, loop_gain_scale: float = 1.0
+) -> Callable[[float, float], complex]:
+    """``(w, X) -> K0 * scale * G(jw) + 1/N0(X)``: the two loci's separation.
+
+    The left side of the characteristic equation; its roots are the
+    intersections and the minimum of its modulus is the stability margin.
+    """
+    gain = params.characteristic_gain * loop_gain_scale
+    neg_inv = _neg_inv_relative_df(params)
+    return lambda w, x: gain * complex(open_loop(w, net)) - neg_inv(x)
 
 
 def phase_crossovers(
@@ -186,28 +207,128 @@ def principal_phase_crossover(
     return max(crossings, key=lambda c: c.magnitude)
 
 
+#: Consecutive samples per bounding box when two curves are compared.
+#: Anything from 32 to 128 costs the same on the 4000 x 2000 default
+#: grids; smaller boxes prune more pairs but add Python-level blocks.
+_CHUNK = 64
+
+#: A box gap bounds the distances it stands for in exact arithmetic; in
+#: floats the two sides can disagree by a few ulps of ``hypot``.  Boxes
+#: are discarded only beyond ``radius * _GAP_SLACK``, far outside that.
+_GAP_SLACK = 1.0 + 1e-9
+
+
+def _chunk_boxes(z: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``(starts, re_min, re_max, im_min, im_max)`` per ``_CHUNK`` samples."""
+    starts = np.arange(0, len(z), _CHUNK)
+    re, im = z.real, z.imag
+    return (
+        starts,
+        np.minimum.reduceat(re, starts),
+        np.maximum.reduceat(re, starts),
+        np.minimum.reduceat(im, starts),
+        np.maximum.reduceat(im, starts),
+    )
+
+
+def _near_blocks(
+    a: np.ndarray, b: np.ndarray, radius: float
+) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """Exact pair distances wherever two sampled curves may be within ``radius``.
+
+    Both curves are cut into chunks of ``_CHUNK`` consecutive samples and
+    each chunk is bounded by an axis-aligned box.  No point of one box is
+    nearer to a point of another than the gap between the boxes, so a
+    chunk pair whose gap exceeds ``radius`` holds no pair within
+    ``radius`` and is never evaluated.  For the smooth loci compared here
+    that leaves ~1e-3 of the ``len(a) * len(b)`` pairs; for two clouds
+    whose boxes all overlap it leaves all of them, in ``_CHUNK``-row
+    blocks.
+
+    Yields ``(row_start, cols, dist)`` per surviving chunk of ``a``, in
+    ascending order: ``dist[r, c] == np.abs(a[row_start + r] - b[cols[c]])``
+    with ``cols`` ascending.  Walking the blocks in order and each block
+    row-major therefore visits pairs in the row-major order of the full
+    ``len(a) x len(b)`` distance matrix, and every distance is the
+    complex128 expression that matrix would hold - both are part of the
+    result: :func:`min_curve_distance` and :func:`find_intersections`
+    break ties by that order, and a distance recomputed any other way
+    (``sqrt(dx**2 + dy**2)``, a KD-tree) differs in the last ulp.
+
+    Every pair within ``radius`` is in some block; pairs beyond it may
+    be too.
+    """
+    a_starts, a_re0, a_re1, a_im0, a_im1 = _chunk_boxes(a)
+    b_starts, b_re0, b_re1, b_im0, b_im1 = _chunk_boxes(b)
+    d_re = np.maximum(a_re0[:, None] - b_re1[None, :], b_re0[None, :] - a_re1[:, None])
+    d_im = np.maximum(a_im0[:, None] - b_im1[None, :], b_im0[None, :] - a_im1[:, None])
+    gap = np.hypot(np.maximum(d_re, 0.0), np.maximum(d_im, 0.0))
+    keep = ~(gap > radius * _GAP_SLACK)
+    b_lengths = np.diff(np.append(b_starts, len(b)))
+    for chunk in np.flatnonzero(keep.any(axis=1)):
+        start = int(a_starts[chunk])
+        cols = np.flatnonzero(np.repeat(keep[chunk], b_lengths))
+        yield start, cols, np.abs(a[start : start + _CHUNK, None] - b[None, cols])
+
+
 def min_curve_distance(
     a: np.ndarray, b: np.ndarray
 ) -> Tuple[float, int, int]:
     """Minimum pointwise distance between two sampled complex curves.
 
-    Returns ``(distance, index_a, index_b)``.  O(len(a) * len(b)) but
-    evaluated blockwise in numpy; fine for the grid sizes used here.
+    Returns ``(distance, index_a, index_b)``.  When several pairs attain
+    the minimum, the first in row-major order wins (smallest
+    ``index_a``, then smallest ``index_b``): that pair is where
+    :func:`repro.core.stability.stability_margin` starts its polish.
+
+    One sample per chunk of each curve gives an upper bound of the
+    minimum; only chunk pairs whose boxes are at most that far apart can
+    hold it (see :func:`_near_blocks`).
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("min_curve_distance requires non-empty curves")
+    bound = float(np.abs(a[::_CHUNK, None] - b[None, ::_CHUNK]).min())
     best = math.inf
     best_i = best_j = 0
-    block = 512
-    for start in range(0, len(a), block):
-        chunk = a[start : start + block]
-        d = np.abs(chunk[:, None] - b[None, :])
-        idx = np.unravel_index(np.argmin(d), d.shape)
-        if d[idx] < best:
-            best = float(d[idx])
-            best_i = start + int(idx[0])
-            best_j = int(idx[1])
+    for start, cols, d in _near_blocks(a, b, bound):
+        row, col = np.unravel_index(np.argmin(d), d.shape)
+        if d[row, col] < best:
+            best = float(d[row, col])
+            best_i = start + int(row)
+            best_j = int(cols[col])
     return best, best_i, best_j
+
+
+#: A plant/DF sample pair farther apart than this never seeds a root
+#: search, and curves nowhere closer have no intersection to polish.
+_SEED_RADIUS = 0.2
+
+
+def _contact_seeds(
+    plant_vals: np.ndarray, df_vals: np.ndarray
+) -> List[Tuple[int, int]]:
+    """Index pairs ``(i, j)`` of near-contact samples to polish roots from.
+
+    Candidates are the pairs within ``min(0.2, max(0.02, 3 * min_dist))``,
+    thinned to the first (row-major) per 50 x 25 cell of the index plane
+    so fsolve is not run thousands of times, in order of first
+    appearance.  The order matters: the first seed to converge on a root
+    is the one whose digits are kept.  Empty when the curves never come
+    within ``_SEED_RADIUS`` - the loop is comfortably stable.
+    """
+    none = np.empty(0, dtype=int)
+    near = [(none, none, np.empty(0))]
+    for start, cols, d in _near_blocks(plant_vals, df_vals, _SEED_RADIUS):
+        rows, hits = np.nonzero(d <= _SEED_RADIUS)
+        near.append((start + rows, cols[hits], d[rows, hits]))
+    i, j, dist = (np.concatenate(part) for part in zip(*near))
+    if dist.size == 0:
+        return []
+    close = dist <= min(_SEED_RADIUS, max(0.02, float(dist.min()) * 3.0))
+    i, j = i[close], j[close]
+    cell = (i // 50) * (len(df_vals) // 25 + 1) + j // 25
+    _, first = np.unique(cell, return_index=True)
+    return [(int(i[k]), int(j[k])) for k in np.sort(first)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -241,8 +362,7 @@ def find_intersections(
     """
     w_grid, plant_vals = plant_locus(net, params, loop_gain_scale=loop_gain_scale)
     x_grid, df_vals = df_locus(params)
-    neg_inv = _neg_inv_relative_df(params)
-    gain = params.characteristic_gain * loop_gain_scale
+    gap = locus_gap(net, params, loop_gain_scale)
     if isinstance(params, SingleThresholdParams):
         x_min = params.k * (1.0 + 1e-9)
     else:
@@ -255,26 +375,13 @@ def find_intersections(
         log_x = min(max(vars_[1], -40.0), 40.0)
         w = math.exp(log_w)
         x = max(math.exp(log_x), x_min)
-        val = gain * complex(open_loop(w, net)) - neg_inv(x)
+        val = gap(w, x)
         return np.array([val.real, val.imag])
 
-    # Seed from the distance field.  When the curves never come close,
-    # there is nothing to polish - the loop is comfortably stable.
-    dist = np.abs(plant_vals[:, None] - df_vals[None, :])
-    min_dist = float(dist.min())
-    if min_dist > 0.2:
-        return []
-    threshold = min(0.2, max(0.02, min_dist * 3.0))
-    candidate_idx = np.argwhere(dist <= threshold)
-    # Thin the candidates so fsolve is not run thousands of times.
-    seeds: List[Tuple[float, float]] = []
-    seen: set = set()
-    for i, j in candidate_idx:
-        key = (int(i) // 50, int(j) // 25)
-        if key in seen:
-            continue
-        seen.add(key)
-        seeds.append((float(w_grid[i]), float(x_grid[j])))
+    seeds = [
+        (float(w_grid[i]), float(x_grid[j]))
+        for i, j in _contact_seeds(plant_vals, df_vals)
+    ]
 
     roots: List[LocusIntersection] = []
     for w0, x0 in seeds:

@@ -49,6 +49,7 @@ from repro.core.nyquist import (
     PhaseCrossover,
     df_locus,
     find_intersections,
+    locus_gap,
     min_curve_distance,
     plant_locus,
     principal_phase_crossover,
@@ -60,6 +61,7 @@ from repro.core.parameters import (
 )
 
 __all__ = [
+    "MARGIN_TOL",
     "StabilityReport",
     "analyze",
     "sufficient_condition_holds",
@@ -69,6 +71,14 @@ __all__ = [
     "calibrate_gain_scale",
     "margin_sweep",
 ]
+
+
+#: A margin at or below this counts as closed: the loci meet and the DF
+#: method predicts a self-oscillation.  At a tangency - the calibration
+#: point itself - the polished margin is ~1e-14 but the double root
+#: defeats ``fsolve``, so "a root was found" alone would call the onset
+#: stable while :func:`critical_flow_count` calls it the onset.
+MARGIN_TOL = 1e-3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,8 +100,13 @@ class StabilityReport:
 
     @property
     def oscillation_predicted(self) -> bool:
-        """True when the DF method predicts a self-oscillation."""
-        return len(self.intersections) > 0
+        """True when the DF method predicts a self-oscillation.
+
+        Either the characteristic equation has a root, or the loci touch
+        (margin within :data:`MARGIN_TOL`) without a transversal root to
+        read an amplitude from - ``predicted_amplitude`` is then None.
+        """
+        return len(self.intersections) > 0 or self.margin <= MARGIN_TOL
 
     @property
     def predicted_amplitude(self) -> Optional[float]:
@@ -153,11 +168,7 @@ def stability_margin(
     x_grid, df_vals = df_locus(params)
     coarse, i, j = min_curve_distance(plant_vals, df_vals)
 
-    from repro.core.nyquist import _neg_inv_relative_df
-    from repro.core.transfer_function import open_loop
-
-    gain = params.characteristic_gain * loop_gain_scale
-    neg_inv = _neg_inv_relative_df(params)
+    gap = locus_gap(net, params, loop_gain_scale)
     if isinstance(params, SingleThresholdParams):
         x_min = params.k * (1.0 + 1e-12)
     else:
@@ -166,7 +177,7 @@ def stability_margin(
     def objective(vars_: np.ndarray) -> float:
         w = math.exp(vars_[0])
         x = max(math.exp(vars_[1]), x_min)
-        return abs(gain * complex(open_loop(w, net)) - neg_inv(x))
+        return abs(gap(w, x))
 
     res = optimize.minimize(
         objective,
@@ -181,7 +192,7 @@ def predicted_limit_cycle(
     net: NetworkParams,
     params: MarkingParams,
     loop_gain_scale: float = 1.0,
-    margin_tol: float = 1e-3,
+    margin_tol: float = MARGIN_TOL,
 ) -> Optional[LocusIntersection]:
     """The stable limit cycle predicted by the DF method, or None.
 
@@ -232,7 +243,7 @@ def critical_flow_count(
     params: MarkingParams,
     flow_counts: Sequence[int],
     loop_gain_scale: float = 1.0,
-    margin_tol: float = 1e-3,
+    margin_tol: float = MARGIN_TOL,
 ) -> Optional[int]:
     """Smallest N in ``flow_counts`` whose margin closes (oscillation onset).
 

@@ -33,8 +33,8 @@ from repro.core.parameters import (
     paper_network,
 )
 from repro.core.stability import (
+    MARGIN_TOL,
     calibrate_gain_scale,
-    critical_flow_count,
     predicted_limit_cycle,
     stability_margin,
 )
@@ -68,7 +68,7 @@ class CriticalNResult:
 def run(
     flow_counts: Sequence[int] = tuple(range(10, 101, 5)),
     calibration_n: int = 60,
-    margin_tol: float = 1e-3,
+    margin_tol: float = MARGIN_TOL,
 ) -> CriticalNResult:
     base = paper_network(10)
     dc = paper_dctcp()
@@ -83,8 +83,15 @@ def run(
         stability_margin(base.with_flows(n), dt, loop_gain_scale=scale)
         for n in flow_counts
     )
-    dc_n = critical_flow_count(base, dc, flow_counts, scale, margin_tol=margin_tol)
-    dt_n = critical_flow_count(base, dt, flow_counts, scale, margin_tol=margin_tol)
+
+    def onset(margins: Tuple[float, ...]) -> Optional[int]:
+        """Smallest N whose margin closes, as ``critical_flow_count``
+        would find it - read off the margins already in hand."""
+        return min(
+            (n for n, m in zip(flow_counts, margins) if m <= margin_tol),
+            default=None,
+        )
+
 
     cycle = predicted_limit_cycle(
         base.with_flows(calibration_n), dc, loop_gain_scale=scale, margin_tol=0.05
@@ -95,8 +102,8 @@ def run(
         flow_counts=tuple(flow_counts),
         dc_margins=dc_margins,
         dt_margins=dt_margins,
-        dc_critical_n=dc_n,
-        dt_critical_n=dt_n,
+        dc_critical_n=onset(dc_margins),
+        dt_critical_n=onset(dt_margins),
         dc_limit_cycle=dc_cycle,
     )
 

@@ -137,45 +137,51 @@ def simulate(
 
     model.marker.reset()
     state = initial_state if initial_state is not None else model.initial_state()
-    state = model.clamp(state)
+    w, a, q = model.project(state.window, state.alpha, state.queue)
 
     # Pre-history: no marking before t = 0 (queues start uncongested).
     marking_history = DelayBuffer(0.0, 0.0, interpolation="previous")
-    p_now = model.marking(state.queue)
+    p_now = model.marking(q)
     marking_history.append(0.0, p_now)
 
     n_steps = int(round(duration / dt))
     times = [0.0]
-    windows = [state.window]
-    alphas = [state.alpha]
-    queues = [state.queue]
+    windows = [w]
+    alphas = [a]
+    queues = [q]
     markings = [p_now]
 
+    # The step runs on plain floats.  Every expression keeps the
+    # association it has always had - ``dt * (k1 + 2 k2 + 2 k3 + k4) /
+    # 6.0``, ``max(0.0, q + h k)``, the delayed time as ``t + h - r0`` -
+    # because regrouping any of them moves the trajectory's last bits
+    # (tests/fluid/golden_fluid_digests.json pins them).
+    rates = model.rates
+    project = model.project
+    marking = model.marking
+    delayed_at = marking_history.value_at
+    half = 0.5 * dt
     t = 0.0
     for step in range(1, n_steps + 1):
-        delayed = marking_history.value_at(t - r0)
-        delayed_mid = marking_history.value_at(t + 0.5 * dt - r0)
-        delayed_end = marking_history.value_at(t + dt - r0)
-
-        def rhs(s: FluidState, p_del: float):
-            return model.derivatives(s, p_del)
-
-        k1 = rhs(state, delayed)
-        k2 = rhs(_advance(state, k1, 0.5 * dt), delayed_mid)
-        k3 = rhs(_advance(state, k2, 0.5 * dt), delayed_mid)
-        k4 = rhs(_advance(state, k3, dt), delayed_end)
-        state = model.clamp(
-            FluidState(
-                window=state.window
-                + dt * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0,
-                alpha=state.alpha
-                + dt * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0,
-                queue=state.queue
-                + dt * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0,
-            )
+        p_mid = delayed_at(t + half - r0)
+        w1, a1, q1 = rates(w, a, q, delayed_at(t - r0))
+        w2, a2, q2 = rates(
+            w + half * w1, a + half * a1, max(0.0, q + half * q1), p_mid
+        )
+        w3, a3, q3 = rates(
+            w + half * w2, a + half * a2, max(0.0, q + half * q2), p_mid
+        )
+        w4, a4, q4 = rates(
+            w + dt * w3, a + dt * a3, max(0.0, q + dt * q3),
+            delayed_at(t + dt - r0),
+        )
+        w, a, q = project(
+            w + dt * (w1 + 2 * w2 + 2 * w3 + w4) / 6.0,
+            a + dt * (a1 + 2 * a2 + 2 * a3 + a4) / 6.0,
+            q + dt * (q1 + 2 * q2 + 2 * q3 + q4) / 6.0,
         )
         t = step * dt
-        p_now = model.marking(state.queue)
+        p_now = marking(q)
         marking_history.append(t, p_now)
         # Keep just over one delay's worth of marking history.
         if step % 512 == 0:
@@ -183,9 +189,9 @@ def simulate(
 
         if step % record_every == 0:
             times.append(t)
-            windows.append(state.window)
-            alphas.append(state.alpha)
-            queues.append(state.queue)
+            windows.append(w)
+            alphas.append(a)
+            queues.append(q)
             markings.append(p_now)
 
     return FluidTrace(
@@ -194,13 +200,4 @@ def simulate(
         alpha=np.asarray(alphas),
         queue=np.asarray(queues),
         marking=np.asarray(markings),
-    )
-
-
-def _advance(state: FluidState, derivative, h: float) -> FluidState:
-    """Euler half-step helper for the RK4 substages."""
-    return FluidState(
-        window=state.window + h * derivative[0],
-        alpha=state.alpha + h * derivative[1],
-        queue=max(0.0, state.queue + h * derivative[2]),
     )

@@ -98,41 +98,58 @@ class FluidModel:
         """Marking signal p(t) in {0.0, 1.0} for the current queue sample."""
         return 1.0 if self.marker.should_mark(queue) else 0.0
 
-    def derivatives(
-        self, state: FluidState, delayed_marking: float
+    def rates(
+        self, window: float, alpha: float, queue: float, delayed_marking: float
     ) -> Tuple[float, float, float]:
-        """``(dW/dt, dalpha/dt, dq/dt)`` given ``p(t - R0)``."""
+        """Eq. (1)-(3) on plain floats: ``(dW/dt, dalpha/dt, dq/dt)``.
+
+        The one place the equations are written; the integrator's RK4
+        substages call it directly, :meth:`derivatives` unpacks a
+        :class:`FluidState` into it.
+        """
         net = self.net
-        r = self.rtt(state.queue)
-        d_window = 1.0 / r - (state.window * state.alpha / (2.0 * r)) * delayed_marking
-        d_alpha = (net.g / r) * (delayed_marking - state.alpha)
-        d_queue = net.n_flows * state.window / r - net.capacity
+        r = self.rtt(queue)
+        d_window = 1.0 / r - (window * alpha / (2.0 * r)) * delayed_marking
+        d_alpha = (net.g / r) * (delayed_marking - alpha)
+        d_queue = net.n_flows * window / r - net.capacity
         # Hybrid boundary behaviour: an empty queue cannot drain further,
         # a full buffer cannot grow (arrivals beyond it are dropped).
-        if state.queue <= 0.0 and d_queue < 0.0:
+        if queue <= 0.0 and d_queue < 0.0:
             d_queue = 0.0
         if (
             self.buffer_packets is not None
-            and state.queue >= self.buffer_packets
+            and queue >= self.buffer_packets
             and d_queue > 0.0
         ):
             d_queue = 0.0
         return d_window, d_alpha, d_queue
 
-    def clamp(self, state: FluidState) -> FluidState:
-        """Project a state back into the physically meaningful region.
+    def derivatives(
+        self, state: FluidState, delayed_marking: float
+    ) -> Tuple[float, float, float]:
+        """``(dW/dt, dalpha/dt, dq/dt)`` given ``p(t - R0)``."""
+        return self.rates(state.window, state.alpha, state.queue, delayed_marking)
+
+    def project(
+        self, window: float, alpha: float, queue: float
+    ) -> Tuple[float, float, float]:
+        """Project ``(W, alpha, q)`` back into the physically meaningful region.
 
         The window floor of one packet mirrors TCP's minimum congestion
         window; without it the fluid flow rate could fall below anything
         a real sender can send, and large-N runs would understate the
         queue pressure that drives the paper's oscillation regime.
         """
-        window = max(state.window, 1.0)
-        alpha = min(max(state.alpha, 0.0), 1.0)
-        queue = max(state.queue, 0.0)
+        window = max(window, 1.0)
+        alpha = min(max(alpha, 0.0), 1.0)
+        queue = max(queue, 0.0)
         if self.buffer_packets is not None:
             queue = min(queue, self.buffer_packets)
-        return FluidState(window=window, alpha=alpha, queue=queue)
+        return window, alpha, queue
+
+    def clamp(self, state: FluidState) -> FluidState:
+        """:meth:`project` on a :class:`FluidState`."""
+        return FluidState(*self.project(state.window, state.alpha, state.queue))
 
     def initial_state(self, queue: float = 0.0) -> FluidState:
         """A conventional start: full pipe per flow, no congestion memory."""

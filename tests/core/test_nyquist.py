@@ -1,6 +1,7 @@
 """Unit tests for the Nyquist-plane machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.core.parameters import (
     SingleThresholdParams,
     paper_network,
 )
+from repro.core.stability import calibrate_gain_scale, stability_margin
 
 
 @pytest.fixture
@@ -122,11 +124,47 @@ class TestMinCurveDistance:
             min_curve_distance(np.array([]), np.array([1 + 1j]))
 
     def test_blockwise_matches_bruteforce(self):
+        """Two clouds whose chunk boxes all overlap - nothing can be
+        pruned - agree with the full matrix exactly, indices included."""
         rng = np.random.default_rng(7)
         a = rng.normal(size=2000) + 1j * rng.normal(size=2000)
         b = rng.normal(size=777) + 1j * rng.normal(size=777)
-        dist, _, _ = min_curve_distance(a, b)
-        assert dist == pytest.approx(np.abs(a[:, None] - b[None, :]).min())
+        full = np.abs(a[:, None] - b[None, :])
+        i, j = np.unravel_index(np.argmin(full), full.shape)
+        assert min_curve_distance(a, b) == (full[i, j], i, j)
+
+    def test_first_row_major_pair_wins_a_tie(self):
+        a = np.array([4 + 0j, 1 + 0j, 1 + 0j])
+        b = np.array([0j, 2 + 0j, 0j])
+        assert min_curve_distance(a, b) == (1.0, 1, 0)
+
+
+def _peak_bytes(call) -> int:
+    call()  # fill the DF-locus table and scipy's lazy imports first
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The deterministic guard that keeps the dense plant x DF distance
+    field from coming back: it cost 31.4 MiB per margin (512-row blocks)
+    and 183.2 MiB per intersection solve (all 4000 x 2000 pairs)."""
+
+    LIMIT = 4 * 1024 * 1024
+
+    def test_margin_and_intersections_stay_under_4_mib(self, dc):
+        net = paper_network(55)
+        scale = calibrate_gain_scale(paper_network(10), dc, onset_flows=60)
+        margin = _peak_bytes(lambda: stability_margin(net, dc, scale))
+        solve = _peak_bytes(
+            lambda: find_intersections(net, dc, loop_gain_scale=scale)
+        )
+        assert margin <= self.LIMIT
+        assert solve <= self.LIMIT
 
 
 class TestIntersections:

@@ -169,6 +169,27 @@ class TestCalibration:
             assert report.predicted_amplitude > DC.k
             assert report.predicted_frequency > 0
 
+    @pytest.mark.parametrize(
+        "n_flows, predicted, has_root",
+        [(45, True, True), (55, True, True), (59, True, True),
+         (60, True, False), (61, False, False)],
+    )
+    def test_analyze_agrees_with_the_onset_at_the_tangency(
+        self, calibrated_scale, n_flows, predicted, has_root
+    ):
+        """N = 60 is the calibration point: the loci are tangent, the
+        margin is ~1e-14, fsolve finds no transversal root - and
+        ``critical_flow_count`` calls it an oscillation.  So must
+        ``analyze``; N = 61 (margin 2.3e-3) stays stable."""
+        report = analyze(paper_network(n_flows), DC, calibrated_scale)
+        assert report.oscillation_predicted is predicted
+        assert bool(report.intersections) is has_root
+        assert (report.predicted_amplitude is not None) is has_root
+        onset = critical_flow_count(
+            paper_network(10), DC, [n_flows], calibrated_scale
+        )
+        assert (onset is not None) is predicted
+
     def test_analyze_stable_case(self):
         report = analyze(paper_network(10), DC)
         assert report.sufficient_condition

@@ -42,6 +42,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "oscillation predicted" in out
 
+    def test_analyze_at_the_tangency_says_the_loci_touch(self, capsys):
+        """At the calibration point the margin is closed but there is no
+        transversal root; the table must not contradict itself."""
+        assert main(["analyze", "--flows", "60"]) == 0
+        out = capsys.readouterr().out
+        (verdict,) = [ln for ln in out.splitlines() if "oscillation predicted" in ln]
+        assert verdict.split()[-1] == "yes"
+        assert "loci touch, no transversal root" in out
+        assert "limit-cycle amplitude" not in out
+
     def test_simulate_runs(self, capsys):
         assert main([
             "simulate", "--flows", "4", "--duration", "0.005",

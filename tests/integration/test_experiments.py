@@ -9,6 +9,9 @@ import math
 
 import pytest
 
+from repro.core import stability
+from repro.core.parameters import paper_dctcp, paper_network
+from repro.core.stability import critical_flow_count, stability_margin
 from repro.experiments import quick_scale
 from repro.experiments.config import Scale
 from repro.experiments import (
@@ -117,6 +120,26 @@ class TestFig09:
     def test_calibration_scale_plausible(self):
         result = fig09_critical_n.run(flow_counts=(10, 60))
         assert 4.0 < result.loop_gain_scale < 7.0
+
+    def test_each_margin_is_computed_once(self, monkeypatch):
+        """Both onsets are read off the margins the table already holds:
+        2 mechanisms x 3 flow counts = 6 calls (11 when the onsets went
+        back through ``critical_flow_count``), same onsets."""
+        calls = []
+
+        def counting(net, params, loop_gain_scale=1.0):
+            calls.append((type(params).__name__, net.n_flows))
+            return stability_margin(net, params, loop_gain_scale)
+
+        monkeypatch.setattr(fig09_critical_n, "stability_margin", counting)
+        monkeypatch.setattr(stability, "stability_margin", counting)
+        flows = (101, 11, 56)  # deliberately unsorted
+        result = fig09_critical_n.run(flow_counts=flows)
+        assert len(calls) == len(set(calls)) == 6
+        assert result.dc_critical_n == 56 == critical_flow_count(
+            paper_network(10), paper_dctcp(), flows, result.loop_gain_scale
+        )
+        assert result.dt_critical_n is None
 
 
 class TestFig10to12:
