@@ -1,49 +1,60 @@
 #!/usr/bin/env python
-"""Scriptable studies with the declarative scenario API.
+"""Scriptable studies from plain data.
 
 Everything the other examples do by wiring objects together can be
-driven by plain data.  This script runs a two-axis study — marking
-mechanism x threshold placement — from a list of dictionaries, the way
-an external sweep driver (or a JSON config) would.
+driven by a table.  This script runs a two-axis study — marking
+mechanism x threshold placement — from a list of (protocol, thresholds)
+rows, through the same rig Figures 10-12 use
+(``repro.experiments.queue_sweep.run_point``).  For a cached, parallel,
+resumable grid over the same axes see ``python -m repro.cli campaign``.
 
 Run:  python examples/parameter_sweep.py
 """
 
+import dataclasses
+
+from repro.experiments.config import quick_scale
+from repro.experiments.protocols import ProtocolConfig
+from repro.experiments.queue_sweep import run_point
 from repro.experiments.tables import print_table
-from repro.sim import Scenario, run_scenario
+from repro.sim.protocols import PROTOCOLS, marker_factory
 
 STUDY = [
-    {"protocol": "dctcp", "thresholds": [20]},
-    {"protocol": "dctcp", "thresholds": [40]},
-    {"protocol": "dctcp", "thresholds": [80]},
-    {"protocol": "dt-dctcp", "thresholds": [15, 25]},
-    {"protocol": "dt-dctcp", "thresholds": [30, 50]},
-    {"protocol": "dt-dctcp", "thresholds": [60, 100]},
-    {"protocol": "ecn-reno", "thresholds": [40]},
+    ("dctcp", (20,)),
+    ("dctcp", (40,)),
+    ("dctcp", (80,)),
+    ("dt-dctcp", (15, 25)),
+    ("dt-dctcp", (30, 50)),
+    ("dt-dctcp", (60, 100)),
+    ("ecn-reno", (40,)),
 ]
 
-COMMON = {"n_flows": 10, "duration": 0.03, "warmup": 0.012}
+N_FLOWS = 10
+SCALE = dataclasses.replace(quick_scale(), sim_duration=0.03, warmup=0.012)
 
 
 def main() -> None:
     rows = []
-    for spec in STUDY:
-        scenario = Scenario.from_dict({**COMMON, **spec})
-        result = run_scenario(scenario)
+    for name, thresholds in STUDY:
+        protocol = ProtocolConfig(
+            name=name,
+            marker_factory=marker_factory(thresholds),
+            sender_cls=PROTOCOLS[name].sender_cls,
+        )
+        point = run_point(protocol, N_FLOWS, SCALE)
         rows.append(
             (
-                scenario.protocol,
-                "/".join(str(t) for t in scenario.thresholds),
-                result.mean_queue,
-                result.std_queue,
-                result.goodput_bps / 1e9,
+                name,
+                "/".join(str(t) for t in thresholds),
+                point.mean_queue,
+                point.std_queue,
+                point.goodput_bps / 1e9,
             )
         )
     print_table(
         ["protocol", "thresholds", "mean queue", "std", "goodput (Gbps)"],
         rows,
-        title="Threshold-placement study, 10 flows on 10 Gbps "
-        "(declarative scenarios)",
+        title="Threshold-placement study, 10 flows on 10 Gbps",
     )
     print(
         "Low thresholds trade throughput headroom for latency; the "

@@ -41,7 +41,7 @@ Examples::
     python -m repro.cli figure all --quick --jobs 4
     python -m repro.cli figure 10 --quick --profile
     python -m repro.cli figure 10 --jobs 8 --timeout 600 --retries 2 \\
-        --failure-policy retry-then-skip
+        --failure-policy skip
     python -m repro.cli simulate --flows 20 --protocol dctcp --duration 0.03
     python -m repro.cli incast --flows 35 --protocol dctcp
     python -m repro.cli campaign --k 40 --k 65 --k1k2 30,50 \\
@@ -54,9 +54,10 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from repro.core import (
     analyze,
@@ -66,10 +67,10 @@ from repro.core import (
     paper_network,
 )
 from repro.exec import ResultCache, SweepExecutor
+from repro.exec.faults import FAULT_KINDS
 from repro.experiments import STAGES, full_scale, quick_scale, stage_by_id
 from repro.experiments.protocols import paper_config
 from repro.experiments.tables import print_table
-from repro.sim import kernels
 from repro.sim.protocols import PROTOCOLS
 from repro.sim.tcp.sender import DctcpSender
 
@@ -106,9 +107,15 @@ def _checked(cast: Callable, ok: Callable, wants: str) -> Callable:
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive_float = _checked(float, lambda v: v > 0, "a number > 0")
+_non_negative_float = _checked(float, lambda v: v >= 0, "a number >= 0")
 _unit_interval = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 _open_unit_interval = _checked(
     float, lambda v: 0 < v < 1, "a number in (0, 1)"
+)
+_fault_kinds = _checked(
+    lambda text: tuple(text.split(",")),
+    lambda kinds: all(kind in FAULT_KINDS for kind in kinds),
+    f"a comma-separated list from {', '.join(FAULT_KINDS)}",
 )
 
 
@@ -150,15 +157,28 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _maybe_profiled(args: argparse.Namespace):
-    """The profiling context for ``--profile`` runs, else a no-op."""
-    if getattr(args, "profile", False):
-        from repro.perf.profiling import profiled
+@contextlib.contextmanager
+def _maybe_profiled(args: argparse.Namespace) -> Iterator[None]:
+    """``--profile``: cProfile the run, top-20 cumulative table on stderr
+    (stdout carries the tables), raw pstats to ``--profile-out``."""
+    if not getattr(args, "profile", False):
+        yield
+        return
+    import cProfile
+    import pstats
 
-        return profiled(dump_path=args.profile_out)
-    import contextlib
-
-    return contextlib.nullcontext()
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        yield
+    finally:
+        profile.disable()
+        if args.profile_out is not None:
+            profile.dump_stats(args.profile_out)
+            print(f"[profile] raw pstats written to {args.profile_out}",
+                  file=sys.stderr)
+        stats = pstats.Stats(profile, stream=sys.stderr)
+        stats.sort_stats("cumulative").print_stats(20)
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
@@ -388,10 +408,19 @@ def cmd_faults(args: argparse.Namespace) -> int:
     is byte-identical to a fault-free computation and (b) every failure
     is attributed to a scheduled fault.  Phase 2 re-runs the sweep
     against the same cache with no faults and checks that only the
-    casualties (skipped cases + torn cache entries) re-execute.
+    casualties (skipped cases + torn cache entries) re-execute.  Without
+    ``--cache-dir`` the cache lives in a temporary directory that is
+    removed afterwards.
     """
+    if args.cache_dir is not None:
+        return _faults_smoke(args, args.cache_dir)
     import tempfile
 
+    with tempfile.TemporaryDirectory(prefix="repro-faults-") as tmp:
+        return _faults_smoke(args, Path(tmp))
+
+
+def _faults_smoke(args: argparse.Namespace, cache_dir: Path) -> int:
     from repro.exec import faults as fl
 
     cases = fl.demo_cases(args.cases)
@@ -399,7 +428,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         len(cases),
         args.rate,
         seed=args.seed,
-        kinds=tuple(args.kinds.split(",")),
+        kinds=args.kinds,
         fail_attempts=args.fail_attempts,
         hang_seconds=max(30.0, 10.0 * args.timeout),
     )
@@ -418,11 +447,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     )
     torn = {i for i in faulted if plan.spec_for(i).kind == "torn-write"}
 
-    cache_dir = (
-        args.cache_dir
-        if args.cache_dir is not None
-        else Path(tempfile.mkdtemp(prefix="repro-faults-"))
-    )
     print(
         f"phase 1: {len(cases)} cases, {len(faulted)} faulted "
         f"({plan.count('error')} error / {plan.count('die')} die / "
@@ -434,8 +458,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         cache=ResultCache(cache_dir),
         timeout=args.timeout,
         retries=args.retries,
-        failure_policy=args.policy,
-        backoff_base=0.05,
+        failure_policy="skip",
         fault_plan=plan,
     )
     results = ex.run(cases, stage="faults-smoke")
@@ -527,41 +550,19 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import (
-        Baseline,
-        LintEngine,
-        default_baseline_path,
-        default_rules,
-        render_json,
-        render_text,
-    )
+    from repro.lint import LintEngine, default_rules, render_json, render_text
 
     rules = default_rules()
-    engine = LintEngine(rules)
-    cache_dir = None if args.no_cache else Path(".repro-lint-cache")
-    findings = engine.lint_tree(cache_dir=cache_dir)
-    baseline_path = (
-        args.baseline_file
-        if args.baseline_file is not None
-        else default_baseline_path()
-    )
-    if args.baseline:
-        Baseline.write(findings, baseline_path)
-        print(f"wrote {len(findings)} finding(s) to {baseline_path}")
-        return 0
-    new, baselined = Baseline.load(baseline_path).filter(findings)
+    findings = LintEngine(rules).lint_tree()
     if args.format == "json":
-        print(render_json(new, baselined=len(baselined)))
+        print(render_json(findings))
     else:
-        print(render_text(new, baselined=len(baselined), rules=rules))
-    return 1 if new else 0
+        print(render_text(findings, rules=rules))
+    return 1 if findings else 0
 
 
-#: Derived from the kernels registry so the env-var name cannot drift
-#: from the central definition.
 _CACHE_DIR_HELP = (
-    "result cache directory "
-    f"(default ${kernels.registered('REPRO_CACHE_DIR').env} or .repro-cache)"
+    "result cache directory (default $REPRO_CACHE_DIR or .repro-cache)"
 )
 
 
@@ -573,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flows", type=_positive_int, default=55)
     p.add_argument("--protocol", choices=_ANALYZABLE, default="dctcp")
     p.add_argument("--g", type=_open_unit_interval, default=1 / 16)
-    p.add_argument("--gain-scale", type=float, default=None,
+    p.add_argument("--gain-scale", type=_positive_float, default=None,
                    help="loop gain scale (default: Figure 9 calibration)")
     p.set_defaults(func=cmd_analyze)
 
@@ -589,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flows", type=_positive_int, default=10)
     p.add_argument("--protocol", choices=sorted(PROTOCOLS), default="dctcp")
     p.add_argument("--duration", type=_positive_float, default=0.03)
-    p.add_argument("--rtt", type=float, default=100e-6)
+    p.add_argument("--rtt", type=_positive_float, default=100e-6)
     p.add_argument("--invariants", action="store_true",
                    help="audit packet conservation / queue "
                         "invariants during and after the run")
@@ -677,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=13,
                    help="fault schedule seed (13 exercises all five kinds "
                         "at the default size and rate)")
-    p.add_argument("--kinds", type=str,
+    p.add_argument("--kinds", type=_fault_kinds,
                    default="error,die,hang,corrupt,torn-write",
                    help="comma-separated fault kinds to draw from")
     p.add_argument("--fail-attempts", type=_positive_int, default=1_000_000,
@@ -687,10 +688,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=_positive_float, default=2.0,
                    help="per-case deadline (catches injected hangs)")
     p.add_argument("--retries", type=_non_negative_int, default=1)
-    p.add_argument("--policy", choices=["skip", "retry-then-skip"],
-                   default="retry-then-skip")
     p.add_argument("--cache-dir", type=Path, default=None,
-                   help="cache/manifest directory (default: fresh tempdir)")
+                   help="cache directory, kept afterwards (default: a "
+                        "temporary directory, removed afterwards)")
     p.add_argument("--no-resume", dest="resume", action="store_false",
                    help="skip the phase-2 resume verification")
     p.set_defaults(func=cmd_faults)
@@ -699,7 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["stats", "verify", "gc"])
     p.add_argument("--cache-dir", type=Path, default=None,
                    help=_CACHE_DIR_HELP)
-    p.add_argument("--older-than", type=float, default=None, metavar="DAYS",
+    p.add_argument("--older-than", type=_non_negative_float, default=None,
+                   metavar="DAYS",
                    help="gc: also remove valid entries older than DAYS")
     p.set_defaults(func=cmd_cache)
 
@@ -709,15 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="report format (default text)")
-    p.add_argument("--baseline", action="store_true",
-                   help="record current findings as the new baseline "
-                        "instead of reporting")
-    p.add_argument("--baseline-file", type=Path, default=None,
-                   metavar="PATH",
-                   help="baseline to read/write (default: the committed "
-                        "src/repro/lint/baseline.json)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and do not write .repro-lint-cache/")
     p.set_defaults(func=cmd_lint)
     return parser
 
@@ -737,7 +729,7 @@ def add_executor_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--retries", type=_non_negative_int, default=0,
                    help="bounded retries per case (exponential backoff)")
     p.add_argument("--failure-policy",
-                   choices=["raise", "skip", "retry-then-skip"],
+                   choices=["raise", "skip"],
                    default="raise",
                    help="what a terminal case failure does: abort the "
                         "stage, or record it and keep the partial sweep "

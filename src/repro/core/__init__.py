@@ -59,7 +59,6 @@ from repro.core.stability import (
     analyze,
     calibrate_gain_scale,
     critical_flow_count,
-    margin_sweep,
     predicted_limit_cycle,
     stability_margin,
     sufficient_condition_holds,
@@ -129,6 +128,5 @@ __all__ = [
     "sufficient_condition_holds",
     "predicted_limit_cycle",
     "critical_flow_count",
-    "margin_sweep",
     "calibrate_gain_scale",
 ]

@@ -69,7 +69,6 @@ __all__ = [
     "predicted_limit_cycle",
     "critical_flow_count",
     "calibrate_gain_scale",
-    "margin_sweep",
 ]
 
 
@@ -223,19 +222,6 @@ def analyze(
             net, params, loop_gain_scale=loop_gain_scale, residual_tol=1e-4
         ),
     )
-
-
-def margin_sweep(
-    base_net: NetworkParams,
-    params: MarkingParams,
-    flow_counts: Sequence[int],
-    loop_gain_scale: float = 1.0,
-) -> List[float]:
-    """Stability margin at each flow count (Figure 9's N sweep)."""
-    return [
-        stability_margin(base_net.with_flows(n), params, loop_gain_scale)
-        for n in flow_counts
-    ]
 
 
 def critical_flow_count(

@@ -15,9 +15,8 @@ execution at scale actually produces:
 * :mod:`repro.exec.executor` — the process-pool :class:`SweepExecutor`
   fanning cases across ``--jobs`` workers, with per-case timeouts,
   bounded retries with backoff, broken-pool recovery, and pluggable
-  failure policies;
-* :mod:`repro.exec.manifest` — the crash-safe per-stage completion
-  journal behind checkpoint-resume;
+  failure policies; a re-run resumes by executing only the cases
+  without a valid cache entry;
 * :mod:`repro.exec.faults`   — deterministic fault injection (crashes,
   hangs, corrupt returns, torn cache writes) for tests and the
   ``repro.cli faults`` smoke command;
@@ -45,7 +44,6 @@ from repro.exec.executor import (
     execute_cases,
 )
 from repro.exec.faults import FaultInjected, FaultPlan, FaultSpec
-from repro.exec.manifest import StageManifest
 from repro.exec.report import FailureRecord, RunReport, StageStats
 
 __all__ = [
@@ -59,7 +57,6 @@ __all__ = [
     "InvalidResultError",
     "ResultCache",
     "RunReport",
-    "StageManifest",
     "StageStats",
     "SweepExecutor",
     "case_key",

@@ -25,6 +25,13 @@ directory tell an operator exactly what happened.
 The key (:func:`repro.exec.cases.case_key`) hashes the experiment name
 and the full parameter set, so any parameter change — scale, RTT,
 thresholds — lands in a fresh slot and never aliases an old result.
+
+``REPRO_CACHE_DIR`` (the default cache location) is the only ``REPRO_*``
+variable the codebase reads, and this module is the only place allowed
+to read one (rule ``KRN001`` in :mod:`repro.lint`).  Importing it warns
+once about every other ``REPRO_*`` name in the environment — a misspelt
+name, or a switch a later commit deleted, would otherwise be ignored
+without a word.
 """
 
 from __future__ import annotations
@@ -33,19 +40,43 @@ import json
 import os
 import tempfile
 import time
+import warnings
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional
 
 from repro.exec.cases import CACHE_SCHEMA_VERSION, Case, case_key
-from repro.sim import kernels
 
 __all__ = ["ResultCache", "default_cache_dir"]
 
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` if set, else ``.repro-cache`` in the cwd."""
-    env = kernels.env_value("REPRO_CACHE_DIR")
+    env = os.environ.get("REPRO_CACHE_DIR")
     return Path(env) if env else Path(".repro-cache")
+
+
+def _warn_unregistered() -> None:
+    """One RuntimeWarning naming every unknown ``REPRO_*`` variable.
+
+    A warning, not an error: ledger children and executor workers
+    inherit whatever environment their parent had.
+    """
+    unknown = sorted(
+        name
+        for name in os.environ
+        if name.startswith("REPRO_") and name != "REPRO_CACHE_DIR"
+    )
+    if unknown:
+        warnings.warn(
+            "ignoring unregistered environment variable(s) "
+            f"{', '.join(unknown)}: no such REPRO_* switch; the "
+            "registered ones are REPRO_CACHE_DIR",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+
+
+_warn_unregistered()
 
 
 class _Corrupt(Exception):
@@ -79,7 +110,8 @@ class ResultCache:
             return
         for shard in sorted(self.root.iterdir()):
             # Entry shards are the two-hex-char fan-out dirs; skip
-            # quarantine/, manifests/, and anything else living here.
+            # quarantine/, a manifests/ directory an older version left,
+            # and anything else living here.
             if not shard.is_dir() or len(shard.name) != 2:
                 continue
             yield from sorted(shard.glob("*.json"))

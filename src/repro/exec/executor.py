@@ -20,24 +20,22 @@ Supervision (all off by default):
   (the only way to stop a hung worker), innocent in-flight cases are
   resubmitted without penalty, and the overdue case is retried or
   failed;
-* ``retries`` / ``backoff_base`` / ``backoff_max`` / ``backoff_jitter``
-  — bounded retries with exponential backoff and deterministic,
-  case-keyed jitter;
+* ``retries`` — bounded retries with exponential backoff and
+  deterministic, case-keyed jitter;
 * ``failure_policy`` — ``"raise"`` aborts the stage on the first
-  terminal failure (the historical behaviour), ``"skip"`` and
-  ``"retry-then-skip"`` record a
-  :class:`~repro.exec.report.FailureRecord` and leave a ``None`` hole
+  terminal failure (the historical behaviour), ``"skip"`` records a
+  :class:`~repro.exec.report.FailureRecord` and leaves a ``None`` hole
   in the results so the rest of the sweep still lands;
 * a broken process pool (worker died hard) is recovered by rebuilding
   the pool and *probing* the in-flight cases one at a time, so the
   crash is attributed to the case that actually caused it and innocent
   cases are re-run without spending a retry.
 
-Checkpoint-resume: when a cache is attached, each stage keeps a
-crash-safe :class:`~repro.exec.manifest.StageManifest` journal of
-completions and give-ups.  Together with per-completion cache
-write-back, a re-run of an interrupted or partially-failed sweep
-re-executes only the cases that never finished.
+Checkpoint-resume rests on the cache alone: every finished case is
+written back the moment it completes, and a run executes exactly the
+cases ``cache.get`` misses — so a re-run of an interrupted or
+partially-failed sweep re-executes only the cases without a valid
+cache entry.
 
 Determinism: cases are self-contained simulations with locally seeded
 RNGs, so the executor's only contract is *ordering* — results come back
@@ -67,7 +65,6 @@ from repro.exec.cases import (
     execute_case,
     execute_case_chunk,
 )
-from repro.exec.manifest import StageManifest
 from repro.exec.report import FailureRecord, RunReport, StageStats
 
 __all__ = [
@@ -78,10 +75,13 @@ __all__ = [
     "execute_cases",
 ]
 
-FAILURE_POLICIES = ("raise", "skip", "retry-then-skip")
+FAILURE_POLICIES = ("raise", "skip")
 
-#: Default retry budget "retry-then-skip" implies when none was given.
-DEFAULT_RETRIES = 2
+#: Retry ``attempt`` waits ``min(BACKOFF_MAX, BACKOFF_BASE * 2**(attempt
+#: - 1))`` seconds, stretched by up to ``BACKOFF_JITTER`` of itself.
+BACKOFF_BASE = 0.05
+BACKOFF_MAX = 2.0
+BACKOFF_JITTER = 0.1
 
 #: Deadline for re-running one suspect after a pool breakage when no
 #: per-case ``timeout`` was configured.  A probe must never block
@@ -122,16 +122,11 @@ class SweepExecutor:
         self,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        report: Optional[RunReport] = None,
         *,
         timeout: Optional[float] = None,
         retries: int = 0,
         failure_policy: str = "raise",
-        backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
-        backoff_jitter: float = 0.1,
         fault_plan: Optional["_faults.FaultPlan"] = None,
-        resume: bool = True,
         chunk_size: Optional[int] = None,
     ):
         if jobs < 1:
@@ -147,19 +142,13 @@ class SweepExecutor:
             raise ValueError(f"timeout must be positive, got {timeout}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if failure_policy == "retry-then-skip" and retries == 0:
-            retries = DEFAULT_RETRIES
         self.jobs = jobs
         self.cache = cache
-        self.report = report if report is not None else RunReport(jobs=jobs)
+        self.report = RunReport(jobs=jobs)
         self.timeout = timeout
         self.retries = retries
         self.failure_policy = failure_policy
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
-        self.backoff_jitter = backoff_jitter
         self.fault_plan = fault_plan
-        self.resume = resume
         #: Cases shipped per worker round trip (see :meth:`run`); None
         #: or 1 preserves the historical one-case-per-future dispatch.
         self.chunk_size = chunk_size
@@ -181,20 +170,19 @@ class SweepExecutor:
         self,
         cases: Sequence[Case],
         stage: str = "",
-        chunk_size: Optional[int] = None,
     ) -> List[Optional[Dict[str, Any]]]:
         """Execute ``cases``, returning results in input order.
 
-        Under a ``skip``-flavoured ``failure_policy``, a case the
-        executor gave up on leaves ``None`` at its position and a
+        Under the ``skip`` ``failure_policy``, a case the executor gave
+        up on leaves ``None`` at its position and a
         :class:`FailureRecord` in the report; re-running the same stage
         (same cache) executes only those holes.
 
-        ``chunk_size`` (per-call override of the constructor value)
-        ships up to that many cache-missing cases per worker round trip,
-        amortising pickle/IPC for grids of sub-second cells.  Chunking
-        is a dispatch detail only: results, cache keys, manifest
-        entries, retries and failure policies stay per case (a chunk
+        ``chunk_size`` (set at construction) ships up to that many
+        cache-missing cases per worker round trip, amortising pickle/IPC
+        for grids of sub-second cells.  Chunking is a dispatch detail
+        only: results, cache keys and entries, retries and failure
+        policies stay per case (a chunk
         member that fails is retried/skipped solo), so a chunked run is
         result-identical to an unchunked one.  Retries, fault-injected
         cases and post-breakage probes always run solo, where timeout
@@ -202,15 +190,6 @@ class SweepExecutor:
         """
         start = time.perf_counter()
         stage_name = stage or (cases[0].experiment if cases else "<empty>")
-        keys = [case_key(case) for case in cases]
-        manifest = self._manifest_for(stage_name, keys)
-        resumed = 0
-        if manifest is not None:
-            # Only completions count as resumed: a key whose latest
-            # status is "failed" is about to be re-executed, not
-            # carried over.
-            completed = manifest.completed_keys()
-            resumed = sum(1 for key in keys if key in completed)
 
         results: List[Optional[Dict[str, Any]]] = [None] * len(cases)
         pending: List[int] = []
@@ -222,17 +201,16 @@ class SweepExecutor:
                 pending.append(i)
 
         counters = {"failed": 0, "retried": 0}
-        if chunk_size is None:
-            chunk_size = self.chunk_size
-        chunk = max(1, chunk_size or 1)
+        chunk = max(1, self.chunk_size or 1)
         if pending:
             if self.supervised or (self.jobs > 1 and len(pending) > 1):
+                keys = [case_key(case) for case in cases]
                 self._run_supervised(
-                    cases, keys, pending, results, stage_name, manifest,
-                    counters, chunk,
+                    cases, keys, pending, results, stage_name, counters,
+                    chunk,
                 )
             else:
-                self._run_inline(cases, keys, pending, results, manifest)
+                self._run_inline(cases, pending, results)
 
         self.report.add(
             StageStats(
@@ -243,42 +221,23 @@ class SweepExecutor:
                 wall_seconds=time.perf_counter() - start,
                 failed=counters["failed"],
                 retried=counters["retried"],
-                resumed=resumed,
             )
         )
         return results
-
-    def _manifest_for(
-        self, stage_name: str, keys: Sequence[str]
-    ) -> Optional[StageManifest]:
-        if self.cache is None or not self.resume or not keys:
-            return None
-        return StageManifest.for_stage(self.cache.root, stage_name, keys)
 
     # -- inline (unsupervised, sequential) path ------------------------
 
     def _run_inline(
         self,
         cases: Sequence[Case],
-        keys: Sequence[str],
         pending: Sequence[int],
         results: List[Optional[Dict[str, Any]]],
-        manifest: Optional[StageManifest],
     ) -> None:
         for i in pending:
             case = cases[i]
-            try:
-                result = ensure_result(case, execute_case(case))
-            except BaseException as exc:
-                if manifest is not None:
-                    manifest.failed(
-                        keys[i], label=case.label, kind="exception",
-                        error=str(exc),
-                    )
-                raise
+            result = ensure_result(case, execute_case(case))
             results[i] = result
-            self._commit(i, case, keys[i], result, attempt=1,
-                         manifest=manifest)
+            self._commit(i, case, result, attempt=1)
 
     # -- supervised pool path ------------------------------------------
 
@@ -289,7 +248,6 @@ class SweepExecutor:
         pending: Sequence[int],
         results: List[Optional[Dict[str, Any]]],
         stage: str,
-        manifest: Optional[StageManifest],
         counters: Dict[str, int],
         chunk: int = 1,
     ) -> None:
@@ -358,7 +316,7 @@ class SweepExecutor:
                         self._rebuild_pool(workers)
                         self._probe(
                             cases, keys, results, stage, suspects,
-                            retry_q, manifest, counters, workers,
+                            retry_q, counters, workers,
                         )
                         broken_on_submit = True
                         break
@@ -392,7 +350,7 @@ class SweepExecutor:
                             (i, attempt), = members
                             self._on_failure(
                                 cases, keys, i, attempt, "exception", exc,
-                                stage, retry_q, manifest, counters,
+                                stage, retry_q, counters,
                             )
                         else:
                             # The chunk failed as a unit (e.g. its
@@ -410,12 +368,12 @@ class SweepExecutor:
                         (i, attempt), = members
                         self._on_success(
                             cases, keys, i, attempt, result, results,
-                            stage, retry_q, manifest, counters,
+                            stage, retry_q, counters,
                         )
                     else:
                         self._on_chunk_result(
                             cases, keys, members, result, results,
-                            stage, retry_q, manifest, counters,
+                            stage, retry_q, counters,
                         )
                 if suspects:
                     # The pool is dead and every in-flight future with
@@ -429,12 +387,12 @@ class SweepExecutor:
                     self._rebuild_pool(workers)
                     self._probe(
                         cases, keys, results, stage, suspects, retry_q,
-                        manifest, counters, workers,
+                        counters, workers,
                     )
                     continue
                 self._expire_overdue(
                     cases, keys, results, stage, inflight, deadlines,
-                    retry_q, manifest, counters, workers,
+                    retry_q, counters, workers,
                 )
         except BaseException:
             self._shutdown_pool(kill=True)
@@ -465,7 +423,6 @@ class SweepExecutor:
         results: List[Optional[Dict[str, Any]]],
         stage: str,
         retry_q: List[Tuple[float, int, int]],
-        manifest: Optional[StageManifest],
         counters: Dict[str, int],
     ) -> None:
         """Dispatch one chunk's per-member outcomes to the usual paths."""
@@ -473,13 +430,13 @@ class SweepExecutor:
             if outcome[0] == "ok":
                 self._on_success(
                     cases, keys, i, attempt, outcome[1], results,
-                    stage, retry_q, manifest, counters,
+                    stage, retry_q, counters,
                 )
             else:
                 self._on_failure(
                     cases, keys, i, attempt, "exception",
                     ChunkMemberError(outcome[1], outcome[2]),
-                    stage, retry_q, manifest, counters,
+                    stage, retry_q, counters,
                 )
 
     def _probe(
@@ -490,7 +447,6 @@ class SweepExecutor:
         stage: str,
         suspects: Sequence[Tuple[int, int]],
         retry_q: List[Tuple[float, int, int]],
-        manifest: Optional[StageManifest],
         counters: Dict[str, int],
         workers: int,
     ) -> None:
@@ -519,7 +475,7 @@ class SweepExecutor:
                     CaseTimeoutError(
                         f"{cases[i]!r} exceeded {probe_timeout}s"
                     ),
-                    stage, retry_q, manifest, counters,
+                    stage, retry_q, counters,
                 )
                 continue
             try:
@@ -528,17 +484,17 @@ class SweepExecutor:
                 self._rebuild_pool(workers)
                 self._on_failure(
                     cases, keys, i, attempt, "pool-broken", exc,
-                    stage, retry_q, manifest, counters,
+                    stage, retry_q, counters,
                 )
             except BaseException as exc:
                 self._on_failure(
                     cases, keys, i, attempt, "exception", exc,
-                    stage, retry_q, manifest, counters,
+                    stage, retry_q, counters,
                 )
             else:
                 self._on_success(
                     cases, keys, i, attempt, result, results,
-                    stage, retry_q, manifest, counters,
+                    stage, retry_q, counters,
                 )
 
     def _expire_overdue(
@@ -550,7 +506,6 @@ class SweepExecutor:
         inflight: Dict[Future, Tuple[Tuple[int, int], ...]],
         deadlines: Dict[Future, Optional[float]],
         retry_q: List[Tuple[float, int, int]],
-        manifest: Optional[StageManifest],
         counters: Dict[str, int],
         workers: int,
     ) -> None:
@@ -592,14 +547,14 @@ class SweepExecutor:
                     CaseTimeoutError(
                         f"{cases[i]!r} exceeded {self.timeout}s"
                     ),
-                    stage, retry_q, manifest, counters,
+                    stage, retry_q, counters,
                 )
             else:
                 suspects.extend(members)
         if suspects:
             self._probe(
                 cases, keys, results, stage, suspects, retry_q,
-                manifest, counters, workers,
+                counters, workers,
             )
         for members in innocents:
             self._submit_members(cases, members, inflight, deadlines)
@@ -616,7 +571,6 @@ class SweepExecutor:
         results: List[Optional[Dict[str, Any]]],
         stage: str,
         retry_q: List[Tuple[float, int, int]],
-        manifest: Optional[StageManifest],
         counters: Dict[str, int],
     ) -> None:
         try:
@@ -624,12 +578,11 @@ class SweepExecutor:
         except InvalidResultError as exc:
             self._on_failure(
                 cases, keys, i, attempt, "invalid-result", exc,
-                stage, retry_q, manifest, counters,
+                stage, retry_q, counters,
             )
             return
         results[i] = result
-        self._commit(i, cases[i], keys[i], result, attempt=attempt,
-                     manifest=manifest)
+        self._commit(i, cases[i], result, attempt=attempt)
 
     def _on_failure(
         self,
@@ -641,7 +594,6 @@ class SweepExecutor:
         exc: BaseException,
         stage: str,
         retry_q: List[Tuple[float, int, int]],
-        manifest: Optional[StageManifest],
         counters: Dict[str, int],
     ) -> None:
         if attempt <= self.retries:
@@ -663,19 +615,13 @@ class SweepExecutor:
             )
         )
         counters["failed"] += 1
-        if manifest is not None:
-            manifest.failed(
-                keys[i], label=cases[i].label, kind=kind, error=str(exc)
-            )
 
     def _commit(
         self,
         i: int,
         case: Case,
-        key: str,
         result: Dict[str, Any],
         attempt: int,
-        manifest: Optional[StageManifest],
     ) -> None:
         """Persist one finished case the moment it completes."""
         if self.cache is not None:
@@ -691,17 +637,13 @@ class SweepExecutor:
                 and spec.active(attempt)
             ):
                 _faults.tear_cache_entry(self.cache, case)
-        if manifest is not None:
-            manifest.done(key, label=case.label)
 
     def _backoff(self, key: str, attempt: int) -> float:
-        base = min(
-            self.backoff_max, self.backoff_base * (2.0 ** (attempt - 1))
-        )
+        base = min(BACKOFF_MAX, BACKOFF_BASE * (2.0 ** (attempt - 1)))
         # Deterministic jitter keyed on (case, attempt): reproducible
         # schedules, yet retry storms still de-synchronise.
         rng = random.Random(f"{key}:{attempt}")
-        return base * (1.0 + self.backoff_jitter * rng.random())
+        return base * (1.0 + BACKOFF_JITTER * rng.random())
 
     # -- pool plumbing -------------------------------------------------
 
@@ -808,12 +750,5 @@ def execute_cases(
     executor: Optional[SweepExecutor] = None,
     stage: str = "",
 ) -> List[Dict[str, Any]]:
-    """Run ``cases`` through ``executor``, or inline when None.
-
-    The inline path is the exact sequential semantics every experiment
-    module had before the executor existed — ``main()`` with no executor
-    prints byte-identical tables.
-    """
-    if executor is None:
-        return [execute_case(case) for case in cases]
-    return executor.run(cases, stage=stage)
+    """Run ``cases`` through ``executor`` (default: inline, no cache)."""
+    return (executor or SweepExecutor()).run(cases, stage=stage)

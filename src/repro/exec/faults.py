@@ -22,7 +22,7 @@ Fault kinds (:data:`FAULT_KINDS`):
 
 Each :class:`FaultSpec` fires on attempts ``1..fail_attempts`` and lets
 later attempts through, so one schedule expresses both transient faults
-(retry-until-success) and permanent ones (retry-then-skip).
+(retry-until-success) and permanent ones (retry, then skip).
 
 The module doubles as a tiny experiment module (it exposes
 :func:`run_case`), giving the CLI smoke test a deterministic,

@@ -1,158 +1,25 @@
-"""Crash-safe per-stage completion ledger for checkpoint-resume.
+"""Retired: the per-stage completion journal.  Nothing writes or reads it.
 
-The cache already makes every *completed* case's result durable the
-moment it finishes; the manifest adds the other half of resumability —
-a durable record of what was *attempted*, so a second invocation of an
-interrupted or partially-failed sweep knows which cells finished, which
-were given up on, and which were never reached.
-
-Format: an append-only JSONL journal at
-``<root>/manifests/<slug>-<digest>.jsonl``, one ``{"key", "status",
-"label", "kind", "error"}`` object per line.  Appends are flushed and
-fsynced per record; on load the lines are replayed in order (latest
-status per key wins) and a torn final line — the signature of a crash
-mid-append — is ignored rather than fatal.  The digest binds the
-manifest to the exact case set (stage name + sorted case keys), so
-changing a sweep's parameters starts a fresh ledger instead of
-replaying one that describes different work.
+Resume rests on the result cache alone (:meth:`SweepExecutor.run`
+executes exactly the cases ``cache.get`` misses); the journal was one
+fsync per case feeding a counter nobody printed (``docs/SIMULATOR.md``,
+"Rulings outside the kernel").  This stub stays because the frozen
+performance ledger resolves both names through ``cls.__dict__``
+(``benchmarks/ledger/trace.py``, the two ``exec.manifest.*`` rows of
+``_METHODS``); ROADMAP item 1(d) deletes it with that table's rows.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import re
-from pathlib import Path
-from typing import Dict, Iterable, Optional
-
-__all__ = ["ManifestEntry", "StageManifest"]
-
-#: Statuses a case can hold in the ledger.
-STATUS_DONE = "done"
-STATUS_FAILED = "failed"
-
-ManifestEntry = Dict[str, str]
-
-
-def _slug(text: str) -> str:
-    slug = re.sub(r"[^A-Za-z0-9._-]+", "-", text).strip("-").lower()
-    return slug or "stage"
+__all__ = ["StageManifest"]
 
 
 class StageManifest:
-    """The completion journal for one (stage, case set) pair."""
+    """No-op placeholder for the ledger's tracer; see the module docstring."""
 
-    def __init__(self, path: Path):
-        self.path = Path(path)
+    def record(self, *args: object, **kwargs: object) -> None:
+        """Nothing is recorded."""
 
-    @classmethod
-    def for_stage(
-        cls, root: Path, stage: str, case_keys: Iterable[str]
-    ) -> "StageManifest":
-        digest = hashlib.sha256(
-            json.dumps(
-                {"stage": stage, "keys": sorted(case_keys)},
-                sort_keys=True,
-                separators=(",", ":"),
-            ).encode("utf-8")
-        ).hexdigest()[:12]
-        name = f"{_slug(stage)}-{digest}.jsonl"
-        return cls(Path(root) / "manifests" / name)
-
-    def load(self) -> Dict[str, ManifestEntry]:
-        """Replay the journal: latest status per case key.
-
-        Unparseable lines (a torn final append, editor damage) are
-        skipped — a manifest can degrade but never brick a resume.
-        """
-        entries: Dict[str, ManifestEntry] = {}
-        try:
-            with self.path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue
-                    if not isinstance(record, dict) or "key" not in record:
-                        continue
-                    entries[str(record["key"])] = {
-                        "status": str(record.get("status", "")),
-                        "label": str(record.get("label", "")),
-                        "kind": str(record.get("kind", "")),
-                        "error": str(record.get("error", "")),
-                    }
-        except OSError:
-            return {}
-        return entries
-
-    def record(
-        self,
-        key: str,
-        status: str,
-        label: str = "",
-        kind: str = "",
-        error: str = "",
-    ) -> None:
-        """Durably append one status line (flush + fsync)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(
-            {
-                "key": key,
-                "status": status,
-                "label": label,
-                "kind": kind,
-                "error": error,
-            },
-            sort_keys=True,
-        )
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def done(self, key: str, label: str = "") -> None:
-        self.record(key, STATUS_DONE, label=label)
-
-    def failed(
-        self, key: str, label: str = "", kind: str = "", error: str = ""
-    ) -> None:
-        self.record(key, STATUS_FAILED, label=label, kind=kind, error=error)
-
-    def completed_keys(self) -> set:
-        """Keys recorded as done (for resume accounting)."""
-        return {
-            key
-            for key, entry in self.load().items()
-            if entry["status"] == STATUS_DONE
-        }
-
-    def failed_entries(self) -> Dict[str, ManifestEntry]:
-        """Keys whose latest status is a give-up, with their reasons."""
-        return {
-            key: entry
-            for key, entry in self.load().items()
-            if entry["status"] == STATUS_FAILED
-        }
-
-    def clear(self) -> None:
-        """Forget the ledger (a fresh run from scratch)."""
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
-
-    def __repr__(self) -> str:
-        return f"StageManifest({self.path})"
-
-    # Convenience for tests and the CLI: a one-line summary.
-    def summary(self) -> Optional[str]:
-        entries = self.load()
-        if not entries:
-            return None
-        done = sum(1 for e in entries.values() if e["status"] == STATUS_DONE)
-        failed = len(entries) - done
-        return f"{self.path.name}: {done} done, {failed} failed"
+    def load(self) -> dict:
+        """Nothing was recorded."""
+        return {}

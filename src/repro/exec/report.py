@@ -3,8 +3,7 @@
 Each :meth:`SweepExecutor.run` call appends one :class:`StageStats`;
 :class:`RunReport` renders the accumulated rows as a compact text block
 (printed after the experiment tables, so the tables themselves stay
-byte-identical to a sequential run) and exports ``to_dict()`` for
-machine consumption.
+byte-identical to a sequential run).
 
 Failure attribution: every case that is given up on (retries exhausted
 under a ``skip`` policy, or the terminal error under ``raise``) is
@@ -16,7 +15,7 @@ resume run knows exactly what it is filling in.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List
+from typing import List
 
 __all__ = ["FailureRecord", "RunReport", "StageStats"]
 
@@ -52,11 +51,6 @@ class StageStats:
     wall_seconds: float
     failed: int = 0
     retried: int = 0
-    resumed: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.cache_hits / self.cases if self.cases else 0.0
 
 
 class RunReport:
@@ -88,30 +82,6 @@ class RunReport:
     @property
     def total_wall_seconds(self) -> float:
         return sum(s.wall_seconds for s in self.stages)
-
-    @property
-    def total_failed(self) -> int:
-        return sum(s.failed for s in self.stages)
-
-    @property
-    def total_retried(self) -> int:
-        return sum(s.retried for s in self.stages)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable view of the whole run."""
-        return {
-            "jobs": self.jobs,
-            "stages": [dataclasses.asdict(s) for s in self.stages],
-            "failures": [dataclasses.asdict(f) for f in self.failures],
-            "total": {
-                "cases": self.total_cases,
-                "cache_hits": self.total_cache_hits,
-                "executed": self.total_executed,
-                "failed": self.total_failed,
-                "retried": self.total_retried,
-                "wall_seconds": self.total_wall_seconds,
-            },
-        }
 
     def render(self) -> str:
         """Human-readable summary block."""

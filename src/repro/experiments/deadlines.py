@@ -42,10 +42,6 @@ class DeadlineResult:
     tight_mean_fct: float
     loose_mean_fct: float
 
-    @property
-    def tight_miss_fraction(self) -> float:
-        return 1.0 - self.tight_met / self.tight_total
-
 
 def run_protocol(
     sender_cls: Type[TcpSender],

@@ -12,7 +12,7 @@ at the end shows per-stage cache hits and timing).
 Fault tolerance: under a skip policy a crashed or hung cell is recorded
 (and the process exits with code 3) instead of aborting the whole run;
 every completed cell is cached the moment it finishes, so re-running the
-same command resumes from the stage manifests and executes only the
+same command executes only the cells without a valid cache entry — the
 holes.
 """
 
@@ -73,7 +73,7 @@ def exit_code(report: RunReport) -> int:
         return 0
     print(
         f"{len(report.failures)} case(s) failed; re-run the same "
-        "command to resume from the stage manifests",
+        "command to execute only the cases without a cache entry",
         file=sys.stderr,
     )
     return 3

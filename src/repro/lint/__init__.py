@@ -3,16 +3,14 @@
 ``python -m repro.cli lint`` runs the pack in :mod:`repro.lint.rules`
 over every file under ``src/`` via the engine in
 :mod:`repro.lint.engine`.  See ``docs/INVARIANTS.md`` for the invariant
-each rule protects and how to suppress or baseline a finding.
+each rule protects and how to suppress a finding.
 """
 
 from repro.lint.engine import (
-    Baseline,
     FileContext,
     Finding,
     LintEngine,
     Rule,
-    default_baseline_path,
     default_src_root,
     render_json,
     render_text,
@@ -20,14 +18,12 @@ from repro.lint.engine import (
 from repro.lint.rules import ALL_RULES, default_rules
 
 __all__ = [
-    "Baseline",
     "FileContext",
     "Finding",
     "LintEngine",
     "Rule",
     "ALL_RULES",
     "default_rules",
-    "default_baseline_path",
     "default_src_root",
     "render_json",
     "render_text",

@@ -8,20 +8,11 @@ into the simulation path.  This engine walks every Python file under
 ``src/``, parses it once, and runs a pack of AST rules
 (:mod:`repro.lint.rules`) over each tree.
 
-Three escape hatches keep the gate workable:
-
-* **inline suppressions** — ``# repro-lint: disable=RULE[,RULE]`` on a
-  finding's line (or on a comment-only line immediately above it)
-  silences those rules there; add a short justification after the rule
-  list.  ``disable=all`` silences every rule.
-* **a committed JSON baseline** — grandfathered findings recorded by
-  ``repro.cli lint --baseline`` are subtracted from future runs, so the
-  gate can land before every legacy finding is fixed.  Baseline entries
-  are keyed by ``(rule, file, message)``, *not* line numbers, so
-  unrelated edits cannot resurrect them.
-* **a result cache** — per-file findings keyed by ``(mtime, size,
-  rule-pack signature)`` under ``.repro-lint-cache/``, so a warm re-run
-  re-parses only edited files.
+One escape hatch keeps the gate workable: **inline suppressions** —
+``# repro-lint: disable=RULE[,RULE]`` on a finding's line (or on a
+comment-only line immediately above it) silences those rules there; add
+a short justification after the rule list.  ``disable=all`` silences
+every rule.
 """
 
 from __future__ import annotations
@@ -32,33 +23,17 @@ import json
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence
 
 __all__ = [
     "Finding",
     "FileContext",
     "Rule",
     "LintEngine",
-    "Baseline",
     "default_src_root",
-    "default_baseline_path",
     "render_text",
     "render_json",
 ]
-
-#: Bump when the engine's finding semantics change; part of the result
-#: cache key so stale cached findings can never leak across versions.
-ENGINE_VERSION = 1
 
 #: The inline-suppression marker.  ``# repro-lint: disable=DET001`` or
 #: ``# repro-lint: disable=DET001,KRN001 -- why this is fine``.
@@ -77,11 +52,6 @@ class Finding:
     line: int
     message: str
 
-    @property
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Line-insensitive identity used for baseline matching."""
-        return (self.rule, self.path, self.message)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "rule": self.rule,
@@ -89,15 +59,6 @@ class Finding:
             "line": self.line,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Finding":
-        return cls(
-            rule=str(payload["rule"]),
-            path=str(payload["path"]),
-            line=int(payload.get("line", 0)),
-            message=str(payload["message"]),
-        )
 
 
 class FileContext:
@@ -193,127 +154,6 @@ def default_src_root() -> Path:
     return Path(__file__).resolve().parents[2]
 
 
-def default_baseline_path() -> Path:
-    """The committed baseline shipped inside the package."""
-    return Path(__file__).resolve().parent / "baseline.json"
-
-
-class Baseline:
-    """The committed multiset of grandfathered findings."""
-
-    VERSION = 1
-
-    def __init__(self, findings: Iterable[Finding] = ()):
-        self._counts: Dict[Tuple[str, str, str], int] = {}
-        for finding in findings:
-            key = finding.baseline_key
-            self._counts[key] = self._counts.get(key, 0) + 1
-        self.entries = tuple(sorted(findings))
-
-    def __len__(self) -> int:
-        return sum(self._counts.values())
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        """Read a baseline file; a missing file is an empty baseline."""
-        if not path.is_file():
-            return cls()
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if payload.get("version") != cls.VERSION:
-            raise ValueError(
-                f"unsupported baseline version {payload.get('version')!r} "
-                f"in {path}"
-            )
-        return cls(
-            Finding.from_dict(entry) for entry in payload.get("findings", [])
-        )
-
-    @classmethod
-    def write(cls, findings: Sequence[Finding], path: Path) -> None:
-        """Persist ``findings`` as the new baseline (sorted, stable)."""
-        payload = {
-            "version": cls.VERSION,
-            "findings": [f.to_dict() for f in sorted(findings)],
-        }
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
-    def filter(
-        self, findings: Sequence[Finding]
-    ) -> Tuple[List[Finding], List[Finding]]:
-        """Split ``findings`` into (new, baselined)."""
-        remaining = dict(self._counts)
-        new: List[Finding] = []
-        matched: List[Finding] = []
-        for finding in findings:
-            key = finding.baseline_key
-            if remaining.get(key, 0) > 0:
-                remaining[key] -= 1
-                matched.append(finding)
-            else:
-                new.append(finding)
-        return new, matched
-
-
-class _ResultCache:
-    """Per-file findings cache keyed by (mtime_ns, size, signature)."""
-
-    def __init__(self, root: Path, signature: str):
-        self.path = root / "cache.json"
-        self.signature = signature
-        self._entries: Dict[str, Any] = {}
-        self._dirty = False
-        try:
-            payload = json.loads(self.path.read_text(encoding="utf-8"))
-            if payload.get("signature") == signature:
-                self._entries = payload.get("files", {})
-        except (OSError, ValueError):
-            self._entries = {}
-
-    @staticmethod
-    def _stat_key(path: Path) -> Optional[List[int]]:
-        try:
-            stat = path.stat()
-        except OSError:
-            return None
-        return [stat.st_mtime_ns, stat.st_size]
-
-    def get(self, path: Path, rel: str) -> Optional[List[Finding]]:
-        entry = self._entries.get(rel)
-        if entry is None:
-            return None
-        if entry.get("stat") != self._stat_key(path):
-            return None
-        return [Finding.from_dict(f) for f in entry.get("findings", [])]
-
-    def put(self, path: Path, rel: str, findings: Sequence[Finding]) -> None:
-        stat = self._stat_key(path)
-        if stat is None:
-            return
-        self._entries[rel] = {
-            "stat": stat,
-            "findings": [f.to_dict() for f in findings],
-        }
-        self._dirty = True
-
-    def save(self) -> None:
-        if not self._dirty:
-            return
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(
-                json.dumps(
-                    {"signature": self.signature, "files": self._entries},
-                    sort_keys=True,
-                ),
-                encoding="utf-8",
-            )
-        except OSError:
-            pass  # a read-only checkout just runs uncached
-
-
 class LintEngine:
     """Run a rule pack over a source tree (or loose snippets)."""
 
@@ -322,11 +162,6 @@ class LintEngine:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate rule ids: {ids}")
         self.rules = tuple(rules)
-
-    @property
-    def signature(self) -> str:
-        """Cache key component naming the engine + rule pack."""
-        return f"v{ENGINE_VERSION}:" + ",".join(r.id for r in self.rules)
 
     # -- single sources (fixtures, tests) ------------------------------
 
@@ -345,7 +180,6 @@ class LintEngine:
         self,
         src_root: Optional[Path] = None,
         project_root: Optional[Path] = None,
-        cache_dir: Optional[Path] = None,
     ) -> List[Finding]:
         """Lint every ``*.py`` under ``src_root``.
 
@@ -356,25 +190,10 @@ class LintEngine:
         project = (
             project_root if project_root is not None else root.parent
         )
-        cache = (
-            _ResultCache(cache_dir, self.signature)
-            if cache_dir is not None
-            else None
-        )
         findings: List[Finding] = []
         for path in sorted(root.rglob("*.py")):
             rel = path.relative_to(project).as_posix()
-            if cache is not None:
-                cached = cache.get(path, rel)
-                if cached is not None:
-                    findings.extend(cached)
-                    continue
-            file_findings = self._lint_file(path, root, rel)
-            if cache is not None:
-                cache.put(path, rel, file_findings)
-            findings.extend(file_findings)
-        if cache is not None:
-            cache.save()
+            findings.extend(self._lint_file(path, root, rel))
         findings.sort()
         return findings
 
@@ -412,9 +231,7 @@ class LintEngine:
 
 
 def render_text(
-    findings: Sequence[Finding],
-    baselined: int = 0,
-    rules: Sequence[Rule] = (),
+    findings: Sequence[Finding], rules: Sequence[Rule] = ()
 ) -> str:
     """Human-readable report, one line per finding."""
     titles = {rule.id: rule.title for rule in rules}
@@ -423,20 +240,16 @@ def render_text(
         + (f"  [{titles[f.rule]}]" if f.rule in titles else "")
         for f in findings
     ]
-    summary = f"{len(findings)} finding(s)"
-    if baselined:
-        summary += f" ({baselined} baselined and hidden)"
-    lines.append(summary)
+    lines.append(f"{len(findings)} finding(s)")
     return "\n".join(lines)
 
 
-def render_json(findings: Sequence[Finding], baselined: int = 0) -> str:
+def render_json(findings: Sequence[Finding]) -> str:
     """Machine-readable report (stable key order)."""
     return json.dumps(
         {
             "findings": [f.to_dict() for f in findings],
             "count": len(findings),
-            "baselined": baselined,
         },
         indent=2,
         sort_keys=True,

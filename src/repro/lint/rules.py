@@ -21,9 +21,10 @@ Each rule protects one invariant the reproduction's results rest on:
   last ulp; exact equality silently changes event order between
   otherwise identical kernels.  Compare with ``<=``/``>=`` against an
   explicit bound instead.
-* **KRN001** — every ``REPRO_*`` environment read goes through the
-  :mod:`repro.sim.kernels` registry.  A stray ``os.environ`` read is
-  how an option that changes results slips in beside the cache key.
+* **KRN001** — ``REPRO_*`` environment variables are read in
+  :mod:`repro.exec.cache` only (``REPRO_CACHE_DIR``).  A stray
+  ``os.environ`` read is how an option that changes results slips in
+  beside the cache key.
 * **EXC001** — no broad ``except`` in executor paths that swallows
   without re-raising or recording a failure.  The fault-tolerant
   executor's guarantees (attribution, resume, partial results) die the
@@ -133,11 +134,11 @@ class WallClockRule(Rule):
     title = "wall-clock read outside supervision code"
     rationale = (
         "Host-clock reads make traces and cached results depend on the "
-        "machine; only repro.perf (profiling) and repro.exec (worker "
-        "supervision) legitimately observe wall time."
+        "machine; only repro.exec (worker supervision) legitimately "
+        "observes wall time."
     )
-    #: Supervision/profiling packages where wall time is the point.
-    exempt = ("repro.perf", "repro.exec")
+    #: The supervision package, where wall time is the point.
+    exempt = ("repro.exec",)
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
         if _module_in(ctx.module, self.exempt):
@@ -540,20 +541,20 @@ class FloatTimeEqualityRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# KRN001 — kernel env switches must go through the registry
+# KRN001 — REPRO_* environment reads live in one module
 # ---------------------------------------------------------------------------
 
 
 class KernelRegistryRule(Rule):
     id = "KRN001"
-    title = "REPRO_* environment read bypasses repro.sim.kernels"
+    title = "REPRO_* environment read outside repro.exec.cache"
     rationale = (
-        "The kernels registry lists every environment switch; a direct "
-        "os.environ read can introduce an option that changes results "
-        "without entering the cache key."
+        "REPRO_CACHE_DIR is the only environment variable the code "
+        "reads; a direct os.environ read elsewhere can introduce an "
+        "option that changes results without entering the cache key."
     )
-    #: The registry itself is the one sanctioned reader.
-    exempt = ("repro.sim.kernels",)
+    #: The one sanctioned reader (``default_cache_dir``).
+    exempt = ("repro.exec.cache",)
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
         if _module_in(ctx.module, self.exempt):
@@ -565,9 +566,9 @@ class KernelRegistryRule(Rule):
                 yield ctx.finding(
                     self.id,
                     node,
-                    f"direct environment read of {key}; route it through "
-                    "repro.sim.kernels (env_value) so the switch is "
-                    "registered",
+                    f"direct environment read of {key}; results must be "
+                    "a function of Case.params, and repro.exec.cache is "
+                    "the only module that reads a REPRO_* variable",
                 )
 
     @staticmethod

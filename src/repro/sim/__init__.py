@@ -12,7 +12,6 @@ from repro.sim.link import Interface
 from repro.sim.node import Host, Node, Switch
 from repro.sim.packet import ACK_BYTES, MSS_BYTES, Packet
 from repro.sim.queues import FifoQueue, QueueStats
-from repro.sim.scenario import Scenario, ScenarioResult, run_scenario
 from repro.sim.topology import (
     DumbbellNetwork,
     Network,
@@ -20,7 +19,7 @@ from repro.sim.topology import (
     dumbbell,
     paper_testbed,
 )
-from repro.sim.trace import AlphaMonitor, QueueMonitor, ThroughputMeter
+from repro.sim.trace import AlphaMonitor, QueueMonitor
 
 __all__ = [
     "ACK_BYTES",
@@ -41,14 +40,10 @@ __all__ = [
     "Packet",
     "QueueMonitor",
     "QueueStats",
-    "Scenario",
-    "ScenarioResult",
     "SharedBufferPool",
     "Simulator",
     "Switch",
-    "run_scenario",
     "TestbedNetwork",
-    "ThroughputMeter",
     "dumbbell",
     "paper_testbed",
 ]

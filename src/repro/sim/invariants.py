@@ -24,8 +24,8 @@ periodically during a run (:class:`InvariantWatchdog`):
 
 Every campaign cell audits itself once after its run (one
 :meth:`InvariantWatchdog.check`, which schedules nothing); ``--invariants``
-on the CLI's ``simulate`` command and ``run_scenario(invariants=True)``
-additionally audit periodically *during* the run.
+on the CLI's ``simulate`` command additionally audits periodically
+*during* the run.
 """
 
 from __future__ import annotations

@@ -3,15 +3,14 @@
 A protocol is a sender and the number of marking thresholds its switch
 takes — ``K`` for DCTCP's relay, ``(K1, K2)`` for DT-DCTCP's hysteresis,
 none for a plain DropTail queue.  :data:`PROTOCOLS` is the only place a
-name is bound to either; ``Scenario(protocol=)``, ``CampaignGrid
-(senders=)``, the CLI's ``--protocol``/``--senders`` and the paper
-configurations in :mod:`repro.experiments.protocols` all look names up
-here, so adding an entry is the whole of adding a scheme to them.
+name is bound to either; ``CampaignGrid(senders=)``, the CLI's
+``--protocol``/``--senders`` and the paper configurations in
+:mod:`repro.experiments.protocols` all look names up here, so adding an
+entry is the whole of adding a scheme to them.
 
 A campaign names its marking by the ``thresholds`` axis, so there the
 protocol name picks the sender only (``dctcp`` over ``(30, 50)`` is
-DT-DCTCP); a scenario holds one threshold tuple, which must match the
-arity its protocol declares.
+DT-DCTCP).
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.marking import Marker, NullMarker
+from repro.core.marking import Marker
 from repro.sim.engine import Simulator
 from repro.sim.link import Interface
 from repro.sim.node import Host, Node, Switch, reset_node_ids
@@ -52,10 +52,6 @@ __all__ = [
 
 #: A factory returning a fresh marker for one queue (markers are stateful).
 MarkerFactory = Callable[[], Marker]
-
-
-def _droptail() -> Marker:
-    return NullMarker()
 
 
 class Network:
@@ -371,18 +367,6 @@ class LeafSpineNetwork:
         """The leaf egress queue toward ``host`` — the incast bottleneck."""
         leaf = self.leaves[self._leaf_of(host)]
         return self.network.interface_between(leaf.node_id, host.node_id).queue
-
-    def uplink_queue(self, leaf_idx: int, spine_idx: int) -> FifoQueue:
-        """The leaf -> spine fabric queue (one per leaf-spine pair)."""
-        return self.network.interface_between(
-            self.leaves[leaf_idx].node_id, self.spines[spine_idx].node_id
-        ).queue
-
-    def spine_down_queue(self, spine_idx: int, leaf_idx: int) -> FifoQueue:
-        """The spine -> leaf fabric queue (one per spine-leaf pair)."""
-        return self.network.interface_between(
-            self.spines[spine_idx].node_id, self.leaves[leaf_idx].node_id
-        ).queue
 
     def _leaf_of(self, host: Host) -> int:
         for leaf_idx, group in enumerate(self.hosts):

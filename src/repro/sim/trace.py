@@ -1,4 +1,4 @@
-"""Measurement probes: queue sampler, alpha sampler, throughput meter.
+"""Measurement probes: queue sampler, alpha sampler, event-exact queue.
 
 Probes are periodic self-rescheduling events, matching how ns-2
 experiments sample state.  They are cheap (one event per sample period,
@@ -6,18 +6,14 @@ no per-packet cost) and return plain numpy arrays for the statistics
 layer.
 
 Storage: probes accumulate into :class:`repro.stats.ChunkedSeries`
-(``array('d')`` chunks, 8 bytes/sample) instead of Python lists, and the
-event-exact :class:`TrackedFifoQueue` additionally offers a
-``record="streaming"`` mode that folds every occupancy event into
-:class:`repro.stats.StreamingMoments` — O(1) memory over arbitrarily
-long horizons, with mean/std identical to the batch reduction.
+(``array('d')`` chunks, 8 bytes/sample) instead of Python lists.
 
-The per-packet hot path is shared by both modes: each event appends a
-``(time, length)`` pair onto a small interleaved Python list (the
+The event-exact :class:`TrackedFifoQueue`'s per-packet hot path appends
+a ``(time, length)`` pair onto a small interleaved Python list (the
 cheapest append there is) and every ``_FOLD_EVENTS`` events the buffer
-is folded — one vectorised numpy pass — into the moments accumulator or
-the chunked trace.  That keeps the per-event cost below half of what
-the plain list-of-floats design paid.
+is folded — one vectorised numpy pass — into the chunked trace.  That
+keeps the per-event cost below half of what the plain list-of-floats
+design paid.
 """
 
 from __future__ import annotations
@@ -29,12 +25,11 @@ import numpy as np
 from repro.sim.engine import Simulator
 from repro.sim.queues import FifoQueue
 from repro.sim.tcp.sender import DctcpSender
-from repro.stats.streaming import ChunkedSeries, StreamingMoments
+from repro.stats.streaming import ChunkedSeries
 
 __all__ = [
     "QueueMonitor",
     "AlphaMonitor",
-    "ThroughputMeter",
     "TrackedFifoQueue",
 ]
 
@@ -92,65 +87,34 @@ class TrackedFifoQueue(FifoQueue):
 
     Periodic sampling (:class:`QueueMonitor`) can alias against the
     oscillation; the event-driven record is exact, at the cost of one
-    buffered pair per packet event.
-
-    Two recording modes:
-
-    * ``record="full"`` (default): the complete ``(time, length)`` trace
-      is retained in chunked ``array('d')`` storage — read it via
-      :attr:`event_times` / :attr:`event_lengths`, reduce it with
-      :meth:`time_weighted_mean` / :meth:`time_weighted_std` at any
-      ``after`` cutoff.
-    * ``record="streaming"``: O(1) memory.  Events fold into a
-      :class:`~repro.stats.StreamingMoments` accumulator configured with
-      the ``stats_after`` warmup; no trace is kept, and the statistics
-      methods accept only that one cutoff.  Use for long sweeps where
-      the trace itself is never plotted.
+    buffered pair per packet event.  The complete ``(time, length)``
+    trace is retained in chunked ``array('d')`` storage — read it via
+    :attr:`event_times` / :attr:`event_lengths`, reduce it with
+    :meth:`time_weighted_mean` / :meth:`time_weighted_std` at any
+    ``after`` cutoff.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        *args,
-        record: str = "full",
-        stats_after: float = 0.0,
-        **kwargs,
-    ):
-        if record not in ("full", "streaming"):
-            raise ValueError(
-                f"record must be 'full' or 'streaming', got {record!r}"
-            )
+    def __init__(self, sim: Simulator, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._sim = sim
-        self.record = record
-        self.stats_after = stats_after
         #: Interleaved ``t0, q0, t1, q1, ...`` staging buffer; folded in
         #: one numpy pass every ``_FOLD_EVENTS`` events.
         self._buf = []
         self._buf_append = self._buf.append
         self._left = _FOLD_EVENTS
-        if record == "streaming":
-            self._moments = StreamingMoments(after=stats_after)
-            self._times = None
-            self._lengths = None
-        else:
-            self._moments = None
-            self._times = ChunkedSeries()
-            self._lengths = ChunkedSeries()
+        self._times = ChunkedSeries()
+        self._lengths = ChunkedSeries()
         self._buf_append(sim.now)
         self._buf_append(0.0)
         self._left -= 1
 
     def _fold(self) -> None:
-        """Flush the staging buffer into the configured sink."""
+        """Flush the staging buffer into the chunked trace."""
         buf = self._buf
         if buf:
             pairs = np.asarray(buf, dtype=float).reshape(-1, 2)
-            if self._moments is not None:
-                self._moments.add_block(pairs[:, 0], pairs[:, 1])
-            else:
-                self._times.extend_numpy(pairs[:, 0])
-                self._lengths.extend_numpy(pairs[:, 1])
+            self._times.extend_numpy(pairs[:, 0])
+            self._lengths.extend_numpy(pairs[:, 1])
             buf.clear()
         self._left = _FOLD_EVENTS
 
@@ -186,71 +150,33 @@ class TrackedFifoQueue(FifoQueue):
                 self._fold()
         return packet
 
-    # -- trace access (record="full" only) -----------------------------
+    # -- trace access --------------------------------------------------
 
-    def _trace(self) -> ChunkedSeries:
-        if self._times is None:
-            raise RuntimeError(
-                "record='streaming' keeps no event trace; "
-                "construct with record='full' to read it"
-            )
+    @property
+    def event_times(self) -> ChunkedSeries:
+        """Event timestamps."""
         self._fold()
         return self._times
 
     @property
-    def event_times(self):
-        """Event timestamps (full mode only)."""
-        return self._trace()
-
-    @property
-    def event_lengths(self):
-        """Queue length after each event (full mode only)."""
-        self._trace()
+    def event_lengths(self) -> ChunkedSeries:
+        """Queue length after each event."""
+        self._fold()
         return self._lengths
 
     # -- statistics -----------------------------------------------------
 
-    def moments(self, after: float = 0.0) -> StreamingMoments:
-        """The statistics accumulator for the ``after`` cutoff.
-
-        Streaming mode returns the live accumulator (``after`` must equal
-        the configured ``stats_after``); full mode builds one from the
-        retained trace, so any cutoff works.
-        """
-        self._fold()
-        if self._moments is not None:
-            if after != self._moments.after:
-                raise ValueError(
-                    f"record='streaming' accumulates statistics for "
-                    f"after={self._moments.after} only (requested {after}); "
-                    f"set stats_after at construction or use record='full'"
-                )
-            return self._moments
-        moments = StreamingMoments(after=after)
-        moments.add_block(self._times.to_numpy(), self._lengths.to_numpy())
-        return moments
-
     def time_weighted_mean(self, after: float = 0.0) -> float:
-        if self._moments is not None:
-            return self._streaming_stats(after).mean
         from repro.stats import time_weighted_mean
 
         t, q = self._series_after(after)
         return time_weighted_mean(t, q)
 
     def time_weighted_std(self, after: float = 0.0) -> float:
-        if self._moments is not None:
-            return self._streaming_stats(after).std
         from repro.stats import time_weighted_std
 
         t, q = self._series_after(after)
         return time_weighted_std(t, q)
-
-    def _streaming_stats(self, after: float) -> StreamingMoments:
-        stats = self.moments(after)
-        if stats.count < 2:
-            raise ValueError("not enough queue events after the warmup")
-        return stats
 
     def _series_after(self, after: float):
         self._fold()
@@ -304,43 +230,3 @@ class AlphaMonitor:
         t = self.times.to_numpy()
         a = self.mean_alphas.to_numpy()
         return a[t >= after]
-
-
-class ThroughputMeter:
-    """Counts application-level (in-order) bytes delivered over time.
-
-    Wire it to receivers via their ``on_data`` hook; ``record`` takes a
-    packet count and converts at MSS granularity.
-    """
-
-    def __init__(self, sim: Simulator, mss_bytes: int = 1500):
-        self.sim = sim
-        self.mss_bytes = mss_bytes
-        self.total_packets = 0
-        self._window_start = 0.0
-        self._window_packets = 0
-
-    def record(self, n_packets: int) -> None:
-        self.total_packets += n_packets
-        self._window_packets += n_packets
-
-    @property
-    def total_bytes(self) -> int:
-        return self.total_packets * self.mss_bytes
-
-    def goodput_bps(self, since: float = 0.0) -> float:
-        """Average delivered rate from ``since`` until now."""
-        elapsed = self.sim.now - since
-        if elapsed <= 0:
-            return 0.0
-        return self.total_bytes * 8.0 / elapsed
-
-    def window_goodput_bps(self) -> float:
-        """Rate over the current measurement window, then reset it."""
-        elapsed = self.sim.now - self._window_start
-        packets = self._window_packets
-        self._window_start = self.sim.now
-        self._window_packets = 0
-        if elapsed <= 0:
-            return 0.0
-        return packets * self.mss_bytes * 8.0 / elapsed

@@ -10,7 +10,7 @@ from repro.stats.summary import (
     std,
     tail_latency,
 )
-from repro.stats.streaming import ChunkedSeries, StreamingMoments
+from repro.stats.streaming import ChunkedSeries
 from repro.stats.timeseries import (
     autocorrelation,
     crossings,
@@ -21,7 +21,6 @@ from repro.stats.timeseries import (
 
 __all__ = [
     "ChunkedSeries",
-    "StreamingMoments",
     "autocorrelation",
     "coefficient_of_variation",
     "crossings",

@@ -1,172 +1,19 @@
-"""Streaming (single-pass, O(1)-memory) statistics and chunked buffers.
+"""Chunked append-only float buffers for the measurement probes.
 
-Long sweeps (figures 10-12) integrate queue occupancy over minutes of
-simulated time; materialising every occupancy event as a Python list
-costs hundreds of MB and a post-hoc two-pass reduction.
-:class:`StreamingMoments` folds the same zero-order-hold integral into
-three running sums, and :class:`ChunkedSeries` stores retained traces in
-``array('d')`` chunks (8 bytes/sample instead of a ~32-byte boxed float
-plus list slot).
-
-Numerical contract: :class:`StreamingMoments` reproduces
-:func:`repro.stats.time_weighted_mean` / ``time_weighted_std`` —
-including the ``after`` warmup filter and the all-ties fallback to the
-plain mean/std — to well below 1e-9 relative error.  The single-pass
-variance ``E[x²] − E[x]²`` is made safe by shifting every value by the
-first retained one, so the accumulated magnitudes stay of the order of
-the signal's *excursion*, not its absolute level.
+Long runs sample queue occupancy for minutes of simulated time;
+materialising every sample as a Python list costs a ~32-byte boxed float
+plus a list slot each.  :class:`ChunkedSeries` stores retained traces in
+``array('d')`` chunks (8 bytes/sample).
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from typing import Iterator, List, Sequence, Union
 
 import numpy as np
 
-__all__ = ["StreamingMoments", "ChunkedSeries"]
-
-
-class StreamingMoments:
-    """Time-weighted mean/variance of a zero-order-hold signal, online.
-
-    Feed occupancy events ``(t, v)`` in nondecreasing time order —
-    scalars via :meth:`add`, numpy blocks via :meth:`add_block` — and
-    read :attr:`mean` / :attr:`std` at any point.  Events before
-    ``after`` are discarded entirely (the integral restarts at the first
-    retained event), matching ``time_weighted_mean(t[t >= after], ...)``.
-    """
-
-    __slots__ = (
-        "after",
-        "_t_prev",
-        "_v_prev",
-        "_offset",
-        "_s0",
-        "_s1",
-        "_s2",
-        "_count",
-        "_v_sum",
-        "_v_sumsq",
-    )
-
-    def __init__(self, after: float = 0.0) -> None:
-        self.after = after
-        self._t_prev: float = 0.0
-        self._v_prev: float = 0.0
-        self._offset: float = 0.0
-        #: Σdt, Σ(v−K)dt, Σ(v−K)²dt over retained hold intervals, with
-        #: K the first retained value.
-        self._s0: float = 0.0
-        self._s1: float = 0.0
-        self._s2: float = 0.0
-        self._count: int = 0
-        #: Σ(v−K), Σ(v−K)² over retained *events* — only consulted by the
-        #: zero-total-duration fallback (all events tied at one instant).
-        self._v_sum: float = 0.0
-        self._v_sumsq: float = 0.0
-
-    def add(self, t: float, v: float) -> None:
-        """Fold in one event: the signal takes value ``v`` at time ``t``."""
-        if t < self.after:
-            return
-        if self._count == 0:
-            self._offset = v
-        else:
-            dt = t - self._t_prev
-            dv = self._v_prev - self._offset
-            self._s0 += dt
-            self._s1 += dv * dt
-            self._s2 += dv * dv * dt
-        self._t_prev = t
-        self._v_prev = v
-        self._count += 1
-        dv = v - self._offset
-        self._v_sum += dv
-        self._v_sumsq += dv * dv
-
-    def add_block(self, times: np.ndarray, values: np.ndarray) -> None:
-        """Fold in a block of events at numpy speed.
-
-        Equivalent to ``for t, v in zip(times, values): self.add(t, v)``;
-        the carry across block boundaries is handled internally, so
-        callers may split a stream into blocks at arbitrary points.
-        """
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if self.after > 0.0:
-            keep = t >= self.after
-            if not keep.all():
-                t = t[keep]
-                v = v[keep]
-        if t.size == 0:
-            return
-        if self._count == 0:
-            self._offset = float(v[0])
-            tt, vv = t, v
-        else:
-            tt = np.empty(t.size + 1)
-            tt[0] = self._t_prev
-            tt[1:] = t
-            vv = np.empty(v.size + 1)
-            vv[0] = self._v_prev
-            vv[1:] = v
-        dt = np.diff(tt)
-        dv = vv[:-1] - self._offset
-        self._s0 += float(dt.sum())
-        self._s1 += float((dv * dt).sum())
-        self._s2 += float((dv * dv * dt).sum())
-        self._t_prev = float(tt[-1])
-        self._v_prev = float(vv[-1])
-        self._count += t.size
-        shifted = v - self._offset
-        self._v_sum += float(shifted.sum())
-        self._v_sumsq += float((shifted * shifted).sum())
-
-    @property
-    def count(self) -> int:
-        """Retained (post-warmup) events folded in so far."""
-        return self._count
-
-    @property
-    def duration(self) -> float:
-        """Total integrated time: last retained timestamp minus first."""
-        return self._s0
-
-    def _require_samples(self) -> None:
-        if self._count < 2:
-            raise ValueError("time-weighted statistics need at least two samples")
-
-    @property
-    def mean(self) -> float:
-        """Time-weighted mean, ``== time_weighted_mean(times, values)``."""
-        self._require_samples()
-        if self._s0 == 0.0:
-            return self._offset + self._v_sum / self._count
-        return self._offset + self._s1 / self._s0
-
-    @property
-    def variance(self) -> float:
-        self._require_samples()
-        if self._s0 == 0.0:
-            m = self._v_sum / self._count
-            return max(self._v_sumsq / self._count - m * m, 0.0)
-        m = self._s1 / self._s0
-        return max(self._s2 / self._s0 - m * m, 0.0)
-
-    @property
-    def std(self) -> float:
-        """Time-weighted std, ``== time_weighted_std(times, values)``."""
-        return math.sqrt(self.variance)
-
-    def __repr__(self) -> str:
-        if self._count < 2:
-            return f"StreamingMoments(count={self._count})"
-        return (
-            f"StreamingMoments(count={self._count}, mean={self.mean:.6g}, "
-            f"std={self.std:.6g})"
-        )
+__all__ = ["ChunkedSeries"]
 
 
 class ChunkedSeries:

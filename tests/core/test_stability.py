@@ -13,7 +13,6 @@ from repro.core.stability import (
     analyze,
     calibrate_gain_scale,
     critical_flow_count,
-    margin_sweep,
     predicted_limit_cycle,
     stability_margin,
     sufficient_condition_holds,
@@ -81,17 +80,6 @@ class TestStabilityMargin:
             dc_m = stability_margin(net, DC, loop_gain_scale=calibrated_scale)
             dt_m = stability_margin(net, DT, loop_gain_scale=calibrated_scale)
             assert dt_m > dc_m
-
-    def test_margin_sweep_matches_pointwise(self, calibrated_scale):
-        flows = (10, 40, 80)
-        swept = margin_sweep(paper_network(10), DC, flows, calibrated_scale)
-        for n, m in zip(flows, swept):
-            assert m == pytest.approx(
-                stability_margin(
-                    paper_network(n), DC, loop_gain_scale=calibrated_scale
-                ),
-                abs=1e-9,
-            )
 
     def test_least_stable_near_n55(self, calibrated_scale):
         """The margin-vs-N curve dips around N ~ 55 - the uncalibrated

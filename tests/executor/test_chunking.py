@@ -1,17 +1,16 @@
 """Chunked dispatch: batching is invisible to results and semantics.
 
 ``chunk_size`` ships several cases per worker round trip; everything a
-user can observe — results, cache contents, manifest entries, retries,
-failure records — must be identical to the unchunked run.
+user can observe — results, cache contents, retries, failure records —
+must be identical to the unchunked run.
 """
 
 import pytest
 
 from repro.exec.cache import ResultCache
-from repro.exec.cases import Case, case_key, execute_case_chunk
+from repro.exec.cases import Case, execute_case_chunk
 from repro.exec.executor import ChunkMemberError, SweepExecutor
 from repro.exec.faults import FaultPlan, FaultSpec
-from repro.exec.manifest import StageManifest
 from tests.executor.stub_experiment import EXPERIMENT
 
 
@@ -61,12 +60,6 @@ class TestResultEquality:
         cases = make_cases(5)
         results = SweepExecutor(jobs=2, chunk_size=1).run(cases)
         assert [r["value"] for r in results] == [2 * x for x in range(5)]
-
-    def test_per_call_override_beats_constructor(self, tmp_path):
-        log = tmp_path / "log"
-        cases = make_cases(6, log=str(log))
-        SweepExecutor(jobs=2, chunk_size=3).run(cases, chunk_size=2)
-        assert len(log.read_text().splitlines()) == 6
 
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ValueError, match="chunk_size"):
@@ -122,14 +115,15 @@ class TestCacheAndManifest:
         assert len(log.read_text().splitlines()) == 8
         assert ex.report.stages[0].cache_hits == 3
 
-    def test_manifest_entries_are_per_case(self, tmp_path):
+    def test_cache_entries_are_per_case_and_no_manifest(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         cases = make_cases(5)
-        keys = [case_key(c) for c in cases]
         SweepExecutor(jobs=2, cache=cache,
                       chunk_size=5).run(cases, stage="m")
-        manifest = StageManifest.for_stage(cache.root, "m", keys)
-        assert manifest.completed_keys() == set(keys)
+        # One chunk, five entries: what a resume reads is per case.
+        assert cache.stats()["entries"] == 5
+        assert all(cache.get(case) is not None for case in cases)
+        assert not (cache.root / "manifests").exists()
 
 
 class TestFailureAttribution:

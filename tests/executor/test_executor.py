@@ -105,16 +105,6 @@ class TestReport:
         assert report.total_executed == 3
         assert report.total_wall_seconds == pytest.approx(1.5)
 
-    def test_to_dict_round_trips_json(self):
-        import json
-
-        report = RunReport(jobs=2)
-        report.add(StageStats("a", 4, 1, 3, 1.0))
-        data = json.loads(json.dumps(report.to_dict()))
-        assert data["jobs"] == 2
-        assert data["stages"][0]["name"] == "a"
-        assert data["total"]["cases"] == 4
-
     def test_render_mentions_stages_and_totals(self):
         report = RunReport(jobs=4)
         report.add(StageStats("Figure 10", 8, 3, 5, 2.0))
@@ -125,7 +115,3 @@ class TestReport:
 
     def test_render_empty(self):
         assert "no executor-managed stages" in RunReport().render()
-
-    def test_hit_rate(self):
-        assert StageStats("a", 4, 1, 3, 0.1).hit_rate == pytest.approx(0.25)
-        assert StageStats("a", 0, 0, 0, 0.0).hit_rate == 0.0

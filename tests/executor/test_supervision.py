@@ -9,6 +9,7 @@ mocks.  Backoffs are kept tiny so the suite stays fast.
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.exec import executor as executor_mod
 from repro.exec import (
     CaseTimeoutError,
     FaultInjected,
@@ -28,9 +29,13 @@ def make_cases(n, **extra):
     ]
 
 
+@pytest.fixture(autouse=True)
+def tiny_backoff(monkeypatch):
+    monkeypatch.setattr(executor_mod, "BACKOFF_BASE", 0.01)
+
+
 def supervisor(**kw):
     kw.setdefault("jobs", 2)
-    kw.setdefault("backoff_base", 0.01)
     return SweepExecutor(**kw)
 
 
@@ -47,12 +52,6 @@ class TestConstruction:
             SweepExecutor(timeout=0)
         with pytest.raises(ValueError):
             SweepExecutor(retries=-1)
-
-    def test_retry_then_skip_implies_a_retry_budget(self):
-        assert SweepExecutor(failure_policy="retry-then-skip").retries > 0
-        assert SweepExecutor(
-            failure_policy="retry-then-skip", retries=5
-        ).retries == 5
 
     def test_default_executor_is_unsupervised(self):
         assert not SweepExecutor(jobs=4).supervised
@@ -83,8 +82,7 @@ class TestRetry:
         cases = make_cases(6)
         baseline = SweepExecutor(jobs=1).run(cases)
         supervised = supervisor(
-            jobs=3, retries=2, timeout=60.0,
-            failure_policy="retry-then-skip",
+            jobs=3, retries=2, timeout=60.0, failure_policy="skip",
         ).run(cases)
         assert supervised == baseline
 
@@ -226,7 +224,7 @@ class TestAcceptance:
         ex = supervisor(
             cache=ResultCache(tmp_path / "cache"),
             retries=1,
-            failure_policy="retry-then-skip",
+            failure_policy="skip",
             fault_plan=plan,
         )
         results = ex.run(cases, stage="accept")
@@ -243,32 +241,58 @@ class TestAcceptance:
         }
         assert ex.report.stages[0].failed == len(faulted)
 
-        # Second invocation: resumes from manifest + cache, executing
-        # only the skipped cases, and completes the sweep exactly.
+        # Second invocation: resumes from the cache alone, executing
+        # exactly the casualties, and completes the sweep exactly (the
+        # assertions ``repro.cli faults`` phase 2 makes).
         ex2 = supervisor(cache=ResultCache(tmp_path / "cache"))
         results2 = ex2.run(cases, stage="accept")
         assert results2 == baseline
         stats = ex2.report.stages[0]
         assert stats.executed == len(faulted)
         assert stats.cache_hits == n - len(faulted)
-        # Only completed cases count as resumed; the faulted ones were
-        # recorded as failed and are re-executed, not carried over.
-        assert stats.resumed == n - len(faulted)
+        # Resume rests on cache entries and nothing else: no journal of
+        # completions is kept beside them.
+        assert not (tmp_path / "cache" / "manifests").exists()
+
+    def test_resume_executes_skips_and_torn_entries_only(self, tmp_path):
+        """Both kinds of casualty: a hole (never cached) and a torn
+        entry (cached, then damaged) — a miss and a quarantine."""
+        cases = make_cases(8)
+        plan = FaultPlan.from_indices({
+            2: FaultSpec(kind="die", fail_attempts=PERMANENT),
+            5: FaultSpec(kind="torn-write"),
+        })
+        root = tmp_path / "cache"
+        supervisor(
+            cache=ResultCache(root), failure_policy="skip", fault_plan=plan
+        ).run(cases, stage="resume")
+
+        cache = ResultCache(root)
+        ex = SweepExecutor(jobs=1, cache=cache)
+        assert ex.run(cases, stage="resume") == SweepExecutor().run(cases)
+        assert ex.report.stages[0].executed == 2
+        assert ex.report.stages[0].cache_hits == 6
+        assert cache.corrupt == 1
+        assert sorted(p.name for p in root.iterdir() if len(p.name) != 2) == [
+            "quarantine"
+        ]
 
 
 class TestBackoff:
-    def test_backoff_grows_and_is_deterministic(self):
-        ex = SweepExecutor(
-            retries=3, backoff_base=0.1, backoff_max=1.0, backoff_jitter=0.5
-        )
+    def test_backoff_grows_and_is_deterministic(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "BACKOFF_BASE", 0.1)
+        monkeypatch.setattr(executor_mod, "BACKOFF_MAX", 1.0)
+        monkeypatch.setattr(executor_mod, "BACKOFF_JITTER", 0.5)
+        ex = SweepExecutor(retries=3)
         first = [ex._backoff("k", attempt) for attempt in (1, 2, 3)]
         again = [ex._backoff("k", attempt) for attempt in (1, 2, 3)]
         assert first == again  # same case+attempt, same jitter
         assert first[0] < first[1] < first[2]
         assert all(0.1 <= d <= 1.5 for d in first)
 
-    def test_backoff_caps_at_max(self):
-        ex = SweepExecutor(
-            retries=8, backoff_base=0.1, backoff_max=0.3, backoff_jitter=0.0
-        )
+    def test_backoff_caps_at_max(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "BACKOFF_BASE", 0.1)
+        monkeypatch.setattr(executor_mod, "BACKOFF_MAX", 0.3)
+        monkeypatch.setattr(executor_mod, "BACKOFF_JITTER", 0.0)
+        ex = SweepExecutor(retries=8)
         assert ex._backoff("k", 8) == pytest.approx(0.3)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exec import ResultCache
 from repro.experiments import STAGES, quick_scale, stage_by_id
 
 
@@ -156,7 +157,7 @@ class TestFigureAll:
         assert main([
             "figure", "all", "--quick", "--jobs", "3", "--no-cache",
             "--timeout", "7.5", "--retries", "2",
-            "--failure-policy", "retry-then-skip",
+            "--failure-policy", "skip",
         ]) == 0
         [(scale, executor)] = calls
         assert scale == quick_scale()
@@ -166,7 +167,7 @@ class TestFigureAll:
             failure_policy=executor.failure_policy,
         ) == dict(
             jobs=3, cache=None, timeout=7.5, retries=2,
-            failure_policy="retry-then-skip",
+            failure_policy="skip",
         )
 
     def test_recorded_failures_exit_3(self, monkeypatch, capsys):
@@ -224,6 +225,13 @@ BAD_ARGV = [
     ["figure", "10", "--timeout", "0"],
     ["figure", "10", "--chunk-size", "0"],
     ["faults", "--rate", "2"],
+    ["simulate", "--rtt", "-1"],
+    ["analyze", "--gain-scale", "-1"],
+    ["cache", "gc", "--older-than", "-5"],
+    ["faults", "--kinds", "bogus"],
+    # Four cases at the default rate draw no fault, so the bogus name
+    # was never looked at: this one used to print FAULTS SMOKE: PASS.
+    ["faults", "--cases", "4", "--kinds", "bogus"],
 ]
 
 
@@ -232,6 +240,25 @@ def test_bad_value_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert f"repro {argv[0]}: error: argument {argv[-2]}" in err
     assert "Traceback" not in err
+    assert "PASS" not in out
+
+
+def test_faults_smoke_removes_its_temporary_cache(tmp_path, monkeypatch, capsys):
+    """Regression: without ``--cache-dir`` every run left a
+    ``repro-faults-*`` directory behind in the temp dir."""
+    import tempfile
+
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    smoke = ["faults", "--cases", "4", "--rate", "0", "--jobs", "1"]
+    assert main(smoke) == 0
+    assert "FAULTS SMOKE: PASS" in capsys.readouterr().out
+    assert list(scratch.iterdir()) == []
+    # A directory the user named is theirs to keep.
+    kept = tmp_path / "kept"
+    assert main(smoke + ["--cache-dir", str(kept)]) == 0
+    assert ResultCache(kept).stats()["entries"] == 4

@@ -1,4 +1,4 @@
-"""Engine mechanics: suppressions, baseline round-trip, cache, output."""
+"""Engine mechanics: suppressions, tree walk, output."""
 
 import ast
 import json
@@ -9,7 +9,6 @@ from typing import Iterator
 import pytest
 
 from repro.lint import (
-    Baseline,
     FileContext,
     Finding,
     LintEngine,
@@ -87,53 +86,6 @@ class TestSuppressions:
             """)) == 2
 
 
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        findings = [
-            Finding("TST001", "src/a.py", 3, "call site"),
-            Finding("TST001", "src/a.py", 9, "call site"),
-            Finding("TST001", "src/b.py", 1, "call site"),
-        ]
-        path = tmp_path / "baseline.json"
-        Baseline.write(findings, path)
-        loaded = Baseline.load(path)
-        assert len(loaded) == 3
-        new, matched = loaded.filter(findings)
-        assert new == [] and len(matched) == 3
-
-    def test_matching_is_line_insensitive_but_counted(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        Baseline.write([Finding("TST001", "src/a.py", 3, "call site")], path)
-        loaded = Baseline.load(path)
-        # Same finding on a shifted line still matches...
-        new, matched = loaded.filter(
-            [Finding("TST001", "src/a.py", 40, "call site")]
-        )
-        assert new == [] and len(matched) == 1
-        # ...but a baseline entry absorbs only one occurrence.
-        new, matched = loaded.filter(
-            [
-                Finding("TST001", "src/a.py", 3, "call site"),
-                Finding("TST001", "src/a.py", 9, "call site"),
-            ]
-        )
-        assert len(new) == 1 and len(matched) == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        loaded = Baseline.load(tmp_path / "nope.json")
-        assert len(loaded) == 0
-        new, matched = loaded.filter(
-            [Finding("TST001", "src/a.py", 1, "call site")]
-        )
-        assert len(new) == 1 and matched == []
-
-    def test_unknown_version_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError, match="version"):
-            Baseline.load(path)
-
-
 class TestLintTree:
     @staticmethod
     def _tree(tmp_path: Path) -> Path:
@@ -160,43 +112,6 @@ class TestLintTree:
         assert len(parse) == 1
         assert parse[0].path == "src/repro/sim/broken.py"
 
-    def test_cache_hits_and_invalidates(self, engine, tmp_path):
-        src = self._tree(tmp_path)
-        cache_dir = tmp_path / ".lint-cache"
-        first = engine.lint_tree(
-            src_root=src, project_root=tmp_path, cache_dir=cache_dir
-        )
-        assert (cache_dir / "cache.json").is_file()
-        # Warm run: identical results straight from the cache.
-        assert engine.lint_tree(
-            src_root=src, project_root=tmp_path, cache_dir=cache_dir
-        ) == first
-        # Editing a file invalidates its entry.
-        mod = src / "repro" / "sim" / "mod.py"
-        mod.write_text("f()\ng()\n")
-        import os
-        os.utime(mod, ns=(1, 10**15))  # force a distinct mtime key
-        assert len(engine.lint_tree(
-            src_root=src, project_root=tmp_path, cache_dir=cache_dir
-        )) == 2
-
-    def test_cache_is_signature_keyed(self, engine, tmp_path):
-        src = self._tree(tmp_path)
-        cache_dir = tmp_path / ".lint-cache"
-        engine.lint_tree(
-            src_root=src, project_root=tmp_path, cache_dir=cache_dir
-        )
-        payload = json.loads((cache_dir / "cache.json").read_text())
-        assert payload["signature"] == engine.signature
-        # A different rule pack ignores (and rewrites) the stale cache.
-        class Renamed(FlagEveryCall):
-            id = "TST002"
-        other = LintEngine([Renamed()])
-        findings = other.lint_tree(
-            src_root=src, project_root=tmp_path, cache_dir=cache_dir
-        )
-        assert [f.rule for f in findings] == ["TST002"]
-
     def test_duplicate_rule_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             LintEngine([FlagEveryCall(), FlagEveryCall()])
@@ -206,21 +121,17 @@ class TestRendering:
     def test_text_includes_location_title_and_summary(self):
         text = render_text(
             [Finding("TST001", "src/a.py", 3, "call site")],
-            baselined=2,
             rules=[FlagEveryCall()],
         )
         assert "src/a.py:3: TST001: call site" in text
         assert "[call flagged]" in text
-        assert "1 finding(s) (2 baselined and hidden)" in text
+        assert text.endswith("1 finding(s)")
 
     def test_json_is_stable_and_parseable(self):
         payload = json.loads(
-            render_json(
-                [Finding("TST001", "src/a.py", 3, "call site")], baselined=1
-            )
+            render_json([Finding("TST001", "src/a.py", 3, "call site")])
         )
         assert payload["count"] == 1
-        assert payload["baselined"] == 1
         assert payload["findings"][0]["path"] == "src/a.py"
 
 

@@ -73,15 +73,15 @@ class TestWallClock:
                 time.sleep(0.1)
             """) == []
 
-    def test_exempt_in_exec_and_perf(self, engine):
+    def test_exempt_in_exec_only(self, engine):
         source = """\
             import time
 
             def stamp():
                 return time.time()
             """
-        for module in ("repro.exec.executor", "repro.perf.profiling"):
-            assert rules_fired(engine, source, module=module) == []
+        assert rules_fired(engine, source, module="repro.exec.executor") == []
+        assert rules_fired(engine, source, module="repro.cli") == ["DET001"]
 
     def test_suppressed_with_justification(self, engine):
         assert rules_fired(engine, """\
@@ -340,7 +340,7 @@ class TestFloatTimeEquality:
 
 
 # ---------------------------------------------------------------------------
-# KRN001 — env reads must go through the registry
+# KRN001 — REPRO_* environment reads live in one module
 # ---------------------------------------------------------------------------
 
 
@@ -383,7 +383,7 @@ class TestKernelRegistry:
             import os
 
             VALUE = os.environ.get("REPRO_LINK_MODEL")
-            """, module="repro.sim.kernels") == []
+            """, module="repro.exec.cache") == []
 
     def test_suppressed(self, engine):
         assert rules_fired(engine, """\

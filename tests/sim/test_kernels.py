@@ -1,42 +1,37 @@
-"""The REPRO_* switch registry: one configuration switch, no kernels."""
+"""The REPRO_* environment: one variable (the cache dir), no kernels."""
 
-import importlib
 import os
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.campaign.grid import CampaignGrid
+from repro.exec import cache as cache_mod
 from repro.exec.cases import execute_case
 from repro.sim import kernels
 
 
 class TestRegistry:
-    def test_registry_holds_only_the_cache_dir_switch(self):
+    def test_no_kernel_switch_and_one_cache_dir_variable(self, monkeypatch):
         """Regression: ``REPRO_LINK_MODEL=two-event`` changed a cell's
-        results under an unchanged cache key.  No registered switch may
-        select between implementations again without this test (and the
-        cache key) being revisited."""
-        assert sorted(kernels.REGISTRY) == ["REPRO_CACHE_DIR"]
+        results under an unchanged cache key.  No variable may select
+        between implementations again without this test (and the cache
+        key) being revisited."""
         assert kernels.kernel_switches() == ()
-
-    def test_unregistered_read_raises_with_fix(self):
-        with pytest.raises(KeyError, match="REGISTRY"):
-            kernels.registered("REPRO_BOGUS")
-        with pytest.raises(KeyError, match="REGISTRY"):
-            kernels.env_value("REPRO_BOGUS")
-
-    def test_env_value_reads_raw(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert kernels.env_value("REPRO_CACHE_DIR") is None
+        assert cache_mod.default_cache_dir() == Path(".repro-cache")
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/x")
-        assert kernels.env_value("REPRO_CACHE_DIR") == "/tmp/x"
+        assert cache_mod.default_cache_dir() == Path("/tmp/x")
 
 
 class TestUnknownNamesWarn:
     """Regression: an unknown ``REPRO_*`` name was ignored in silence —
     a deleted switch still exported by a shell or CI file
     (``REPRO_INVARIANTS=1``), or a typo like ``REPRO_CACHE_DIRS``."""
+
+    # The check ``import repro.exec.cache`` runs once, called directly: a
+    # reload would leave two ``ResultCache`` classes in the process.
 
     def test_import_warns_once_naming_every_unknown_variable(
         self, monkeypatch
@@ -45,7 +40,7 @@ class TestUnknownNamesWarn:
         monkeypatch.setenv("REPRO_INVARIANTS", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/x")
         with pytest.warns(RuntimeWarning) as caught:
-            importlib.reload(kernels)
+            cache_mod._warn_unregistered()
         assert len(caught) == 1
         message = str(caught[0].message)
         assert "REPRO_LINK_MODEL" in message and "REPRO_INVARIANTS" in message
@@ -59,7 +54,7 @@ class TestUnknownNamesWarn:
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/x")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            importlib.reload(kernels)
+            cache_mod._warn_unregistered()
 
 
 def test_probe_cell_audits_clean_with_3046_fabric_marks():

@@ -1,5 +1,7 @@
 """The protocol table is the only place a protocol name is bound."""
 
+import dataclasses
+
 import pytest
 
 from repro.campaign.grid import CampaignGrid
@@ -10,12 +12,14 @@ from repro.core.marking import (
     SingleThresholdMarker,
 )
 from repro.exec.cases import execute_case
+from repro.experiments.config import quick_scale
+from repro.experiments.protocols import paper_config
+from repro.experiments.queue_sweep import run_point
 from repro.sim.protocols import PROTOCOLS, Protocol, marker_factory
-from repro.sim.scenario import Scenario, run_scenario
 from repro.sim.tcp.sender import RenoSender
 
-#: Paper thresholds per arity, as a scenario's ``thresholds`` tuple.
-THRESHOLDS = {0: (40.0,), 1: (40.0,), 2: (30.0, 50.0)}
+#: A 2 ms dumbbell run.
+TINY = dataclasses.replace(quick_scale(), sim_duration=0.002, warmup=0.0005)
 
 
 def tiny_grid(sender):
@@ -46,16 +50,15 @@ class TestMarkerFactory:
 
 
 def test_toy_protocol_is_reachable_everywhere(monkeypatch):
-    """One ``setitem`` adds a scheme to the CLI, scenarios and campaigns."""
+    """One ``setitem`` adds a scheme to the CLI, the paper configurations
+    (hence every experiment rig) and campaigns."""
     monkeypatch.setitem(PROTOCOLS, "toy", Protocol(RenoSender, 0))
 
     args = build_parser().parse_args(["simulate", "--protocol", "toy"])
     assert args.protocol == "toy"
 
-    result = run_scenario(
-        Scenario(protocol="toy", n_flows=2, duration=0.002, warmup=0.0005)
-    )
-    assert result.marks == 0 and result.goodput_bps > 0
+    point = run_point(paper_config("toy"), 2, TINY)
+    assert point.marks == 0 and point.goodput_bps > 0
 
     [case] = tiny_grid("toy").expand()
     assert case.params["sender"] == "toy"
@@ -77,13 +80,9 @@ class TestEveryNameRuns:
                      "--queries", "1"]) == 0
         assert name.upper() in capsys.readouterr().out
 
-    def test_scenario(self, name):
-        arity = PROTOCOLS[name].n_thresholds
-        result = run_scenario(Scenario(
-            protocol=name, thresholds=THRESHOLDS[arity], n_flows=2,
-            duration=0.002, warmup=0.0005,
-        ))
-        assert result.goodput_bps > 0
+    def test_run_point(self, name):
+        point = run_point(paper_config(name), 2, TINY)
+        assert point.protocol == name.upper() and point.goodput_bps > 0
 
     def test_campaign_cell(self, name):
         [case] = tiny_grid(name).expand()

@@ -7,7 +7,7 @@ from repro.core.marking import SingleThresholdMarker
 from repro.sim.engine import Simulator
 from repro.sim.queues import FifoQueue
 from repro.sim.topology import dumbbell
-from repro.sim.trace import AlphaMonitor, QueueMonitor, ThroughputMeter
+from repro.sim.trace import AlphaMonitor, QueueMonitor
 from repro.sim.apps.bulk import launch_bulk_flows
 from repro.sim.tcp.sender import DctcpSender
 
@@ -89,36 +89,3 @@ class TestAlphaMonitor:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             AlphaMonitor(Simulator(), [], interval=-1.0)
-
-
-class TestThroughputMeter:
-    def test_goodput_accounting(self):
-        sim = Simulator()
-        meter = ThroughputMeter(sim, mss_bytes=1000)
-        sim.schedule(1.0, meter.record, 125)
-        sim.run()
-        # 125 packets * 1000 B * 8 = 1 Mbit over 1 s.
-        assert meter.goodput_bps() == pytest.approx(1e6)
-        assert meter.total_bytes == 125_000
-
-    def test_goodput_since_offset(self):
-        sim = Simulator()
-        meter = ThroughputMeter(sim, mss_bytes=1000)
-        sim.schedule(2.0, meter.record, 125)
-        sim.run()
-        assert meter.goodput_bps(since=1.0) == pytest.approx(1e6)
-
-    def test_window_goodput_resets(self):
-        sim = Simulator()
-        meter = ThroughputMeter(sim, mss_bytes=1000)
-        sim.schedule(1.0, meter.record, 125)
-        sim.schedule(1.0, lambda: results.append(meter.window_goodput_bps()))
-        results = []
-        sim.run()
-        assert results[0] == pytest.approx(1e6)
-        # Window reset: immediately asking again yields zero elapsed.
-        assert meter.window_goodput_bps() == 0.0
-
-    def test_zero_elapsed_returns_zero(self):
-        meter = ThroughputMeter(Simulator())
-        assert meter.goodput_bps() == 0.0

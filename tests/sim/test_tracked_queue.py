@@ -73,110 +73,17 @@ class TestTrackedFifoQueue:
         with pytest.raises(ValueError):
             q.time_weighted_mean(after=100.0)
 
-
-class TestStreamingMode:
-    """record='streaming': O(1) memory, identical statistics."""
-
-    def _dumbbell_tracked(self, record, stats_after=0.0):
-        from repro.sim.apps.bulk import launch_bulk_flows
-        from repro.sim.topology import dumbbell
-
-        nw = dumbbell(4, lambda: SingleThresholdMarker.from_threshold(40))
-        tracked = TrackedFifoQueue(
-            nw.sim,
-            nw.bottleneck_queue.capacity_bytes,
-            marker=SingleThresholdMarker.from_threshold(40),
-            record=record,
-            stats_after=stats_after,
-        )
-        iface = nw.network.interface_between(
-            nw.switch.node_id, nw.receiver.node_id
-        )
-        iface.queue = tracked
-        launch_bulk_flows(nw)
-        nw.sim.run(until=0.01)
-        return tracked
-
-    def test_streaming_matches_batch_on_dctcp_dumbbell(self):
-        """Fig 1-style run: streaming moments vs the batch reduction of
-        an identical (deterministic replay) run's full trace, to 1e-9."""
-        full = self._dumbbell_tracked("full")
-        streaming = self._dumbbell_tracked("streaming", stats_after=0.004)
-        assert streaming.time_weighted_mean(after=0.004) == pytest.approx(
-            full.time_weighted_mean(after=0.004), abs=1e-9, rel=1e-9
-        )
-        assert streaming.time_weighted_std(after=0.004) == pytest.approx(
-            full.time_weighted_std(after=0.004), abs=1e-9, rel=1e-9
-        )
-
-    def test_full_mode_moments_match_batch_reduction(self):
-        """Same queue, same trace: the incremental accumulator and the
-        two-pass batch functions agree to 1e-9."""
-        from repro.stats import time_weighted_mean, time_weighted_std
-
-        q = self._dumbbell_tracked("full")
-        t = q.event_times.to_numpy()
-        v = q.event_lengths.to_numpy()
-        moments = q.moments(after=0.002)
-        mask = t >= 0.002
-        assert moments.mean == pytest.approx(
-            time_weighted_mean(t[mask], v[mask]), abs=1e-9, rel=1e-9
-        )
-        assert moments.std == pytest.approx(
-            time_weighted_std(t[mask], v[mask]), abs=1e-9, rel=1e-9
-        )
-
-    def test_streaming_keeps_no_trace(self):
-        sim = Simulator()
-        q = TrackedFifoQueue(sim, 100_000, record="streaming")
-        q.enqueue(pkt(0))
-        with pytest.raises(RuntimeError):
-            q.event_times
-        with pytest.raises(RuntimeError):
-            q.event_lengths
-
-    def test_streaming_rejects_other_cutoffs(self):
-        sim = Simulator()
-        q = TrackedFifoQueue(sim, 100_000, record="streaming", stats_after=1.0)
-        with pytest.raises(ValueError):
-            q.time_weighted_mean(after=2.0)
-
-    def test_streaming_needs_two_events_after_warmup(self):
-        sim = Simulator()
-        q = TrackedFifoQueue(sim, 100_000, record="streaming", stats_after=100.0)
-        q.enqueue(pkt(0))
-        with pytest.raises(ValueError):
-            q.time_weighted_mean(after=100.0)
-
-    def test_streaming_mean_exact_on_tiny_schedule(self):
-        sim = Simulator()
-        q = TrackedFifoQueue(sim, 100_000, record="streaming")
-        sim.schedule(1.0, lambda: q.enqueue(pkt(0)))
-        sim.schedule(3.0, q.dequeue)
-        sim.run()
-        assert q.time_weighted_mean() == pytest.approx(2.0 / 3.0)
-
-    def test_invalid_record_mode_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            TrackedFifoQueue(sim, 100_000, record="maybe")
-
     def test_fold_crosses_chunk_boundary(self):
-        """More events than one staging chunk: identical statistics."""
+        """More events than one staging chunk: nothing lost, in order."""
         from repro.sim.trace import _FOLD_EVENTS
 
         sim = Simulator()
-        full = TrackedFifoQueue(sim, 100_000_000, record="full")
-        stream = TrackedFifoQueue(sim, 100_000_000, record="streaming")
+        q = TrackedFifoQueue(sim, 100_000_000)
         n = _FOLD_EVENTS + 500
         for i in range(n):
             sim._now = 1e-6 * (i + 1)
-            full.enqueue(pkt(i))
-            stream.enqueue(pkt(i))
-        assert len(full.event_times) == n + 1
-        assert stream.time_weighted_mean() == pytest.approx(
-            full.time_weighted_mean(), abs=1e-9, rel=1e-9
-        )
-        assert stream.time_weighted_std() == pytest.approx(
-            full.time_weighted_std(), abs=1e-9, rel=1e-9
-        )
+            q.enqueue(pkt(i))
+        assert len(q.event_times) == n + 1
+        assert q.event_lengths == list(range(n + 1))
+        # Occupancy ramps 0..n-1 over n equal holds.
+        assert q.time_weighted_mean() == pytest.approx((n - 1) / 2)

@@ -1,113 +1,9 @@
-"""Tests for streaming moments and chunked series storage."""
+"""Tests for chunked series storage."""
 
 import numpy as np
 import pytest
 
-from repro.stats import (
-    ChunkedSeries,
-    StreamingMoments,
-    time_weighted_mean,
-    time_weighted_std,
-)
-
-
-def _random_walk(rng, n, t0=0.0):
-    """An irregular queue-like (times, values) pair."""
-    times = t0 + np.cumsum(rng.exponential(1e-5, size=n))
-    steps = rng.choice([-1, 1], size=n)
-    values = np.abs(np.cumsum(steps)).astype(float)
-    return times, values
-
-
-class TestStreamingMoments:
-    def test_matches_batch_on_scalar_feed(self):
-        rng = np.random.default_rng(7)
-        times, values = _random_walk(rng, 5000)
-        moments = StreamingMoments()
-        for t, v in zip(times, values):
-            moments.add(t, v)
-        assert moments.mean == pytest.approx(
-            time_weighted_mean(times, values), abs=1e-9, rel=1e-9
-        )
-        assert moments.std == pytest.approx(
-            time_weighted_std(times, values), abs=1e-9, rel=1e-9
-        )
-        assert moments.count == 5000
-
-    def test_matches_batch_on_block_feed_any_split(self):
-        rng = np.random.default_rng(11)
-        times, values = _random_walk(rng, 4096)
-        for splits in ([1], [100, 101, 4000 - 5, 4000], [2048, 4096]):
-            moments = StreamingMoments()
-            prev = 0
-            for cut in splits:
-                moments.add_block(times[prev:cut], values[prev:cut])
-                prev = cut
-            moments.add_block(times[prev:], values[prev:])
-            assert moments.mean == pytest.approx(
-                time_weighted_mean(times, values), abs=1e-9, rel=1e-9
-            )
-            assert moments.std == pytest.approx(
-                time_weighted_std(times, values), abs=1e-9, rel=1e-9
-            )
-
-    def test_scalar_and_block_feeds_agree_exactly(self):
-        rng = np.random.default_rng(3)
-        times, values = _random_walk(rng, 1000)
-        scalar = StreamingMoments()
-        for t, v in zip(times, values):
-            scalar.add(t, v)
-        block = StreamingMoments()
-        block.add_block(times, values)
-        assert block.mean == pytest.approx(scalar.mean, rel=1e-12)
-        assert block.std == pytest.approx(scalar.std, rel=1e-12)
-
-    def test_warmup_drops_early_events(self):
-        rng = np.random.default_rng(5)
-        times, values = _random_walk(rng, 3000)
-        cutoff = float(times[1000])
-        moments = StreamingMoments(after=cutoff)
-        moments.add_block(times, values)
-        mask = times >= cutoff
-        assert moments.count == int(mask.sum())
-        assert moments.mean == pytest.approx(
-            time_weighted_mean(times[mask], values[mask]), abs=1e-9, rel=1e-9
-        )
-        assert moments.std == pytest.approx(
-            time_weighted_std(times[mask], values[mask]), abs=1e-9, rel=1e-9
-        )
-
-    def test_needs_two_samples(self):
-        moments = StreamingMoments()
-        with pytest.raises(ValueError):
-            moments.mean
-        moments.add(0.0, 1.0)
-        with pytest.raises(ValueError):
-            moments.std
-
-    def test_all_events_at_one_instant_falls_back_to_plain_stats(self):
-        # Mirrors the batch functions' total-duration-zero branch.
-        values = [3.0, 5.0, 7.0]
-        moments = StreamingMoments()
-        for v in values:
-            moments.add(2.0, v)
-        assert moments.mean == pytest.approx(float(np.mean(values)))
-        assert moments.std == pytest.approx(float(np.std(values)))
-
-    def test_large_offset_stays_accurate(self):
-        # The offset shift is what keeps E[x^2]-E[x]^2 usable: values
-        # near 1e9 with unit excursions would otherwise lose everything.
-        rng = np.random.default_rng(13)
-        times, values = _random_walk(rng, 2000)
-        values = values + 1e9
-        moments = StreamingMoments()
-        moments.add_block(times, values)
-        assert moments.mean == pytest.approx(
-            time_weighted_mean(times, values), rel=1e-9
-        )
-        assert moments.std == pytest.approx(
-            time_weighted_std(times, values), rel=1e-6, abs=1e-6
-        )
+from repro.stats import ChunkedSeries
 
 
 class TestChunkedSeries:
