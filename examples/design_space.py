@@ -27,7 +27,7 @@ from repro.core.parameters import DoubleThresholdParams
 from repro.core.stability import calibrate_gain_scale
 from repro.experiments import sensitivity
 from repro.experiments.tables import print_table
-from repro.fluid import dt_dctcp_fluid_model, simulate
+from repro.fluid import fluid_model, simulate
 
 
 def step1_grid() -> None:
@@ -72,7 +72,7 @@ def step3_tradeoff() -> None:
     for gap in (4.0, 10.0, 20.0, 40.0):
         params = DoubleThresholdParams(k1=40 - gap / 2, k2=40 + gap / 2)
         trace = simulate(
-            dt_dctcp_fluid_model(net, params, variable_rtt=True),
+            fluid_model(net, params, variable_rtt=True),
             duration=0.04,
         ).after(0.02)
         rows.append((gap, trace.mean_queue, trace.std_queue,

@@ -9,10 +9,10 @@ size, and the congestion-extent estimate alpha.
 Run:  python examples/fluid_vs_packets.py
 """
 
-from repro.core.parameters import paper_network
+from repro.core.parameters import paper_dctcp, paper_dt_dctcp, paper_network
 from repro.experiments.protocols import dctcp_sim, dt_dctcp_sim
 from repro.experiments.tables import print_table
-from repro.fluid import dctcp_fluid_model, dt_dctcp_fluid_model, simulate
+from repro.fluid import fluid_model, simulate
 from repro.sim.apps.bulk import launch_bulk_flows
 from repro.sim.topology import dumbbell
 from repro.sim.trace import QueueMonitor
@@ -23,9 +23,9 @@ WARMUP = 0.02
 
 def fluid_stats(n_flows: int, double_threshold: bool):
     net = paper_network(n_flows)
-    factory = dt_dctcp_fluid_model if double_threshold else dctcp_fluid_model
+    scheme = paper_dt_dctcp() if double_threshold else paper_dctcp()
     trace = simulate(
-        factory(net, variable_rtt=True), duration=DURATION
+        fluid_model(net, scheme, variable_rtt=True), duration=DURATION
     ).after(WARMUP)
     return trace.mean_queue, trace.std_queue, trace.mean_alpha
 

@@ -13,11 +13,12 @@ Run:  python examples/parameter_sweep.py
 
 import dataclasses
 
+from repro.core.marking import scheme_for
 from repro.experiments.config import quick_scale
 from repro.experiments.protocols import ProtocolConfig
 from repro.experiments.queue_sweep import run_point
 from repro.experiments.tables import print_table
-from repro.sim.protocols import PROTOCOLS, marker_factory
+from repro.sim.protocols import PROTOCOLS
 
 STUDY = [
     ("dctcp", (20,)),
@@ -38,7 +39,7 @@ def main() -> None:
     for name, thresholds in STUDY:
         protocol = ProtocolConfig(
             name=name,
-            marker_factory=marker_factory(thresholds),
+            marker_factory=scheme_for(thresholds).marker,
             sender_cls=PROTOCOLS[name].sender_cls,
         )
         point = run_point(protocol, N_FLOWS, SCALE)

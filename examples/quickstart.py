@@ -22,7 +22,7 @@ from repro.core import (
 )
 from repro.experiments.protocols import dctcp_sim, dt_dctcp_sim
 from repro.experiments.tables import print_table
-from repro.fluid import dctcp_fluid_model, dt_dctcp_fluid_model, simulate
+from repro.fluid import fluid_model, simulate
 from repro.sim.apps.bulk import launch_bulk_flows
 from repro.sim.topology import dumbbell
 from repro.sim.trace import QueueMonitor
@@ -57,8 +57,8 @@ def fluid_layer() -> None:
     net = paper_network(10)
     rows = []
     for name, model in (
-        ("DCTCP", dctcp_fluid_model(net, variable_rtt=True)),
-        ("DT-DCTCP", dt_dctcp_fluid_model(net, variable_rtt=True)),
+        ("DCTCP", fluid_model(net, paper_dctcp(), variable_rtt=True)),
+        ("DT-DCTCP", fluid_model(net, paper_dt_dctcp(), variable_rtt=True)),
     ):
         trace = simulate(model, duration=0.04).after(0.02)
         rows.append(

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from repro.core.marking import scheme_for
 from repro.exec.cases import Case
 from repro.sim.apps.incast import FanInApp
 from repro.sim.apps.short_flows import ShortFlowGenerator
 from repro.sim.chaos import ChaosController, ChaosSchedule
 from repro.sim.invariants import InvariantWatchdog
 from repro.sim.node import Host, Switch
-from repro.sim.protocols import PROTOCOLS, marker_factory
+from repro.sim.protocols import PROTOCOLS
 from repro.sim.tcp.flow import Flow, open_flow
 from repro.sim.topology import LeafSpineNetwork, leaf_spine
 from repro.sim.trace import QueueMonitor
@@ -110,7 +111,7 @@ def _install_chaos(
 
 def run_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one campaign cell from its flat parameter dict."""
-    thresholds = [float(k) for k in params["thresholds"]]
+    scheme = scheme_for([float(k) for k in params["thresholds"]])
     scenario = params["scenario"]
     load = float(params["load"])
     fan_in = int(params["fan_in"])
@@ -124,7 +125,7 @@ def run_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         n_leaves=int(params["n_leaves"]),
         n_spines=int(params["n_spines"]),
         hosts_per_leaf=int(params["hosts_per_leaf"]),
-        marker_factory=marker_factory(thresholds),
+        marker_factory=scheme.marker,
         host_bandwidth_bps=float(params["host_bandwidth_bps"]),
         fabric_bandwidth_bps=float(params["fabric_bandwidth_bps"]),
         per_hop_delay=float(params["per_hop_delay"]),

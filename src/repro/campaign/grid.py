@@ -19,10 +19,12 @@ them.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.marking import scheme_for
 from repro.exec.cases import Case
-from repro.sim.protocols import PROTOCOLS, threshold_label
+from repro.sim.protocols import PROTOCOLS
 
 __all__ = ["SCENARIOS", "CampaignGrid", "CellCoord"]
 
@@ -58,7 +60,7 @@ class CellCoord:
     def protocol(self) -> str:
         if self.sender != "dctcp":
             return self.sender.upper()
-        return threshold_label(self.thresholds)
+        return scheme_for(self.thresholds).label
 
     def label(self) -> str:
         return (
@@ -118,18 +120,32 @@ class CampaignGrid:
         if not self.thresholds:
             raise ValueError("campaign needs at least one threshold config")
         for config in self.thresholds:
-            if len(config) not in (1, 2):
+            # Building the scheme validates arity, sign and finiteness
+            # here, not as a traceback inside the first cell.
+            scheme_for(config)
+            # Stricter than the scheme, which allows K1 == K2.
+            if any(a >= b for a, b in zip(config, config[1:])):
+                raise ValueError(f"thresholds must increase, got {config}")
+        # Range checks are written ``not (lo < x < inf)``: NaN fails every
+        # comparison, so ``x <= 0`` would wave it through to a cell that
+        # never ends (``Simulator.run(until=nan)``) or never marks.
+        if not self.loads or not all(0 < l < math.inf for l in self.loads):
+            raise ValueError(
+                f"loads must be positive and finite, got {self.loads}"
+            )
+        for name in ("host_bandwidth_bps", "fabric_bandwidth_bps", "duration"):
+            if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(
-                    f"threshold config must be (K,) or (K1, K2), got {config}"
+                    f"{name} must be positive and finite, "
+                    f"got {getattr(self, name)}"
                 )
-            if len(config) == 2 and not config[0] < config[1]:
+        for name in (
+            "per_hop_delay", "warmup", "jitter_s", "flap_period", "flap_down"
+        ):
+            if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(
-                    f"need K1 < K2, got K1={config[0]}, K2={config[1]}"
+                    f"{name} must be >= 0 and finite, got {getattr(self, name)}"
                 )
-            if any(k <= 0 for k in config):
-                raise ValueError(f"thresholds must be positive, got {config}")
-        if not self.loads or any(l <= 0 for l in self.loads):
-            raise ValueError(f"loads must be positive, got {self.loads}")
         if not self.fan_ins or any(f < 0 for f in self.fan_ins):
             raise ValueError(f"fan_ins must be >= 0, got {self.fan_ins}")
         for scenario in self.scenarios:
@@ -153,8 +169,6 @@ class CampaignGrid:
                         f"unknown sender {sender!r}; choose from "
                         f"{sorted(PROTOCOLS)}"
                     )
-        if self.jitter_s < 0:
-            raise ValueError(f"jitter_s must be >= 0, got {self.jitter_s}")
         if self.flap_count < 0:
             raise ValueError(
                 f"flap_count must be >= 0, got {self.flap_count}"

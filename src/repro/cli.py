@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Tuple
@@ -63,7 +64,6 @@ from repro.core import (
     analyze,
     calibrate_gain_scale,
     paper_dctcp,
-    paper_dt_dctcp,
     paper_network,
 )
 from repro.exec import ResultCache, SweepExecutor
@@ -76,17 +76,15 @@ from repro.sim.tcp.sender import DctcpSender
 
 __all__ = ["add_executor_args", "executor_from_args", "main"]
 
-#: The paper's marking parameters by threshold count, for ``analyze``.
-_PAPER_PARAMS = {1: paper_dctcp, 2: paper_dt_dctcp}
 
-#: ``analyze`` models the DCTCP alpha loop around a threshold marker, so
-#: it takes the table's DCTCP-sender protocols only.
-_ANALYZABLE = sorted(
-    name
-    for name, protocol in PROTOCOLS.items()
-    if protocol.sender_cls is DctcpSender
-    and protocol.n_thresholds in _PAPER_PARAMS
-)
+def _analyzable() -> list:
+    """``analyze`` models the DCTCP alpha loop around a marking scheme,
+    so it takes the table's DCTCP-sender protocols only."""
+    return sorted(
+        name
+        for name, protocol in PROTOCOLS.items()
+        if protocol.sender_cls is DctcpSender and protocol.scheme is not None
+    )
 
 
 def _checked(cast: Callable, ok: Callable, wants: str) -> Callable:
@@ -106,8 +104,14 @@ def _checked(cast: Callable, ok: Callable, wants: str) -> Callable:
 
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
-_positive_float = _checked(float, lambda v: v > 0, "a number > 0")
-_non_negative_float = _checked(float, lambda v: v >= 0, "a number >= 0")
+# ``0 < v < inf`` is false for NaN and for infinity: a horizon of either
+# kind never ends, and a NaN threshold never marks.
+_positive_float = _checked(
+    float, lambda v: 0 < v < math.inf, "a finite number > 0"
+)
+_non_negative_float = _checked(
+    float, lambda v: 0 <= v < math.inf, "a finite number >= 0"
+)
 _unit_interval = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 _open_unit_interval = _checked(
     float, lambda v: 0 < v < 1, "a number in (0, 1)"
@@ -131,7 +135,7 @@ def _k1k2(text: str) -> Tuple[float, float]:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     net = paper_network(args.flows, g=args.g)
-    params = _PAPER_PARAMS[PROTOCOLS[args.protocol].n_thresholds]()
+    params = PROTOCOLS[args.protocol].scheme
     scale = (
         args.gain_scale
         if args.gain_scale is not None
@@ -572,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="DF stability work-up")
     p.add_argument("--flows", type=_positive_int, default=55)
-    p.add_argument("--protocol", choices=_ANALYZABLE, default="dctcp")
+    p.add_argument("--protocol", choices=_analyzable(), default="dctcp")
     p.add_argument("--g", type=_open_unit_interval, default=1 / 16)
     p.add_argument("--gain-scale", type=_positive_float, default=None,
                    help="loop gain scale (default: Figure 9 calibration)")
@@ -612,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="named preset filling every flag left unset "
                         "(space-dc: 200 ms-RTT chaos stress, "
                         "DCTCP vs DT-DCTCP vs CUBIC)")
-    p.add_argument("--k", type=float, action="append", metavar="K",
+    p.add_argument("--k", type=_positive_float, action="append", metavar="K",
                    help="one Fixed-K config in packets (repeatable)")
     p.add_argument("--k1k2", type=_k1k2, action="append", metavar="K1,K2",
                    help="one DT-DCTCP config in packets (repeatable); "
@@ -638,27 +642,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaves", type=_positive_int, default=3)
     p.add_argument("--spines", type=_positive_int, default=2)
     p.add_argument("--hosts-per-leaf", type=_positive_int, default=2)
-    p.add_argument("--host-bandwidth", type=float, default=None,
+    p.add_argument("--host-bandwidth", type=_positive_float, default=None,
                    metavar="BPS", help="access-link rate (default 10e9)")
-    p.add_argument("--fabric-bandwidth", type=float, default=None,
+    p.add_argument("--fabric-bandwidth", type=_positive_float, default=None,
                    metavar="BPS", help="fabric-link rate (default 40e9)")
-    p.add_argument("--per-hop-delay", type=float, default=None,
+    p.add_argument("--per-hop-delay", type=_non_negative_float, default=None,
                    metavar="SECONDS",
                    help="propagation delay per hop (default 5e-6; "
                         "space-dc preset: 25e-3)")
     p.add_argument("--flow-bytes", type=_positive_int, default=20 * 1024,
                    help="short-flow transfer size")
-    p.add_argument("--duration", type=float, default=None,
+    p.add_argument("--duration", type=_positive_float, default=None,
                    help="simulated window per cell (seconds; default 0.04)")
-    p.add_argument("--warmup", type=float, default=None,
+    p.add_argument("--warmup", type=_non_negative_float, default=None,
                    help="queue statistics discard this prefix "
                         "(seconds; default 0.008)")
-    p.add_argument("--jitter", type=float, default=2e-3, metavar="SECONDS",
+    p.add_argument("--jitter", type=_non_negative_float, default=2e-3,
+                   metavar="SECONDS",
                    help="space-dc cells: per-packet propagation jitter "
                         "amplitude on every fabric link")
-    p.add_argument("--flap-period", type=float, default=2.0,
+    p.add_argument("--flap-period", type=_non_negative_float, default=2.0,
                    help="space-dc cells: seconds between link flaps")
-    p.add_argument("--flap-down", type=float, default=0.5,
+    p.add_argument("--flap-down", type=_non_negative_float, default=0.5,
                    help="space-dc cells: outage length per flap")
     p.add_argument("--flap-count", type=int, default=3,
                    help="space-dc cells: flaps in the train (0 disables)")

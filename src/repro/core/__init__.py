@@ -2,11 +2,12 @@
 
 Public surface:
 
-* parameters   — :class:`NetworkParams`, :class:`SingleThresholdParams`,
-  :class:`DoubleThresholdParams`, paper defaults;
-* marking      — :class:`SingleThresholdMarker` (DCTCP),
-  :class:`DoubleThresholdMarker` (DT-DCTCP), RED/DropTail baselines;
-* describing_function — closed-form and numeric DFs (Eq. 22/23/27/28);
+* parameters   — :class:`NetworkParams` and the paper defaults;
+* marking      — the two schemes, :class:`SingleThresholdParams` (DCTCP)
+  and :class:`DoubleThresholdParams` (DT-DCTCP): thresholds, label,
+  switch marker and closed-form DF of each; RED/DropTail baselines;
+* describing_function — Eq. 22/27, the relative DF of any scheme
+  (Eq. 23/28) and the numeric DF that validates them;
 * transfer_function   — the linearised fluid plant (Eq. 13-18);
 * nyquist / stability — loci, intersections, Theorems 1 and 2.
 """
@@ -14,26 +15,23 @@ Public surface:
 from repro.core.describing_function import (
     df_double_threshold,
     df_single_threshold,
-    neg_inv_relative_df_double,
-    neg_inv_relative_df_single,
+    neg_inv_relative_df,
     numeric_df_double,
     numeric_df_from_marker,
     numeric_df_single,
-    relative_df_double,
-    relative_df_single,
+    relative_df,
 )
 from repro.core.marking import (
     DoubleThresholdMarker,
+    DoubleThresholdParams,
     Marker,
     NullMarker,
     REDMarker,
     SingleThresholdMarker,
+    SingleThresholdParams,
+    scheme_for,
 )
-from repro.core.margins import (
-    LoopMargins,
-    classical_margins,
-    worst_case_amplitude,
-)
+from repro.core.margins import LoopMargins, classical_margins
 from repro.core.nyquist import (
     LocusIntersection,
     PhaseCrossover,
@@ -44,10 +42,8 @@ from repro.core.nyquist import (
     winding_number,
 )
 from repro.core.parameters import (
-    DoubleThresholdParams,
     NetworkParams,
     OperatingPoint,
-    SingleThresholdParams,
     paper_dctcp,
     paper_dt_dctcp,
     paper_network,
@@ -78,12 +74,13 @@ __all__ = [
     # parameters
     "NetworkParams",
     "OperatingPoint",
-    "SingleThresholdParams",
-    "DoubleThresholdParams",
     "paper_network",
     "paper_dctcp",
     "paper_dt_dctcp",
     # marking
+    "SingleThresholdParams",
+    "DoubleThresholdParams",
+    "scheme_for",
     "Marker",
     "NullMarker",
     "SingleThresholdMarker",
@@ -92,10 +89,8 @@ __all__ = [
     # describing functions
     "df_single_threshold",
     "df_double_threshold",
-    "relative_df_single",
-    "relative_df_double",
-    "neg_inv_relative_df_single",
-    "neg_inv_relative_df_double",
+    "relative_df",
+    "neg_inv_relative_df",
     "numeric_df_single",
     "numeric_df_double",
     "numeric_df_from_marker",
@@ -111,7 +106,6 @@ __all__ = [
     # margins + sawtooth
     "LoopMargins",
     "classical_margins",
-    "worst_case_amplitude",
     "SawtoothPrediction",
     "sawtooth_predict",
     # nyquist + stability

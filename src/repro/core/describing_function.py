@@ -8,14 +8,13 @@ is expanded in a Fourier series and only the fundamental is kept, giving
 
 This module provides
 
-* closed forms for DCTCP's relay (Eq. 22) and DT-DCTCP's hysteresis loop
-  (Eq. 27), their *relative* DFs (Eq. 23 and 28), and the negative
-  reciprocals plotted on the Nyquist diagrams;
+* the paper's two closed forms, DCTCP's relay (Eq. 22) and DT-DCTCP's
+  hysteresis loop (Eq. 27) — a scheme class's ``df`` is one of them;
+* what every scheme's DF is turned into on the Nyquist diagrams: the
+  *relative* DF (Eq. 23 / 28) and its negative reciprocal;
 * a numeric DF that Fourier-integrates an arbitrary waveform or a
   stateful :class:`~repro.core.marking.Marker`, used to cross-validate
-  the closed forms (and in tests);
-* the analytic maximum of ``-1/N0`` used in Theorem 1/2's sufficient
-  stability condition.
+  the closed forms (and in tests), with the Figure 6/8 test waveforms.
 """
 
 from __future__ import annotations
@@ -26,22 +25,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.marking import (
-    marking_waveform_double,
-    marking_waveform_single,
-)
-from repro.core.parameters import DoubleThresholdParams
-
 __all__ = [
     "df_single_threshold",
-    "df_relay_with_bias",
     "df_double_threshold",
-    "relative_df_single",
-    "relative_df_double",
-    "neg_inv_relative_df_single",
-    "neg_inv_relative_df_double",
-    "max_neg_inv_relative_df_single",
-    "max_real_neg_inv_relative_df_double",
+    "relative_df",
+    "neg_inv_relative_df",
+    "marking_waveform_single",
+    "marking_waveform_double",
     "numeric_df_from_waveform",
     "numeric_df_single",
     "numeric_df_double",
@@ -49,40 +39,23 @@ __all__ = [
 ]
 
 
-def _check_amplitude(amplitude: float, minimum: float, label: str) -> None:
-    if amplitude < minimum:
-        raise ValueError(
-            f"DF of {label} is defined for X >= {minimum}, got X={amplitude}"
-        )
+def df_single_threshold(amplitude: float, k: float, bias: float = 0.0) -> complex:
+    """DCTCP's DF, paper Eq. (22), optionally bias-corrected.
 
+    ``N_dc(X) = 2/(pi X) sqrt(1-(K'/X)^2)`` with ``K' = K - bias``,
+    valid for ``|K'| <= X``.  Real-valued: the relay contributes no
+    phase shift because the marking interval is symmetric about the
+    sine's peak (A1 = 0, Eq. 20).
 
-def df_single_threshold(amplitude: float, k: float) -> complex:
-    """DCTCP's DF, paper Eq. (22): ``N_dc(X) = 2/(pi X) sqrt(1-(K/X)^2)``.
-
-    Real-valued: the relay contributes no phase shift because the marking
-    interval is symmetric about the sine's peak (A1 = 0, Eq. 20).
-    """
-    _check_amplitude(amplitude, k, f"single threshold K={k}")
-    ratio = k / amplitude
-    b1 = (2.0 / math.pi) * math.sqrt(max(0.0, 1.0 - ratio * ratio))
-    return complex(b1 / amplitude, 0.0)
-
-
-def df_relay_with_bias(amplitude: float, k: float, bias: float) -> complex:
-    """DF of DCTCP's relay for an oscillation centred at ``bias``.
-
-    The paper's Eq. 22 implicitly centres the test sine at zero, so the
-    queue must swing all the way up past ``K`` from far below — but the
-    closed loop regulates the queue *around* ``K``, so the physical
-    oscillation rides at ``bias ~ K``.  For input ``bias + X sin(wt)``
-    the relay fires where ``sin(wt) > (K - bias)/X``:
-
-        N(X) = 2/(pi X) * sqrt(1 - ((K - bias)/X)^2)
-
-    valid for ``|K - bias| <= X``.  At the natural operating bias
-    ``bias = K`` this is ``2/(pi X)`` — an ideal relay whose
-    ``-1/N0 = -pi X/(2K)`` sweeps the *entire* negative real axis, so a
-    limit cycle exists at every flow count, with amplitude
+    ``bias = 0`` is the paper's Eq. 22 exactly: it centres the test sine
+    at zero, so the queue must swing all the way up past ``K`` from far
+    below — but the closed loop regulates the queue *around* ``K``, so
+    the physical oscillation rides at ``bias ~ K``.  For input
+    ``bias + X sin(wt)`` the relay fires where ``sin(wt) > (K - bias)/X``.
+    At the natural operating bias ``bias = K`` the DF is ``2/(pi X)`` —
+    an ideal relay whose ``-1/N0 = -pi X/(2K)`` sweeps the *entire*
+    negative real axis, so a limit cycle exists at every flow count,
+    with amplitude
 
         X* = 2 K |K0 G(j w180)| / pi
 
@@ -94,7 +67,8 @@ def df_relay_with_bias(amplitude: float, k: float, bias: float) -> complex:
     effective = k - bias
     if abs(effective) > amplitude:
         raise ValueError(
-            f"biased DF needs |K - bias| <= X: |{k} - {bias}| > {amplitude}"
+            f"DF of single threshold K={k} needs |K - bias| <= X: "
+            f"|{k} - {bias}| > {amplitude}"
         )
     ratio = effective / amplitude
     b1 = (2.0 / math.pi) * math.sqrt(max(0.0, 1.0 - ratio * ratio))
@@ -112,7 +86,7 @@ def df_double_threshold(
     with ``Ki' = Ki - bias``.  ``bias = 0`` is the paper's Eq. 27
     exactly; ``bias`` at the threshold midpoint models the physical
     oscillation, which rides around the band (see
-    :func:`df_relay_with_bias` for the relay analogue).  The imaginary
+    :func:`df_single_threshold` for the relay analogue).  The imaginary
     part depends only on the gap, so the hysteresis phase lead is
     bias-invariant.
 
@@ -120,7 +94,10 @@ def df_double_threshold(
     of DT-DCTCP's early-start/early-stop hysteresis and the reason the
     ``-1/N0dt`` locus sits further from the plant locus (Section V-D).
     """
-    params = DoubleThresholdParams(k1=k1, k2=k2)
+    if not 0.0 < k1 <= k2:
+        raise ValueError(
+            f"double-threshold DF needs 0 < K1 <= K2, got K1={k1}, K2={k2}"
+        )
     e1 = k1 - bias
     e2 = k2 - bias
     if abs(e1) > amplitude or e2 > amplitude:
@@ -137,66 +114,57 @@ def df_double_threshold(
     return complex(b1 / amplitude, a1 / amplitude)
 
 
-def relative_df_single(amplitude: float, k: float) -> complex:
-    """Relative DF of DCTCP, Eq. (23): ``N0 = K * N_dc``."""
-    return k * df_single_threshold(amplitude, k)
+def relative_df(scheme, amplitude: float) -> complex:
+    """Relative DF ``N0 = K N_dc`` (Eq. 23) / ``N0 = K2 N_dt`` (Eq. 28).
+
+    The multiplier is the scheme's ``amplitude_floor`` — the product is
+    written that way round, never as a division by
+    ``characteristic_gain``, because the tables hold its last bit.
+    """
+    return scheme.amplitude_floor * scheme.df(amplitude)
 
 
-def relative_df_double(amplitude: float, k1: float, k2: float) -> complex:
-    """Relative DF of DT-DCTCP, Eq. (28): ``N0 = K2 * N_dt``."""
-    return k2 * df_double_threshold(amplitude, k1, k2)
+def neg_inv_relative_df(scheme, amplitude: float) -> complex:
+    """``-1/N0(X)``, the DF locus of the Nyquist diagrams (Figure 7).
 
-
-def neg_inv_relative_df_single(amplitude: float, k: float) -> complex:
-    """``-1/N0dc(X)``; lies on the negative real axis (Figure 7a)."""
-    n0 = relative_df_single(amplitude, k)
-    if n0 == 0:
-        raise ValueError(
-            f"-1/N0 undefined at X={amplitude}: relative DF is zero (X == K)"
-        )
-    return -1.0 / n0
-
-
-def neg_inv_relative_df_double(amplitude: float, k1: float, k2: float) -> complex:
-    """``-1/N0dt(X)``; negative real part, positive imaginary part (Fig 7b)."""
-    n0 = relative_df_double(amplitude, k1, k2)
+    DCTCP's lies on the negative real axis; DT-DCTCP's has a negative
+    real part and a positive imaginary part.
+    """
+    n0 = relative_df(scheme, amplitude)
     if n0 == 0:
         raise ValueError(f"-1/N0 undefined at X={amplitude}: relative DF is zero")
     return -1.0 / n0
 
 
-def max_neg_inv_relative_df_single(k: float) -> float:
-    """Analytic maximum of ``-1/N0dc(X)`` over X (attained at X = K*sqrt(2)).
+def marking_waveform_single(
+    phase: float, amplitude: float, k: float, offset: float = 0.0
+) -> float:
+    """Marking output of DCTCP for the DF test signal ``q = offset + X sin(wt)``.
 
-    ``-1/N0dc = -pi X / (2 K sqrt(1-(K/X)^2))`` is maximised (least
-    negative) at ``X = K sqrt(2)`` with value exactly ``-pi`` —
-    independent of K, which is why Theorem 1's sufficient condition
-    compares the plant locus against a fixed landmark.
+    Returns 1.0 where the paper's Figure 6 waveform is ON.  Used by the
+    numeric describing-function validation.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    return -math.pi
+    q = offset + amplitude * math.sin(phase)
+    return 1.0 if q >= k else 0.0
 
 
-def max_real_neg_inv_relative_df_double(
-    k1: float, k2: float, n_grid: int = 4096
-) -> complex:
-    """Point of the ``-1/N0dt`` locus with the largest real part.
+def marking_waveform_double(
+    phase: float, amplitude: float, k1: float, k2: float, offset: float = 0.0
+) -> float:
+    """Marking output of DT-DCTCP for ``q = offset + X sin(wt)``.
 
-    Unlike DCTCP's, DT-DCTCP's locus leaves the real axis so the
-    "maximum" used in Theorem 2 is the locus point whose real part is
-    largest; returned as a complex number.  Computed on a geometric
-    amplitude grid (closed form is unwieldy).
+    ON exactly for phase in ``[arcsin((k1-offset)/X), pi - arcsin((k2-offset)/X)]``
+    (mod 2*pi), the paper's Figure 8 waveform.  Requires ``X >= k2 - offset``.
     """
-    params = DoubleThresholdParams(k1=k1, k2=k2)
-    amplitudes = params.k2 * np.geomspace(1.0 + 1e-9, 50.0, n_grid)
-    best = None
-    for x in amplitudes:
-        val = neg_inv_relative_df_double(float(x), k1, k2)
-        if best is None or val.real > best.real:
-            best = val
-    assert best is not None
-    return best
+    x1 = (k1 - offset) / amplitude
+    x2 = (k2 - offset) / amplitude
+    if x2 > 1.0:
+        # Queue never reaches the stop threshold: hysteresis never engages.
+        return 0.0
+    phi1 = math.asin(min(1.0, max(-1.0, x1)))
+    phi2 = math.pi - math.asin(x2)
+    p = phase % (2.0 * math.pi)
+    return 1.0 if phi1 <= p <= phi2 else 0.0
 
 
 def numeric_df_from_waveform(

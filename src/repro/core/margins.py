@@ -22,24 +22,15 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.core.describing_function import (
-    df_double_threshold,
-    df_single_threshold,
-)
-from repro.core.parameters import (
-    DoubleThresholdParams,
-    NetworkParams,
-    SingleThresholdParams,
-)
+from repro.core.marking import MarkingParams
+from repro.core.parameters import NetworkParams
 from repro.core.transfer_function import open_loop
 
-__all__ = ["LoopMargins", "worst_case_amplitude", "classical_margins"]
-
-MarkingParams = Union[SingleThresholdParams, DoubleThresholdParams]
+__all__ = ["LoopMargins", "classical_margins"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,28 +64,6 @@ class LoopMargins:
         return gm_ok and pm_ok
 
 
-def worst_case_amplitude(params: MarkingParams, n_grid: int = 4096) -> float:
-    """Oscillation amplitude maximising the DF magnitude.
-
-    For the relay the closed form is ``K sqrt(2)``; the hysteresis
-    maximum is found on a geometric grid.
-    """
-    if isinstance(params, SingleThresholdParams):
-        return params.k * math.sqrt(2.0)
-    amplitudes = params.k2 * np.geomspace(1.0 + 1e-9, 20.0, n_grid)
-    values = [
-        abs(df_double_threshold(float(x), params.k1, params.k2))
-        for x in amplitudes
-    ]
-    return float(amplitudes[int(np.argmax(values))])
-
-
-def _df_at(params: MarkingParams, amplitude: float) -> complex:
-    if isinstance(params, SingleThresholdParams):
-        return df_single_threshold(amplitude, params.k)
-    return df_double_threshold(amplitude, params.k1, params.k2)
-
-
 def classical_margins(
     net: NetworkParams,
     params: MarkingParams,
@@ -104,8 +73,8 @@ def classical_margins(
 ) -> LoopMargins:
     """Margins of ``L(jw) = N(X) * scale * G(jw)`` at fixed amplitude."""
     if amplitude is None:
-        amplitude = worst_case_amplitude(params)
-    df_value = _df_at(params, amplitude)
+        amplitude = params.worst_case_amplitude()
+    df_value = params.df(amplitude)
 
     w = np.geomspace(10.0 / net.rtt / 1e4, 1e3 / net.rtt, n_grid)
     loop = df_value * loop_gain_scale * open_loop(w, net)

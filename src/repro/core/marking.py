@@ -1,6 +1,16 @@
-"""ECN marking mechanisms — the paper's primary contribution.
+"""ECN marking schemes — the paper's primary contribution.
 
-The same marking objects drive both the fluid model (queried with a
+A *scheme* is one frozen parameter class — :class:`SingleThresholdParams`
+(DCTCP's relay at ``K``) or :class:`DoubleThresholdParams` (DT-DCTCP's
+hysteresis between ``K1`` and ``K2``) — and it is the only place that
+knows the scheme: its thresholds and display label, the marker state
+machine it runs in a switch, its describing function in closed form
+(Eq. 22 / 27) and the landmarks of that DF the stability analysis reads.
+The analysis, the fluid model, the packet simulator, the campaign grid
+and the CLI all ask the object; :func:`scheme_for` is the one place a
+bare threshold tuple is turned into one.
+
+The marker objects drive both the fluid model (queried with a
 continuous queue level) and the packet simulator (queried on every packet
 arrival at a switch output queue).
 
@@ -19,12 +29,23 @@ arrival at a switch output queue).
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
 
-from repro.core.parameters import DoubleThresholdParams, SingleThresholdParams
+import numpy as np
+
+from repro.core.describing_function import (
+    df_double_threshold,
+    df_single_threshold,
+    neg_inv_relative_df,
+)
 
 __all__ = [
+    "SingleThresholdParams",
+    "DoubleThresholdParams",
+    "MarkingParams",
+    "scheme_for",
     "Marker",
     "SingleThresholdMarker",
     "DoubleThresholdMarker",
@@ -40,12 +61,188 @@ __all__ = [
 DEFAULT_DIRECTION_DEADBAND = 2.0
 
 
+def _check_threshold(name: str, value: float) -> None:
+    # ``not (x > 0)`` rather than ``x <= 0``: NaN fails both comparisons
+    # and would otherwise pass as a threshold that never marks.
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+@dataclasses.dataclass(frozen=True)
+class SingleThresholdParams:
+    """DCTCP's scheme: one marking threshold ``K`` (packets)."""
+
+    k: float
+
+    def __post_init__(self) -> None:
+        _check_threshold("marking threshold k", self.k)
+
+    @property
+    def thresholds(self) -> Tuple[float, ...]:
+        return (self.k,)
+
+    @property
+    def label(self) -> str:
+        """Display name of the configuration (table rows, case labels)."""
+        return f"K={self.k:g}"
+
+    @property
+    def setpoint(self) -> float:
+        """Queue level the mechanism regulates around (``K`` itself)."""
+        return self.k
+
+    @property
+    def characteristic_gain(self) -> float:
+        """``K0 = 1/K`` used to form the relative DF (paper Eq. 8)."""
+        return 1.0 / self.k
+
+    @property
+    def amplitude_floor(self) -> float:
+        """``K``: the DF's domain edge (``X >= K``) and the multiplier
+        of the relative DF ``N0 = K N_dc`` (Eq. 23)."""
+        return self.k
+
+    def df(self, amplitude: float, bias: float = 0.0) -> complex:
+        """The relay's describing function, paper Eq. (22)."""
+        return df_single_threshold(amplitude, self.k, bias)
+
+    def rightmost(self) -> complex:
+        """Rightmost point of the ``-1/N0dc`` locus (Theorem 1's landmark).
+
+        ``-1/N0dc = -pi X / (2 K sqrt(1-(K/X)^2))`` is maximised (least
+        negative) at ``X = K sqrt(2)`` with value exactly ``-pi`` —
+        independent of K, which is why the sufficient condition compares
+        the plant locus against a fixed landmark.
+        """
+        return complex(-math.pi, 0.0)
+
+    def worst_case_amplitude(self) -> float:
+        """Amplitude maximising the DF magnitude: ``K sqrt(2)``."""
+        return self.k * math.sqrt(2.0)
+
+    def marker(self, deadband: Optional[float] = None) -> "SingleThresholdMarker":
+        """A fresh switch marker (the relay is memoryless: no deadband)."""
+        return SingleThresholdMarker(self)
+
+
+@dataclasses.dataclass(frozen=True)
+class DoubleThresholdParams:
+    """DT-DCTCP's scheme: hysteresis thresholds ``K1 <= K2`` (packets).
+
+    Marking starts when the queue rises through ``k1`` and stops when the
+    queue falls through ``k2`` (Section III and Figure 8).
+    """
+
+    k1: float
+    k2: float
+
+    def __post_init__(self) -> None:
+        _check_threshold("k1", self.k1)
+        _check_threshold("k2", self.k2)
+        if self.k2 < self.k1:
+            raise ValueError(
+                f"double-threshold requires k1 <= k2, got k1={self.k1}, k2={self.k2}"
+            )
+
+    @property
+    def thresholds(self) -> Tuple[float, ...]:
+        return (self.k1, self.k2)
+
+    @property
+    def label(self) -> str:
+        """Display name of the configuration (table rows, case labels)."""
+        return f"K1={self.k1:g},K2={self.k2:g}"
+
+    @property
+    def setpoint(self) -> float:
+        """Threshold midpoint; the paper pairs K1=30/K2=50 with K=40."""
+        return 0.5 * (self.k1 + self.k2)
+
+    @property
+    def characteristic_gain(self) -> float:
+        """``K0 = 1/K2`` used to form the relative DF (Theorem 2)."""
+        return 1.0 / self.k2
+
+    @property
+    def amplitude_floor(self) -> float:
+        """``K2``: the DF's domain edge (``X >= K2``) and the multiplier
+        of the relative DF ``N0 = K2 N_dt`` (Eq. 28)."""
+        return self.k2
+
+    @property
+    def gap(self) -> float:
+        """Hysteresis width ``K2 - K1``."""
+        return self.k2 - self.k1
+
+    def df(self, amplitude: float, bias: float = 0.0) -> complex:
+        """The hysteresis loop's describing function, paper Eq. (27)."""
+        return df_double_threshold(amplitude, self.k1, self.k2, bias)
+
+    def rightmost(self) -> complex:
+        """Point of the ``-1/N0dt`` locus with the largest real part.
+
+        Unlike DCTCP's, DT-DCTCP's locus leaves the real axis, so the
+        "maximum" used in Theorem 2 is the locus point whose real part
+        is largest.  Found on a geometric amplitude grid (the closed
+        form is unwieldy); the first such point wins.
+        """
+        amplitudes = self.k2 * np.geomspace(1.0 + 1e-9, 50.0, 4096)
+        return max(
+            (neg_inv_relative_df(self, float(x)) for x in amplitudes),
+            key=lambda value: value.real,
+        )
+
+    def worst_case_amplitude(self) -> float:
+        """Amplitude maximising the DF magnitude, on a geometric grid."""
+        amplitudes = self.k2 * np.geomspace(1.0 + 1e-9, 20.0, 4096)
+        values = [abs(self.df(float(x))) for x in amplitudes]
+        return float(amplitudes[int(np.argmax(values))])
+
+    def marker(self, deadband: Optional[float] = None) -> "DoubleThresholdMarker":
+        """A fresh switch marker.
+
+        ``deadband`` is the direction deadband in packets; left unset it
+        is the default capped at an eighth of the gap, so narrow
+        hysteresis bands do not degenerate into a single threshold.
+        """
+        if deadband is None:
+            deadband = min(DEFAULT_DIRECTION_DEADBAND, self.gap / 8.0)
+        return DoubleThresholdMarker(self, deadband=deadband)
+
+
+MarkingParams = Union[SingleThresholdParams, DoubleThresholdParams]
+
+
+def scheme_for(thresholds: Sequence[float]) -> MarkingParams:
+    """The scheme a bare threshold tuple names.
+
+    ``(K,)`` is DCTCP's relay and ``(K1, K2)`` DT-DCTCP's hysteresis;
+    anything else — ``()`` included: a switch that does not mark has no
+    scheme — is a :class:`ValueError`.  The only place in the tree that
+    counts thresholds.
+    """
+    if len(thresholds) == 1:
+        return SingleThresholdParams(*thresholds)
+    if len(thresholds) == 2:
+        return DoubleThresholdParams(*thresholds)
+    raise ValueError(
+        f"threshold config must be (K,) or (K1, K2), got {tuple(thresholds)}"
+    )
+
+
 @runtime_checkable
 class Marker(Protocol):
     """Decides, per packet arrival, whether to set the CE codepoint.
 
     Implementations may be stateful (DT-DCTCP tracks queue direction),
     so a fresh marker must be created per queue.
+
+    A memoryless marker may also declare ``fused_threshold``, a float
+    with the promise ``should_mark(q) == (q >= fused_threshold)`` for
+    every ``q``, no state read or written: a queue reads it once at
+    construction and the link's fused send then takes the marking
+    decision with one compare instead of a call per packet.  A marker
+    that cannot keep the promise simply does not have the attribute.
     """
 
     def should_mark(self, queue_length: float) -> bool:
@@ -58,10 +255,16 @@ class Marker(Protocol):
 
 
 class NullMarker:
-    """Never marks; models a plain DropTail queue."""
+    """Never marks; models a plain DropTail queue.
+
+    Written as the relay at infinity so that the ``fused_threshold``
+    promise is the rule itself: no occupancy a queue can hold reaches it.
+    """
+
+    fused_threshold = math.inf
 
     def should_mark(self, queue_length: float) -> bool:
-        return False
+        return queue_length >= math.inf
 
     def reset(self) -> None:
         return None
@@ -83,6 +286,11 @@ class SingleThresholdMarker:
     @classmethod
     def from_threshold(cls, k: float) -> "SingleThresholdMarker":
         return cls(SingleThresholdParams(k=k))
+
+    @property
+    def fused_threshold(self) -> float:
+        """``K``: the rule below is the compare itself."""
+        return self.params.k
 
     def should_mark(self, queue_length: float) -> bool:
         return queue_length >= self.params.k
@@ -260,34 +468,3 @@ class REDMarker:
             f"REDMarker(min_th={self.min_th}, max_th={self.max_th}, "
             f"max_p={self.max_p}, weight={self.weight})"
         )
-
-
-def marking_waveform_single(
-    phase: float, amplitude: float, k: float, offset: float = 0.0
-) -> float:
-    """Marking output of DCTCP for the DF test signal ``q = offset + X sin(wt)``.
-
-    Returns 1.0 where the paper's Figure 6 waveform is ON.  Used by the
-    numeric describing-function validation.
-    """
-    q = offset + amplitude * math.sin(phase)
-    return 1.0 if q >= k else 0.0
-
-
-def marking_waveform_double(
-    phase: float, amplitude: float, k1: float, k2: float, offset: float = 0.0
-) -> float:
-    """Marking output of DT-DCTCP for ``q = offset + X sin(wt)``.
-
-    ON exactly for phase in ``[arcsin((k1-offset)/X), pi - arcsin((k2-offset)/X)]``
-    (mod 2*pi), the paper's Figure 8 waveform.  Requires ``X >= k2 - offset``.
-    """
-    x1 = (k1 - offset) / amplitude
-    x2 = (k2 - offset) / amplitude
-    if x2 > 1.0:
-        # Queue never reaches the stop threshold: hysteresis never engages.
-        return 0.0
-    phi1 = math.asin(min(1.0, max(-1.0, x1)))
-    phi2 = math.pi - math.asin(x2)
-    p = phase % (2.0 * math.pi)
-    return 1.0 if phi1 <= p <= phi2 else 0.0

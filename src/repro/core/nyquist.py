@@ -18,20 +18,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
 
-from repro.core.describing_function import (
-    neg_inv_relative_df_double,
-    neg_inv_relative_df_single,
-)
-from repro.core.parameters import (
-    DoubleThresholdParams,
-    NetworkParams,
-    SingleThresholdParams,
-)
+from repro.core.describing_function import neg_inv_relative_df
+from repro.core.marking import MarkingParams
+from repro.core.parameters import NetworkParams
 from repro.core.transfer_function import open_loop
 
 __all__ = [
@@ -48,8 +42,6 @@ __all__ = [
     "find_intersections",
     "winding_number",
 ]
-
-MarkingParams = Union[SingleThresholdParams, DoubleThresholdParams]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,11 +79,7 @@ def default_amplitude_grid(
     Starts just above the DF's domain edge (``K`` or ``K2``) where
     ``-1/N0`` diverges, and extends to ``max_ratio`` times it.
     """
-    if isinstance(params, SingleThresholdParams):
-        edge = params.k
-    else:
-        edge = params.k2
-    return edge * np.geomspace(1.0 + 1e-6, max_ratio, n_points)
+    return params.amplitude_floor * np.geomspace(1.0 + 1e-6, max_ratio, n_points)
 
 
 def plant_locus(
@@ -119,8 +107,9 @@ def df_locus(
     """
     if amplitudes is None:
         return _default_df_locus(params)
-    neg_inv = _neg_inv_relative_df(params)
-    return amplitudes, np.array([neg_inv(float(x)) for x in amplitudes])
+    return amplitudes, np.array(
+        [neg_inv_relative_df(params, float(x)) for x in amplitudes]
+    )
 
 
 @functools.lru_cache(maxsize=32)
@@ -133,12 +122,6 @@ def _default_df_locus(params: MarkingParams) -> Tuple[np.ndarray, np.ndarray]:
     return locus
 
 
-def _neg_inv_relative_df(params: MarkingParams) -> Callable[[float], complex]:
-    if isinstance(params, SingleThresholdParams):
-        return lambda x: neg_inv_relative_df_single(x, params.k)
-    return lambda x: neg_inv_relative_df_double(x, params.k1, params.k2)
-
-
 def locus_gap(
     net: NetworkParams, params: MarkingParams, loop_gain_scale: float = 1.0
 ) -> Callable[[float, float], complex]:
@@ -148,8 +131,9 @@ def locus_gap(
     intersections and the minimum of its modulus is the stability margin.
     """
     gain = params.characteristic_gain * loop_gain_scale
-    neg_inv = _neg_inv_relative_df(params)
-    return lambda w, x: gain * complex(open_loop(w, net)) - neg_inv(x)
+    return lambda w, x: (
+        gain * complex(open_loop(w, net)) - neg_inv_relative_df(params, x)
+    )
 
 
 def phase_crossovers(
@@ -363,10 +347,7 @@ def find_intersections(
     w_grid, plant_vals = plant_locus(net, params, loop_gain_scale=loop_gain_scale)
     x_grid, df_vals = df_locus(params)
     gap = locus_gap(net, params, loop_gain_scale)
-    if isinstance(params, SingleThresholdParams):
-        x_min = params.k * (1.0 + 1e-9)
-    else:
-        x_min = params.k2 * (1.0 + 1e-9)
+    x_min = params.amplitude_floor * (1.0 + 1e-9)
 
     def equations(vars_: np.ndarray) -> np.ndarray:
         # Clamp the log-space variables: fsolve may probe wild values

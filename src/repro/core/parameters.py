@@ -1,8 +1,9 @@
 """Parameter objects shared across the fluid model, the analysis, and the
 packet-level simulator.
 
-The paper's canonical configuration (Section V-D and VI-A) is a single
-10 Gbps bottleneck, 100 microsecond round-trip time, 1.5 KB packets,
+The two marking schemes are defined in :mod:`repro.core.marking` and
+re-exported here beside the plant's parameters.  The paper's canonical
+configuration (Section V-D and VI-A) is a single 10 Gbps bottleneck, 100 microsecond round-trip time, 1.5 KB packets,
 ``K = 40`` packets and ``g = 1/16`` for DCTCP, and ``K1 = 30`` /
 ``K2 = 50`` packets for DT-DCTCP.  :func:`paper_network`,
 :func:`paper_dctcp` and :func:`paper_dt_dctcp` build exactly those
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+
+from repro.core.marking import DoubleThresholdParams, SingleThresholdParams
 
 __all__ = [
     "NetworkParams",
@@ -137,62 +140,6 @@ class OperatingPoint:
     alpha: float
     queue: float
     p: float
-
-
-@dataclasses.dataclass(frozen=True)
-class SingleThresholdParams:
-    """DCTCP's single marking threshold ``K`` (packets)."""
-
-    k: float
-
-    def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise ValueError(f"marking threshold k must be positive, got {self.k}")
-
-    @property
-    def setpoint(self) -> float:
-        """Queue level the mechanism regulates around (``K`` itself)."""
-        return self.k
-
-    @property
-    def characteristic_gain(self) -> float:
-        """``K0 = 1/K`` used to form the relative DF (paper Eq. 8)."""
-        return 1.0 / self.k
-
-
-@dataclasses.dataclass(frozen=True)
-class DoubleThresholdParams:
-    """DT-DCTCP's hysteresis thresholds ``K1 < K2`` (packets).
-
-    Marking starts when the queue rises through ``k1`` and stops when the
-    queue falls through ``k2`` (Section III and Figure 8).
-    """
-
-    k1: float
-    k2: float
-
-    def __post_init__(self) -> None:
-        if self.k1 <= 0:
-            raise ValueError(f"k1 must be positive, got {self.k1}")
-        if self.k2 < self.k1:
-            raise ValueError(
-                f"double-threshold requires k1 <= k2, got k1={self.k1}, k2={self.k2}"
-            )
-
-    @property
-    def setpoint(self) -> float:
-        """Threshold midpoint; the paper pairs K1=30/K2=50 with K=40."""
-        return 0.5 * (self.k1 + self.k2)
-
-    @property
-    def characteristic_gain(self) -> float:
-        """``K0 = 1/K2`` used to form the relative DF (Theorem 2)."""
-        return 1.0 / self.k2
-
-    @property
-    def gap(self) -> float:
-        """Hysteresis width ``K2 - K1``."""
-        return self.k2 - self.k1
 
 
 def paper_network(n_flows: int = 10, g: float = 1.0 / 16.0) -> NetworkParams:

@@ -34,18 +34,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy import optimize
 
-from repro.core.describing_function import (
-    max_neg_inv_relative_df_single,
-    max_real_neg_inv_relative_df_double,
-)
+from repro.core.marking import MarkingParams
 from repro.core.nyquist import (
     LocusIntersection,
-    MarkingParams,
     PhaseCrossover,
     df_locus,
     find_intersections,
@@ -54,11 +50,7 @@ from repro.core.nyquist import (
     plant_locus,
     principal_phase_crossover,
 )
-from repro.core.parameters import (
-    DoubleThresholdParams,
-    NetworkParams,
-    SingleThresholdParams,
-)
+from repro.core.parameters import NetworkParams
 
 __all__ = [
     "MARGIN_TOL",
@@ -129,13 +121,6 @@ class StabilityReport:
         return chosen.frequency
 
 
-def _df_rightmost_real(params: MarkingParams) -> float:
-    """``max`` over the DF locus of the real part (Theorem 1/2 landmark)."""
-    if isinstance(params, SingleThresholdParams):
-        return max_neg_inv_relative_df_single(params.k)
-    return max_real_neg_inv_relative_df_double(params.k1, params.k2).real
-
-
 def sufficient_condition_holds(
     net: NetworkParams, params: MarkingParams, loop_gain_scale: float = 1.0
 ) -> bool:
@@ -150,7 +135,7 @@ def sufficient_condition_holds(
     crossover = principal_phase_crossover(net, params, loop_gain_scale)
     if crossover is None:
         return True
-    return crossover.value.real > _df_rightmost_real(params)
+    return crossover.value.real > params.rightmost().real
 
 
 def stability_margin(
@@ -168,10 +153,7 @@ def stability_margin(
     coarse, i, j = min_curve_distance(plant_vals, df_vals)
 
     gap = locus_gap(net, params, loop_gain_scale)
-    if isinstance(params, SingleThresholdParams):
-        x_min = params.k * (1.0 + 1e-12)
-    else:
-        x_min = params.k2 * (1.0 + 1e-12)
+    x_min = params.amplitude_floor * (1.0 + 1e-12)
 
     def objective(vars_: np.ndarray) -> float:
         w = math.exp(vars_[0])
@@ -245,7 +227,7 @@ def critical_flow_count(
 
 def calibrate_gain_scale(
     base_net: NetworkParams,
-    params: Union[SingleThresholdParams, DoubleThresholdParams],
+    params: MarkingParams,
     onset_flows: int = 60,
 ) -> float:
     """Gain scale at which the locus first touches the DF locus at ``onset_flows``.
@@ -262,5 +244,4 @@ def calibrate_gain_scale(
         raise ValueError(
             "plant locus has no negative-real-axis crossing; cannot calibrate"
         )
-    target = abs(_df_rightmost_real(params))
-    return target / crossover.magnitude
+    return abs(params.rightmost().real) / crossover.magnitude

@@ -16,7 +16,6 @@ from typing import List
 
 import numpy as np
 
-from repro.core.describing_function import max_neg_inv_relative_df_single
 from repro.core.nyquist import plant_locus, winding_number
 from repro.core.parameters import paper_network
 from repro.core.stability import stability_margin
@@ -50,7 +49,7 @@ def run(
     """Classify the loop at several gain scales (low / critical / high)."""
     net = paper_network(n_flows)
     params = SingleThresholdParams(k=40.0)
-    landmark = complex(max_neg_inv_relative_df_single(params.k), 0.0)
+    landmark = params.rightmost()
     cases = []
     for gain in gains:
         margin = stability_margin(net, params, loop_gain_scale=gain)

@@ -20,13 +20,13 @@ import dataclasses
 from typing import List, Optional, Sequence
 
 from repro.core.nyquist import principal_phase_crossover
-from repro.core.parameters import paper_dctcp, paper_network
+from repro.core.parameters import paper_dctcp, paper_dt_dctcp, paper_network
 from repro.core.stability import calibrate_gain_scale, predicted_limit_cycle
 from repro.exec.cases import Case
 from repro.exec.executor import SweepExecutor, execute_cases
 from repro.experiments.config import Scale, full_scale
 from repro.experiments.tables import print_table
-from repro.fluid import dctcp_fluid_model, dt_dctcp_fluid_model, simulate
+from repro.fluid import fluid_model, simulate
 
 __all__ = ["EXPERIMENT", "FluidPoint", "cases", "run_case", "run", "main"]
 
@@ -80,11 +80,11 @@ def run_case(case: Case) -> dict:
     gain = calibrate_gain_scale(paper_network(10), paper_dctcp(), onset_flows=60)
     net = paper_network(n)
     dc_trace = simulate(
-        dctcp_fluid_model(net, variable_rtt=True),
+        fluid_model(net, paper_dctcp(), variable_rtt=True),
         duration=fluid_duration,
     ).after(fluid_duration / 2)
     dt_trace = simulate(
-        dt_dctcp_fluid_model(net, variable_rtt=True),
+        fluid_model(net, paper_dt_dctcp(), variable_rtt=True),
         duration=fluid_duration,
     ).after(fluid_duration / 2)
     # The DF method locates any oscillation at the plant's phase

@@ -13,9 +13,9 @@ The paper evaluates two switch configurations in two environments:
 
 A :class:`ProtocolConfig` bundles a display name, a marker factory for
 the switch, and the sender class — everything a topology builder and an
-experiment need.  Senders and threshold markers come from the protocol
-table (:mod:`repro.sim.protocols`); this module only adds the paper's
-numbers.
+experiment need.  Senders and simulation schemes come from the protocol
+table (:mod:`repro.sim.protocols`), markers from the scheme objects;
+this module only adds the testbed's numbers.
 """
 
 from __future__ import annotations
@@ -27,14 +27,22 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
+    Tuple,
     Type,
     TypeVar,
 )
 
-from repro.core.marking import DEFAULT_DIRECTION_DEADBAND, Marker, REDMarker
+from repro.core.marking import (
+    DEFAULT_DIRECTION_DEADBAND,
+    DoubleThresholdParams,
+    Marker,
+    MarkingParams,
+    NullMarker,
+    REDMarker,
+    SingleThresholdParams,
+)
 from repro.sim.packet import MSS_BYTES
-from repro.sim.protocols import PROTOCOLS, marker_factory
+from repro.sim.protocols import PROTOCOLS
 from repro.sim.tcp.sender import TcpSender
 
 __all__ = [
@@ -59,9 +67,24 @@ _P = TypeVar("_P")
 SIM_DEADBAND = DEFAULT_DIRECTION_DEADBAND
 #: The testbed thresholds are only ~4 packets apart, so the deadband
 #: must stay well below the gap or the hysteresis degenerates into a
-#: single effective threshold.  Explicit, not the table's gap/8 rule:
+#: single effective threshold.  Explicit, not the scheme's gap/8 rule:
 #: that gives 0.512 for 28/34 KB and would move Figures 14-15.
 TESTBED_DEADBAND = 0.5
+
+_TESTBED_DCTCP = (SingleThresholdParams(k=32 * KB / MSS_BYTES), None)
+
+#: The testbed switch (Section VI-B, KB -> packets) and its direction
+#: deadband per :data:`~repro.sim.protocols.PROTOCOLS` name; a name
+#: without a row keeps its simulation scheme on the testbed.
+TESTBED: Dict[str, Tuple[MarkingParams, Optional[float]]] = {
+    "dctcp": _TESTBED_DCTCP,
+    "dt-dctcp": (
+        DoubleThresholdParams(k1=28 * KB / MSS_BYTES, k2=34 * KB / MSS_BYTES),
+        TESTBED_DEADBAND,
+    ),
+    "ecn-reno": _TESTBED_DCTCP,
+    "cubic": _TESTBED_DCTCP,
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,39 +100,37 @@ class ProtocolConfig:
 
 
 def _config(
-    name: str, thresholds: Sequence[float], deadband: Optional[float] = None
+    name: str, scheme: Optional[MarkingParams], deadband: Optional[float] = None
 ) -> ProtocolConfig:
     return ProtocolConfig(
         name=name.upper(),
-        marker_factory=marker_factory(thresholds, deadband),
+        marker_factory=(
+            NullMarker if scheme is None else lambda: scheme.marker(deadband)
+        ),
         sender_cls=PROTOCOLS[name].sender_cls,
     )
 
 
 def dctcp_sim(k: float = 40.0) -> ProtocolConfig:
     """DCTCP with the simulation-section threshold (packets)."""
-    return _config("dctcp", (k,))
+    return _config("dctcp", SingleThresholdParams(k=k))
 
 
 def dt_dctcp_sim(k1: float = 30.0, k2: float = 50.0) -> ProtocolConfig:
     """DT-DCTCP with the simulation-section thresholds (packets)."""
-    return _config("dt-dctcp", (k1, k2), deadband=SIM_DEADBAND)
-
-
-def dctcp_testbed(k_bytes: float = 32 * KB) -> ProtocolConfig:
-    """DCTCP with the testbed threshold (K = 32 KB -> packets)."""
-    return _config("dctcp", (k_bytes / MSS_BYTES,))
-
-
-def dt_dctcp_testbed(
-    k1_bytes: float = 28 * KB, k2_bytes: float = 34 * KB
-) -> ProtocolConfig:
-    """DT-DCTCP with the testbed thresholds (28/34 KB -> packets)."""
     return _config(
-        "dt-dctcp",
-        (k1_bytes / MSS_BYTES, k2_bytes / MSS_BYTES),
-        deadband=TESTBED_DEADBAND,
+        "dt-dctcp", DoubleThresholdParams(k1=k1, k2=k2), deadband=SIM_DEADBAND
     )
+
+
+def dctcp_testbed() -> ProtocolConfig:
+    """DCTCP with the testbed threshold (K = 32 KB -> packets)."""
+    return paper_config("dctcp", testbed=True)
+
+
+def dt_dctcp_testbed() -> ProtocolConfig:
+    """DT-DCTCP with the testbed thresholds (28/34 KB -> packets)."""
+    return paper_config("dt-dctcp", testbed=True)
 
 
 def ecn_red_baseline(
@@ -124,19 +145,16 @@ def ecn_red_baseline(
 
 
 def paper_config(name: str, testbed: bool = False) -> ProtocolConfig:
-    """Table protocol ``name`` at the paper's thresholds for its arity.
+    """Table protocol ``name`` on the paper's simulation or testbed switch.
 
     ``dctcp`` and ``dt-dctcp`` are exactly the named configurations
-    above; any other table entry gets the same switch with its own
-    sender (an unmarked protocol gets a DropTail queue).
+    above; any other table entry runs its own sender over its table
+    scheme (an unmarked protocol gets a DropTail queue).
     """
-    sender_cls, n_thresholds = PROTOCOLS[name]
-    if n_thresholds == 2:
-        switch = dt_dctcp_testbed() if testbed else dt_dctcp_sim()
-    else:
-        switch = dctcp_testbed() if testbed else dctcp_sim()
-    make_marker = switch.marker_factory if n_thresholds else marker_factory(())
-    return ProtocolConfig(name.upper(), make_marker, sender_cls)
+    scheme, deadband = PROTOCOLS[name].scheme, SIM_DEADBAND
+    if testbed:
+        scheme, deadband = TESTBED.get(name, (scheme, deadband))
+    return _config(name, scheme, deadband)
 
 
 #: Picklable protocol identifiers for the parallel executor.  A

@@ -20,11 +20,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Sequence, Tuple
 
-from repro.core.parameters import (
-    DoubleThresholdParams,
-    SingleThresholdParams,
-    paper_network,
-)
+from repro.core.marking import SingleThresholdParams, scheme_for
+from repro.core.parameters import paper_network
 from repro.core.stability import calibrate_gain_scale, stability_margin
 from repro.experiments.tables import print_table
 
@@ -61,14 +58,15 @@ def run(
     for g in gains:
         net = paper_network(n_flows, g=g)
         for gap in gaps:
-            if gap == 0.0:
-                params = SingleThresholdParams(k=setpoint)
-            else:
-                params = DoubleThresholdParams(
-                    k1=setpoint - gap / 2, k2=setpoint + gap / 2
-                )
+            # A zero gap is the relay itself, not a degenerate hysteresis:
+            # their DFs are equal on paper but not in the last bit.
+            levels = (
+                (setpoint,)
+                if gap == 0.0
+                else (setpoint - gap / 2, setpoint + gap / 2)
+            )
             margins[(g, gap)] = stability_margin(
-                net, params, loop_gain_scale=scale
+                net, scheme_for(levels), loop_gain_scale=scale
             )
     return SensitivityGrid(
         gains=tuple(gains),

@@ -8,12 +8,7 @@ from repro.fluid.linearization import (
     paper_rhs,
     queue_response,
 )
-from repro.fluid.model import (
-    FluidModel,
-    FluidState,
-    dctcp_fluid_model,
-    dt_dctcp_fluid_model,
-)
+from repro.fluid.model import FluidModel, FluidState, fluid_model
 from repro.fluid.multiclass import (
     FlowClass,
     MultiClassModel,
@@ -30,8 +25,7 @@ __all__ = [
     "LinearizedModel",
     "MultiClassModel",
     "MultiClassTrace",
-    "dctcp_fluid_model",
-    "dt_dctcp_fluid_model",
+    "fluid_model",
     "linearize",
     "paper_rhs",
     "queue_response",

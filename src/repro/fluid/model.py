@@ -24,18 +24,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Tuple
 
-from repro.core.marking import (
-    DoubleThresholdMarker,
-    Marker,
-    SingleThresholdMarker,
-)
-from repro.core.parameters import (
-    DoubleThresholdParams,
-    NetworkParams,
-    SingleThresholdParams,
-)
+from repro.core.marking import Marker, MarkingParams
+from repro.core.parameters import NetworkParams
 
-__all__ = ["FluidState", "FluidModel", "dctcp_fluid_model", "dt_dctcp_fluid_model"]
+__all__ = ["FluidState", "FluidModel", "fluid_model"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,37 +151,22 @@ class FluidModel:
         )
 
 
-def dctcp_fluid_model(
+def fluid_model(
     net: NetworkParams,
-    params: Optional[SingleThresholdParams] = None,
+    scheme: MarkingParams,
     buffer_packets: Optional[float] = None,
     variable_rtt: bool = False,
 ) -> FluidModel:
-    """Fluid model with DCTCP's single-threshold relay (``p = 1{q >= K}``)."""
-    if params is None:
-        params = SingleThresholdParams(k=40.0)
+    """Fluid model marked by ``scheme``: ``p = 1{q >= K}`` for DCTCP's
+    relay, the direction-tracking hysteresis for DT-DCTCP.
+
+    The marker runs with no direction deadband: successive samples of
+    the smooth fluid queue are compared exactly.
+    """
     return FluidModel(
         net,
-        SingleThresholdMarker(params),
+        scheme.marker(deadband=0.0),
         buffer_packets=buffer_packets,
         variable_rtt=variable_rtt,
-        queue_setpoint=params.setpoint,
-    )
-
-
-def dt_dctcp_fluid_model(
-    net: NetworkParams,
-    params: Optional[DoubleThresholdParams] = None,
-    buffer_packets: Optional[float] = None,
-    variable_rtt: bool = False,
-) -> FluidModel:
-    """Fluid model with DT-DCTCP's double-threshold hysteresis marking."""
-    if params is None:
-        params = DoubleThresholdParams(k1=30.0, k2=50.0)
-    return FluidModel(
-        net,
-        DoubleThresholdMarker(params),
-        buffer_packets=buffer_packets,
-        variable_rtt=variable_rtt,
-        queue_setpoint=params.setpoint,
+        queue_setpoint=scheme.setpoint,
     )

@@ -185,13 +185,17 @@ class Simulator:
         ``until`` (the clock then advances to ``until`` exactly), when a
         callback calls :meth:`stop`, or after ``max_events`` callbacks
         (a runaway guard for tests; ``0`` runs nothing, negative values
-        are rejected).  Re-entrant calls are rejected — callbacks must
-        schedule, not run.
+        are rejected).  A NaN ``until`` is rejected — no event time is
+        ever beyond it, so the horizon would be ignored; ``inf`` is a
+        legal "until the queue empties".  Re-entrant calls are rejected
+        — callbacks must schedule, not run.
         """
         if self._running:
             raise RuntimeError("Simulator.run() is not re-entrant")
         if max_events is not None and max_events < 0:
             raise ValueError(f"max_events must be >= 0, got {max_events}")
+        if until is not None and math.isnan(until):
+            raise ValueError("until must not be NaN")
         self._running = True
         self._stop_requested = False
         try:

@@ -230,17 +230,15 @@ class Interface:
                 # Fused enqueue: the exact FifoQueue.enqueue body,
                 # inlined — per-packet, the method call plus its
                 # re-dispatch on mark_on_dequeue/pool (neither reaches
-                # this lane) are pure overhead.  The DCTCP
-                # single-threshold rule is additionally inlined to a
-                # compare; every other marker keeps its pre-bound call.
+                # this lane) are pure overhead.  A memoryless marker's
+                # rule (``fused_threshold``) is additionally inlined to
+                # a compare; every other marker keeps its pre-bound call.
                 qd = queue._queue
                 stats = queue._stats
                 size = packet.size_bytes
                 k = queue._marker_k
                 if k is not None:
                     wants_mark = len(qd) >= k
-                elif queue._marker_null:
-                    wants_mark = False
                 else:
                     wants_mark = queue._marker_should_mark(len(qd))
                 if queue._bytes + size > queue.capacity_bytes:

@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Optional, TYPE_CHECKING
 
-from repro.core.marking import Marker, NullMarker, SingleThresholdMarker
+from repro.core.marking import Marker, NullMarker
 from repro.sim.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,7 +89,6 @@ class FifoQueue:
         "_stats",
         "_marker_should_mark",
         "_marker_observe",
-        "_marker_null",
         "_marker_k",
     )
 
@@ -128,18 +127,14 @@ class FifoQueue:
         #: swaps the object), so no packet pays a ``getattr`` ladder.
         self._marker_should_mark = self.marker.should_mark
         self._marker_observe = getattr(self.marker, "observe", None)
-        #: A stateless never-marking marker needs no call at all; the
-        #: fused interface fast lane skips the dispatch entirely.  Exact
-        #: type checks: a subclass may override ``should_mark``.
-        self._marker_null = type(self.marker) is NullMarker
-        #: DCTCP's single-threshold rule is memoryless and its params
-        #: are frozen, so the fused lane can inline ``occupancy >= K``
-        #: instead of paying the method call on every arrival.
-        the_marker = self.marker
-        if type(the_marker) is SingleThresholdMarker:
-            self._marker_k: Optional[float] = the_marker.params.k
-        else:
-            self._marker_k = None
+        #: A memoryless marker declares ``fused_threshold`` — ``K`` for
+        #: DCTCP's relay, ``inf`` for DropTail (see
+        #: :class:`~repro.core.marking.Marker`) — and the fused lane
+        #: inlines ``occupancy >= K`` instead of paying the method call
+        #: on every arrival.  ``None``: the marker keeps state; call it.
+        self._marker_k: Optional[float] = getattr(
+            self.marker, "fused_threshold", None
+        )
 
     def _service(self) -> None:
         hook = self.drain_hook

@@ -5,19 +5,14 @@ experiments sample state.  They are cheap (one event per sample period,
 no per-packet cost) and return plain numpy arrays for the statistics
 layer.
 
-Storage: probes accumulate into :class:`repro.stats.ChunkedSeries`
-(``array('d')`` chunks, 8 bytes/sample) instead of Python lists.
-
-The event-exact :class:`TrackedFifoQueue`'s per-packet hot path appends
-a ``(time, length)`` pair onto a small interleaved Python list (the
-cheapest append there is) and every ``_FOLD_EVENTS`` events the buffer
-is folded — one vectorised numpy pass — into the chunked trace.  That
-keeps the per-event cost below half of what the plain list-of-floats
-design paid.
+Storage: every probe accumulates into :class:`Series` — one
+``array('d')``, 8 bytes a sample.  The longest series any shipped
+workload holds is 500 000 samples (4 MB), so there is nothing to chunk.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
 import numpy as np
@@ -25,20 +20,31 @@ import numpy as np
 from repro.sim.engine import Simulator
 from repro.sim.queues import FifoQueue
 from repro.sim.tcp.sender import DctcpSender
-from repro.stats.streaming import ChunkedSeries
 
 __all__ = [
+    "Series",
     "QueueMonitor",
     "AlphaMonitor",
     "TrackedFifoQueue",
 ]
 
-#: Occupancy events buffered between vectorised folds (64k floats).
-_FOLD_EVENTS = 32768
+
+class Series(array):
+    """An append-only ``array('d')`` the statistics layer reads as numpy."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "Series":
+        return super().__new__(cls, "d")
+
+    def to_numpy(self) -> np.ndarray:
+        """The samples so far, as a copy: an array that exports its
+        buffer cannot grow, and the probe keeps appending."""
+        return np.array(self)
 
 
 class QueueMonitor:
-    """Samples a queue's occupancy (packets and bytes) periodically."""
+    """Samples a queue's occupancy in packets periodically."""
 
     def __init__(self, sim: Simulator, queue: FifoQueue, interval: float):
         if interval <= 0:
@@ -46,9 +52,8 @@ class QueueMonitor:
         self.sim = sim
         self.queue = queue
         self.interval = interval
-        self.times = ChunkedSeries()
-        self.lengths = ChunkedSeries()
-        self.byte_lengths = ChunkedSeries()
+        self.times = Series()
+        self.lengths = Series()
         self._running = False
 
     def start(self, delay: float = 0.0) -> None:
@@ -65,7 +70,6 @@ class QueueMonitor:
             return
         self.times.append(self.sim.now)
         self.lengths.append(self.queue.len_packets)
-        self.byte_lengths.append(self.queue.len_bytes)
         self.sim.post(self.interval, self._sample)
 
     def series(self, after: float = 0.0) -> np.ndarray:
@@ -87,36 +91,20 @@ class TrackedFifoQueue(FifoQueue):
 
     Periodic sampling (:class:`QueueMonitor`) can alias against the
     oscillation; the event-driven record is exact, at the cost of one
-    buffered pair per packet event.  The complete ``(time, length)``
-    trace is retained in chunked ``array('d')`` storage — read it via
-    :attr:`event_times` / :attr:`event_lengths`, reduce it with
-    :meth:`time_weighted_mean` / :meth:`time_weighted_std` at any
-    ``after`` cutoff.
+    appended pair per packet event.  The complete ``(time, length)``
+    trace is retained — read it via :attr:`event_times` /
+    :attr:`event_lengths`, reduce it with :meth:`time_weighted_mean` /
+    :meth:`time_weighted_std` at any ``after`` cutoff.
     """
 
     def __init__(self, sim: Simulator, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._sim = sim
-        #: Interleaved ``t0, q0, t1, q1, ...`` staging buffer; folded in
-        #: one numpy pass every ``_FOLD_EVENTS`` events.
-        self._buf = []
-        self._buf_append = self._buf.append
-        self._left = _FOLD_EVENTS
-        self._times = ChunkedSeries()
-        self._lengths = ChunkedSeries()
-        self._buf_append(sim.now)
-        self._buf_append(0.0)
-        self._left -= 1
-
-    def _fold(self) -> None:
-        """Flush the staging buffer into the chunked trace."""
-        buf = self._buf
-        if buf:
-            pairs = np.asarray(buf, dtype=float).reshape(-1, 2)
-            self._times.extend_numpy(pairs[:, 0])
-            self._lengths.extend_numpy(pairs[:, 1])
-            buf.clear()
-        self._left = _FOLD_EVENTS
+        #: Event timestamps, and the queue length after each event.
+        self.event_times = Series()
+        self.event_lengths = Series()
+        self.event_times.append(sim.now)
+        self.event_lengths.append(0.0)
 
     def enqueue(self, packet) -> bool:
         # Base-class call by name and direct ``_sim._now`` access: this
@@ -125,13 +113,8 @@ class TrackedFifoQueue(FifoQueue):
         admitted = FifoQueue.enqueue(self, packet)
         # Drops are recorded too: the occupancy observation still
         # happened even though it did not change.
-        app = self._buf_append
-        app(self._sim._now)
-        app(len(self._queue))
-        left = self._left - 1
-        self._left = left
-        if not left:
-            self._fold()
+        self.event_times.append(self._sim._now)
+        self.event_lengths.append(len(self._queue))
         return admitted
 
     def dequeue(self, at_time=None):
@@ -141,28 +124,11 @@ class TrackedFifoQueue(FifoQueue):
         # series matches the eager two-event schedule sample for sample.
         packet = FifoQueue.dequeue(self, at_time)
         if packet is not None:
-            app = self._buf_append
-            app(self._sim._now if at_time is None else at_time)
-            app(len(self._queue))
-            left = self._left - 1
-            self._left = left
-            if not left:
-                self._fold()
+            self.event_times.append(
+                self._sim._now if at_time is None else at_time
+            )
+            self.event_lengths.append(len(self._queue))
         return packet
-
-    # -- trace access --------------------------------------------------
-
-    @property
-    def event_times(self) -> ChunkedSeries:
-        """Event timestamps."""
-        self._fold()
-        return self._times
-
-    @property
-    def event_lengths(self) -> ChunkedSeries:
-        """Queue length after each event."""
-        self._fold()
-        return self._lengths
 
     # -- statistics -----------------------------------------------------
 
@@ -179,9 +145,8 @@ class TrackedFifoQueue(FifoQueue):
         return time_weighted_std(t, q)
 
     def _series_after(self, after: float):
-        self._fold()
-        t = self._times.to_numpy()
-        q = self._lengths.to_numpy()
+        t = self.event_times.to_numpy()
+        q = self.event_lengths.to_numpy()
         mask = t >= after
         if int(mask.sum()) < 2:
             raise ValueError("not enough queue events after the warmup")
@@ -203,8 +168,8 @@ class AlphaMonitor:
         self.sim = sim
         self.senders = [s for s in senders if isinstance(s, DctcpSender)]
         self.interval = interval
-        self.times = ChunkedSeries()
-        self.mean_alphas = ChunkedSeries()
+        self.times = Series()
+        self.mean_alphas = Series()
         self._running = False
 
     def start(self, delay: float = 0.0) -> None:

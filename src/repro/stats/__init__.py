@@ -10,7 +10,6 @@ from repro.stats.summary import (
     std,
     tail_latency,
 )
-from repro.stats.streaming import ChunkedSeries
 from repro.stats.timeseries import (
     autocorrelation,
     crossings,
@@ -20,7 +19,6 @@ from repro.stats.timeseries import (
 )
 
 __all__ = [
-    "ChunkedSeries",
     "autocorrelation",
     "coefficient_of_variation",
     "crossings",

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.campaign.grid import SCENARIOS, CampaignGrid, CellCoord
+from repro.core.marking import scheme_for
 from repro.exec.cases import Case, case_key
-from repro.sim.protocols import PROTOCOLS, threshold_label
+from repro.sim.protocols import PROTOCOLS
 
 
 def grid(**overrides):
@@ -64,8 +65,8 @@ class TestExpansion:
             assert round_trip == case.params
 
     def test_threshold_label(self):
-        assert threshold_label((40.0,)) == "K=40"
-        assert threshold_label((30.0, 50.0)) == "K1=30,K2=50"
+        assert scheme_for((40.0,)).label == "K=40"
+        assert scheme_for((30.0, 50.0)).label == "K1=30,K2=50"
         assert CellCoord((65.0,), "buildup", 0.2, 0).protocol == "K=65"
 
 
@@ -106,6 +107,22 @@ class TestValidation:
         dict(thresholds=((30.0, 30.0),)),
         dict(thresholds=((-5.0,),)),
         dict(thresholds=((10.0, 20.0, 30.0),)),    # arity
+        dict(thresholds=((),)),
+        # Non-finite and out-of-range numbers: NaN fails every
+        # comparison, so ``x <= 0`` style checks let it through - to a
+        # threshold that never marks or a horizon that never ends.
+        dict(thresholds=((float("nan"),),)),
+        dict(thresholds=((30.0, float("inf")),)),
+        dict(loads=(float("nan"),)),
+        dict(duration=float("nan"), warmup=0.0),
+        dict(duration=float("inf")),
+        dict(warmup=float("nan")),
+        dict(host_bandwidth_bps=0.0),
+        dict(fabric_bandwidth_bps=float("nan")),
+        dict(per_hop_delay=-1.0),
+        dict(jitter_s=float("nan")),
+        dict(flap_period=float("inf")),
+        dict(flap_down=float("nan"), flap_count=0),
         dict(loads=()),
         dict(loads=(0.0,)),
         dict(fan_ins=()),

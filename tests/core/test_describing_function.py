@@ -8,20 +8,23 @@ from repro.core.describing_function import (
     df_double_threshold,
     df_phase_degrees,
     df_single_threshold,
-    max_neg_inv_relative_df_single,
-    max_real_neg_inv_relative_df_double,
-    neg_inv_relative_df_double,
-    neg_inv_relative_df_single,
+    neg_inv_relative_df,
     numeric_df_double,
     numeric_df_from_marker,
     numeric_df_from_waveform,
     numeric_df_single,
-    relative_df_double,
-    relative_df_single,
+    relative_df,
 )
-from repro.core.marking import DoubleThresholdMarker, SingleThresholdMarker
+from repro.core.marking import (
+    DoubleThresholdMarker,
+    DoubleThresholdParams,
+    SingleThresholdMarker,
+    SingleThresholdParams,
+)
 
 K, K1, K2 = 40.0, 30.0, 50.0
+DC = SingleThresholdParams(k=K)
+DT = DoubleThresholdParams(k1=K1, k2=K2)
 
 
 class TestSingleThresholdDf:
@@ -46,13 +49,13 @@ class TestSingleThresholdDf:
 
     def test_relative_df_is_k_times_df(self):
         x = 70.0
-        assert relative_df_single(x, K) == pytest.approx(
+        assert relative_df(DC, x) == pytest.approx(
             K * df_single_threshold(x, K)
         )
 
     def test_relative_df_max_is_one_over_pi(self):
         # N0dc attains 1/pi at X = K*sqrt(2).
-        assert relative_df_single(K * math.sqrt(2.0), K).real == pytest.approx(
+        assert relative_df(DC, K * math.sqrt(2.0)).real == pytest.approx(
             1.0 / math.pi
         )
 
@@ -91,7 +94,7 @@ class TestDoubleThresholdDf:
 
     def test_relative_df_uses_k2(self):
         x = 80.0
-        assert relative_df_double(x, K1, K2) == pytest.approx(
+        assert relative_df(DT, x) == pytest.approx(
             K2 * df_double_threshold(x, K1, K2)
         )
 
@@ -109,32 +112,32 @@ class TestDoubleThresholdDf:
 class TestNegInvRelativeDf:
     def test_single_on_negative_real_axis(self):
         for ratio in (1.1, 2.0, 5.0):
-            v = neg_inv_relative_df_single(ratio * K, K)
+            v = neg_inv_relative_df(DC, ratio * K)
             assert v.real < 0.0
             assert v.imag == pytest.approx(0.0)
 
     def test_single_maximum_is_minus_pi(self):
-        assert max_neg_inv_relative_df_single(K) == pytest.approx(-math.pi)
+        assert DC.rightmost().real == pytest.approx(-math.pi)
         # ... attained at X = K*sqrt(2):
-        at_peak = neg_inv_relative_df_single(K * math.sqrt(2.0), K)
+        at_peak = neg_inv_relative_df(DC, K * math.sqrt(2.0))
         assert at_peak.real == pytest.approx(-math.pi)
         # ... and it is a maximum:
-        assert neg_inv_relative_df_single(1.1 * K, K).real < -math.pi
-        assert neg_inv_relative_df_single(5.0 * K, K).real < -math.pi
+        assert neg_inv_relative_df(DC, 1.1 * K).real < -math.pi
+        assert neg_inv_relative_df(DC, 5.0 * K).real < -math.pi
 
     def test_single_undefined_at_domain_edge(self):
         with pytest.raises(ValueError):
-            neg_inv_relative_df_single(K, K)
+            neg_inv_relative_df(DC, K)
 
     def test_double_has_positive_imaginary_part(self):
         """-1/N0dt sits *above* the real axis (Figure 7b)."""
         for ratio in (1.01, 1.5, 4.0):
-            v = neg_inv_relative_df_double(ratio * K2, K1, K2)
+            v = neg_inv_relative_df(DT, ratio * K2)
             assert v.real < 0.0
             assert v.imag > 0.0
 
     def test_double_rightmost_point(self):
-        best = max_real_neg_inv_relative_df_double(K1, K2)
+        best = DT.rightmost()
         assert best.real < 0.0
         assert best.imag > 0.0
         # Rightmost point of DT lies to the right of DCTCP's -pi: the
@@ -144,7 +147,7 @@ class TestNegInvRelativeDf:
 
     def test_max_single_requires_positive_k(self):
         with pytest.raises(ValueError):
-            max_neg_inv_relative_df_single(0.0)
+            SingleThresholdParams(k=0.0).rightmost()
 
 
 class TestNumericDf:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.margins import classical_margins, worst_case_amplitude
+from repro.core.margins import classical_margins
 from repro.core.parameters import (
     DoubleThresholdParams,
     SingleThresholdParams,
@@ -23,14 +23,14 @@ def scale():
 
 class TestWorstCaseAmplitude:
     def test_relay_closed_form(self):
-        assert worst_case_amplitude(DC) == pytest.approx(40.0 * math.sqrt(2))
+        assert DC.worst_case_amplitude() == pytest.approx(40.0 * math.sqrt(2))
 
     def test_hysteresis_numeric(self):
-        x = worst_case_amplitude(DT)
+        x = DT.worst_case_amplitude()
         assert DT.k2 < x < 3 * DT.k2
 
     def test_degenerate_hysteresis_matches_relay(self):
-        x = worst_case_amplitude(DoubleThresholdParams(k1=40.0, k2=40.0))
+        x = DoubleThresholdParams(k1=40.0, k2=40.0).worst_case_amplitude()
         assert x == pytest.approx(40.0 * math.sqrt(2), rel=0.01)
 
 

@@ -5,14 +5,16 @@ import random
 
 import pytest
 
+from repro.core.describing_function import (
+    marking_waveform_double,
+    marking_waveform_single,
+)
 from repro.core.marking import (
     DoubleThresholdMarker,
     Marker,
     NullMarker,
     REDMarker,
     SingleThresholdMarker,
-    marking_waveform_double,
-    marking_waveform_single,
 )
 from repro.core.parameters import DoubleThresholdParams, SingleThresholdParams
 

@@ -115,6 +115,25 @@ class TestThresholdParams:
         with pytest.raises(ValueError):
             SingleThresholdParams(k=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_thresholds_must_be_positive_and_finite(self, bad):
+        """Regression: ``nan <= 0`` is false, so a NaN threshold - which
+        never marks - used to construct; so did ``k2 = inf``."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            SingleThresholdParams(k=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            DoubleThresholdParams(k1=bad, k2=1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            DoubleThresholdParams(k1=1.0, k2=bad)
+
+    def test_scheme_members(self):
+        dc = SingleThresholdParams(k=40.0)
+        dt = DoubleThresholdParams(k1=30.0, k2=50.0)
+        assert (dc.thresholds, dt.thresholds) == ((40.0,), (30.0, 50.0))
+        assert (dc.label, dt.label) == ("K=40", "K1=30,K2=50")
+        assert (dc.amplitude_floor, dt.amplitude_floor) == (40.0, 50.0)
+        assert SingleThresholdParams(k=21.5).label == "K=21.5"
+
     def test_double_threshold_setpoint_is_midpoint(self):
         p = DoubleThresholdParams(k1=30.0, k2=50.0)
         assert p.setpoint == pytest.approx(40.0)

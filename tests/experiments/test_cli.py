@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import signal
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -232,12 +235,38 @@ BAD_ARGV = [
     # Four cases at the default rate draw no fault, so the bogus name
     # was never looked at: this one used to print FAULTS SMOKE: PASS.
     ["faults", "--cases", "4", "--kinds", "bogus"],
+    # Non-finite and out-of-range numbers used to reach the library:
+    # the first and fourth never returned, the second and the last two
+    # were tracebacks, the third ran every cell with a threshold that
+    # never marks.
+    ["simulate", "--duration", "inf"],
+    ["simulate", "--rtt", "inf"],
+    ["campaign", "--k", "nan"],
+    ["campaign", "--duration", "nan"],
+    ["campaign", "--host-bandwidth", "0"],
+    ["campaign", "--per-hop-delay", "-1"],
 ]
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Cut a call off: two of the values below used to run for ever."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
 def test_bad_value_is_a_usage_error(argv, capsys):
-    with pytest.raises(SystemExit) as exit_info:
+    with pytest.raises(SystemExit) as exit_info, _deadline(5.0):
         main(argv)
     assert exit_info.value.code == 2
     out, err = capsys.readouterr()

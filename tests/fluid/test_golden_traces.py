@@ -30,9 +30,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.parameters import DoubleThresholdParams, paper_network
+from repro.core.parameters import (
+    DoubleThresholdParams,
+    paper_dctcp,
+    paper_dt_dctcp,
+    paper_network,
+)
 from repro.fluid.integrator import FluidTrace, simulate
-from repro.fluid.model import FluidState, dctcp_fluid_model, dt_dctcp_fluid_model
+from repro.fluid.model import FluidState, fluid_model
 from tests.fluid.oracles import simulate_reference
 
 GOLDEN = Path(__file__).with_name("golden_fluid_digests.json")
@@ -53,23 +58,26 @@ def _digest(trace: FluidTrace) -> str:
 #: name -> () -> FluidTrace.  N = 30 under ``variable_rtt`` puts the queue
 #: through the empty-queue boundary and both relay edges within 5 ms.
 RUNS = {
-    "dctcp/fixed": lambda: simulate(dctcp_fluid_model(paper_network(10)), DURATION),
+    "dctcp/fixed": lambda: simulate(
+        fluid_model(paper_network(10), paper_dctcp()), DURATION
+    ),
     "dt-dctcp/fixed": lambda: simulate(
-        dt_dctcp_fluid_model(paper_network(10)), DURATION
+        fluid_model(paper_network(10), paper_dt_dctcp()), DURATION
     ),
     "dctcp/variable-rtt": lambda: simulate(
-        dctcp_fluid_model(paper_network(30), variable_rtt=True), DURATION
+        fluid_model(paper_network(30), paper_dctcp(), variable_rtt=True), DURATION
     ),
     "dt-dctcp/variable-rtt": lambda: simulate(
-        dt_dctcp_fluid_model(paper_network(30), variable_rtt=True), DURATION
+        fluid_model(paper_network(30), paper_dt_dctcp(), variable_rtt=True),
+        DURATION,
     ),
     "dctcp/buffer-60/record-every-3": lambda: simulate(
-        dctcp_fluid_model(paper_network(80), buffer_packets=60),
+        fluid_model(paper_network(80), paper_dctcp(), buffer_packets=60),
         DURATION,
         record_every=3,
     ),
     "dt-dctcp/initial-state": lambda: simulate(
-        dt_dctcp_fluid_model(paper_network(20), variable_rtt=True),
+        fluid_model(paper_network(20), paper_dt_dctcp(), variable_rtt=True),
         DURATION,
         initial_state=FluidState(window=0.25, alpha=1.5, queue=120.0),
     ),
@@ -99,8 +107,8 @@ def test_digest_sees_every_array():
 @pytest.mark.parametrize(
     "make",
     [
-        dctcp_fluid_model,
-        lambda net, **kw: dt_dctcp_fluid_model(
+        lambda net, **kw: fluid_model(net, paper_dctcp(), **kw),
+        lambda net, **kw: fluid_model(
             net, DoubleThresholdParams(k1=20.0, k2=25.0), **kw
         ),
     ],

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.parameters import paper_network
+from repro.core.parameters import paper_dctcp, paper_dt_dctcp, paper_network
 from repro.fluid.integrator import FluidTrace, simulate
-from repro.fluid.model import FluidState, dctcp_fluid_model, dt_dctcp_fluid_model
+from repro.fluid.model import FluidState, fluid_model
 
 
 @pytest.fixture
@@ -17,26 +17,28 @@ def net():
 
 class TestSimulateBasics:
     def test_trace_lengths_consistent(self, net):
-        trace = simulate(dctcp_fluid_model(net), duration=0.002)
+        trace = simulate(fluid_model(net, paper_dctcp()), duration=0.002)
         n = len(trace.time)
         assert n == len(trace.window) == len(trace.alpha)
         assert n == len(trace.queue) == len(trace.marking)
 
     def test_time_axis_uniform_from_zero(self, net):
-        trace = simulate(dctcp_fluid_model(net), duration=0.002)
+        trace = simulate(fluid_model(net, paper_dctcp()), duration=0.002)
         assert trace.time[0] == 0.0
         steps = np.diff(trace.time)
         assert np.allclose(steps, steps[0])
 
     def test_record_every_thins_output(self, net):
-        full = simulate(dctcp_fluid_model(net), duration=0.002)
-        thin = simulate(dctcp_fluid_model(net), duration=0.002, record_every=4)
+        full = simulate(fluid_model(net, paper_dctcp()), duration=0.002)
+        thin = simulate(
+            fluid_model(net, paper_dctcp()), duration=0.002, record_every=4
+        )
         assert len(thin.time) == pytest.approx(len(full.time) / 4, abs=2)
 
     def test_custom_initial_state(self, net):
         start = FluidState(window=5.0, alpha=0.5, queue=100.0)
         trace = simulate(
-            dctcp_fluid_model(net), duration=0.001, initial_state=start
+            fluid_model(net, paper_dctcp()), duration=0.001, initial_state=start
         )
         assert trace.queue[0] == 100.0
         assert trace.window[0] == 5.0
@@ -44,69 +46,73 @@ class TestSimulateBasics:
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_rejects_bad_duration(self, net, bad):
         with pytest.raises(ValueError):
-            simulate(dctcp_fluid_model(net), duration=bad)
+            simulate(fluid_model(net, paper_dctcp()), duration=bad)
 
     def test_rejects_bad_dt(self, net):
         with pytest.raises(ValueError):
-            simulate(dctcp_fluid_model(net), duration=0.01, dt=net.rtt * 2)
+            simulate(
+                fluid_model(net, paper_dctcp()), duration=0.01, dt=net.rtt * 2
+            )
         with pytest.raises(ValueError):
-            simulate(dctcp_fluid_model(net), duration=0.01, dt=0.0)
+            simulate(fluid_model(net, paper_dctcp()), duration=0.01, dt=0.0)
 
     def test_rejects_bad_record_every(self, net):
         with pytest.raises(ValueError):
-            simulate(dctcp_fluid_model(net), duration=0.001, record_every=0)
+            simulate(
+                fluid_model(net, paper_dctcp()), duration=0.001, record_every=0
+            )
 
 
 class TestPhysicalInvariants:
     def test_queue_never_negative(self, net):
-        trace = simulate(dctcp_fluid_model(net), duration=0.01)
+        trace = simulate(fluid_model(net, paper_dctcp()), duration=0.01)
         assert np.all(trace.queue >= 0.0)
 
     def test_alpha_in_unit_interval(self, net):
-        trace = simulate(dctcp_fluid_model(net), duration=0.01)
+        trace = simulate(fluid_model(net, paper_dctcp()), duration=0.01)
         assert np.all(trace.alpha >= 0.0)
         assert np.all(trace.alpha <= 1.0)
 
     def test_window_at_least_one_packet(self, net):
-        trace = simulate(dctcp_fluid_model(net), duration=0.01)
+        trace = simulate(fluid_model(net, paper_dctcp()), duration=0.01)
         assert np.all(trace.window >= 1.0)
 
     def test_marking_is_binary(self, net):
-        trace = simulate(dctcp_fluid_model(net), duration=0.01)
+        trace = simulate(fluid_model(net, paper_dctcp()), duration=0.01)
         assert set(np.unique(trace.marking)) <= {0.0, 1.0}
 
     def test_buffer_limit_respected(self, net):
-        model = dctcp_fluid_model(net, buffer_packets=60.0)
+        model = fluid_model(net, paper_dctcp(), buffer_packets=60.0)
         trace = simulate(model, duration=0.01)
         assert trace.queue.max() <= 60.0 + 1e-9
 
 
 class TestSteadyStateBehaviour:
     def test_dctcp_queue_oscillates_around_threshold(self, net):
-        trace = simulate(dctcp_fluid_model(net), duration=0.04).after(0.02)
+        trace = simulate(fluid_model(net, paper_dctcp()), duration=0.04).after(0.02)
         assert 25.0 < trace.mean_queue < 60.0
         # It is a genuine oscillation, not a fixed point.
         assert trace.std_queue > 1.0
 
     def test_dt_dctcp_std_smaller_than_dctcp(self, net):
         """The paper's core fluid-level claim at N = 10."""
-        dc = simulate(dctcp_fluid_model(net), duration=0.04).after(0.02)
-        dt = simulate(dt_dctcp_fluid_model(net), duration=0.04).after(0.02)
+        dc = simulate(fluid_model(net, paper_dctcp()), duration=0.04).after(0.02)
+        dt = simulate(fluid_model(net, paper_dt_dctcp()), duration=0.04).after(0.02)
         assert dt.std_queue < dc.std_queue
 
     def test_alpha_matches_operating_point(self, net):
         # alpha0 = sqrt(2/W0) ~ 0.49 at N = 10 on the paper's pipe.
-        trace = simulate(dctcp_fluid_model(net), duration=0.04).after(0.02)
+        trace = simulate(fluid_model(net, paper_dctcp()), duration=0.04).after(0.02)
         expected = math.sqrt(2.0 / net.window_at_operating_point)
         assert trace.mean_alpha == pytest.approx(expected, rel=0.25)
 
     def test_more_flows_bigger_oscillation(self):
         small = simulate(
-            dctcp_fluid_model(paper_network(10), variable_rtt=True),
+            fluid_model(paper_network(10), paper_dctcp(), variable_rtt=True),
             duration=0.04,
         ).after(0.02)
         large = simulate(
-            dctcp_fluid_model(paper_network(30), variable_rtt=True),
+            fluid_model(paper_network(30), paper_dctcp(), variable_rtt=True),
             duration=0.04,
         ).after(0.02)
         assert large.std_queue > small.std_queue
@@ -116,19 +122,19 @@ class TestSteadyStateBehaviour:
         queue must blow up (documented limitation; the variable-RTT
         model self-stabilises)."""
         net = paper_network(80)
-        fixed = simulate(dctcp_fluid_model(net), duration=0.02)
+        fixed = simulate(fluid_model(net, paper_dctcp()), duration=0.02)
         variable = simulate(
-            dctcp_fluid_model(net, variable_rtt=True), duration=0.02
+            fluid_model(net, paper_dctcp(), variable_rtt=True), duration=0.02
         )
         assert fixed.queue[-1] > 1000.0
         assert variable.queue[-1] < 300.0
 
     def test_integrator_convergence_under_dt_refinement(self, net):
         coarse = simulate(
-            dctcp_fluid_model(net), duration=0.02, dt=net.rtt / 20
+            fluid_model(net, paper_dctcp()), duration=0.02, dt=net.rtt / 20
         ).after(0.01)
         fine = simulate(
-            dctcp_fluid_model(net), duration=0.02, dt=net.rtt / 80
+            fluid_model(net, paper_dctcp()), duration=0.02, dt=net.rtt / 80
         ).after(0.01)
         assert coarse.mean_queue == pytest.approx(fine.mean_queue, rel=0.15)
 

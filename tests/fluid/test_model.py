@@ -6,14 +6,11 @@ from repro.core.marking import DoubleThresholdMarker, SingleThresholdMarker
 from repro.core.parameters import (
     DoubleThresholdParams,
     SingleThresholdParams,
+    paper_dctcp,
+    paper_dt_dctcp,
     paper_network,
 )
-from repro.fluid.model import (
-    FluidModel,
-    FluidState,
-    dctcp_fluid_model,
-    dt_dctcp_fluid_model,
-)
+from repro.fluid.model import FluidModel, FluidState, fluid_model
 
 
 @pytest.fixture
@@ -23,7 +20,7 @@ def net():
 
 @pytest.fixture
 def model(net):
-    return dctcp_fluid_model(net)
+    return fluid_model(net, paper_dctcp())
 
 
 class TestDerivatives:
@@ -68,7 +65,7 @@ class TestDerivatives:
         assert model.derivatives(state, 0.0)[2] == 0.0
 
     def test_full_buffer_cannot_grow(self, net):
-        model = dctcp_fluid_model(net, buffer_packets=100.0)
+        model = fluid_model(net, paper_dctcp(), buffer_packets=100.0)
         state = FluidState(window=1000.0, alpha=0.0, queue=100.0)
         assert model.derivatives(state, 0.0)[2] == 0.0
 
@@ -79,16 +76,16 @@ class TestMarkingCoupling:
         assert model.marking(40.0) == 1.0
 
     def test_dt_dctcp_hysteresis_through_model(self, net):
-        model = dt_dctcp_fluid_model(net)
+        model = fluid_model(net, paper_dt_dctcp())
         assert model.marking(25.0) == 0.0
         assert model.marking(35.0) == 1.0  # rising into band
         assert model.marking(60.0) == 1.0
         assert model.marking(49.0) == 0.0  # falling through K2
 
     def test_custom_params_respected(self, net):
-        model = dctcp_fluid_model(net, SingleThresholdParams(k=10.0))
+        model = fluid_model(net, SingleThresholdParams(k=10.0))
         assert model.marking(10.0) == 1.0
-        dt = dt_dctcp_fluid_model(net, DoubleThresholdParams(k1=5.0, k2=15.0))
+        dt = fluid_model(net, DoubleThresholdParams(k1=5.0, k2=15.0))
         assert isinstance(dt.marker, DoubleThresholdMarker)
         assert dt.marker.params.k1 == 5.0
 
@@ -99,14 +96,14 @@ class TestRtt:
         assert model.rtt(1000.0) == net.rtt
 
     def test_variable_rtt_anchored_at_setpoint(self, net):
-        model = dctcp_fluid_model(net, variable_rtt=True)
+        model = fluid_model(net, paper_dctcp(), variable_rtt=True)
         # R(setpoint) = R0 by construction (setpoint defaults to K = 40).
         assert model.rtt(40.0) == pytest.approx(net.rtt)
         assert model.rtt(80.0) > net.rtt
         assert model.rtt(0.0) < net.rtt
 
     def test_variable_rtt_grows_linearly_with_queue(self, net):
-        model = dctcp_fluid_model(net, variable_rtt=True)
+        model = fluid_model(net, paper_dctcp(), variable_rtt=True)
         delta = model.rtt(50.0) - model.rtt(40.0)
         assert delta == pytest.approx(10.0 / net.capacity)
 
@@ -121,7 +118,7 @@ class TestClamp:
         assert model.clamp(FluidState(1.0, -0.5, 0.0)).alpha == 0.0
 
     def test_queue_nonnegative_and_bounded(self, net):
-        model = dctcp_fluid_model(net, buffer_packets=100.0)
+        model = fluid_model(net, paper_dctcp(), buffer_packets=100.0)
         assert model.clamp(FluidState(1.0, 0.0, -3.0)).queue == 0.0
         assert model.clamp(FluidState(1.0, 0.0, 150.0)).queue == 100.0
 

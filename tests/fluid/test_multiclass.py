@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.marking import DoubleThresholdMarker, SingleThresholdMarker
-from repro.core.parameters import paper_network
+from repro.core.parameters import paper_dctcp, paper_network
 from repro.fluid import (
     FlowClass,
     MultiClassModel,
-    dctcp_fluid_model,
+    fluid_model,
     simulate,
     simulate_multiclass,
 )
@@ -50,7 +50,7 @@ class TestSingleClassReduction:
         """With one class the multi-class system is Eq. 1-3 exactly."""
         net = paper_network(10)
         single = simulate(
-            dctcp_fluid_model(net), duration=0.02
+            fluid_model(net, paper_dctcp()), duration=0.02
         ).after(0.01)
         multi = simulate_multiclass(
             MultiClassModel(

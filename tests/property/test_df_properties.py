@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from repro.core.describing_function import (
     df_double_threshold,
     df_single_threshold,
-    neg_inv_relative_df_double,
-    neg_inv_relative_df_single,
+    neg_inv_relative_df,
     numeric_df_double,
     numeric_df_single,
-    relative_df_double,
-    relative_df_single,
+    relative_df,
 )
+from repro.core.marking import DoubleThresholdParams, SingleThresholdParams
 
 thresholds = st.floats(min_value=1.0, max_value=200.0)
 ratios = st.floats(min_value=1.001, max_value=50.0)
@@ -38,11 +37,14 @@ class TestSingleThresholdProperties:
     @given(k=thresholds, ratio=ratios)
     def test_relative_df_bounded_by_one_over_pi(self, k, ratio):
         """max N0dc = 1/pi is the analytic landmark behind Theorem 1."""
-        assert relative_df_single(ratio * k, k).real <= 1.0 / math.pi + 1e-12
+        assert relative_df(SingleThresholdParams(k), ratio * k).real <= 1.0 / math.pi + 1e-12
 
     @given(k=thresholds, ratio=ratios)
     def test_neg_inv_left_of_minus_pi(self, k, ratio):
-        assert neg_inv_relative_df_single(ratio * k, k).real <= -math.pi + 1e-9
+        assert (
+            neg_inv_relative_df(SingleThresholdParams(k), ratio * k).real
+            <= -math.pi + 1e-9
+        )
 
     @given(k=thresholds)
     @settings(max_examples=25)
@@ -92,7 +94,7 @@ class TestDoubleThresholdProperties:
         k1, k2 = pair
         if k2 == k1:
             return  # degenerate: purely real
-        v = neg_inv_relative_df_double(ratio * k2, k1, k2)
+        v = neg_inv_relative_df(DoubleThresholdParams(k1, k2), ratio * k2)
         assert v.real < 0.0
         assert v.imag > 0.0
 
@@ -110,7 +112,7 @@ class TestDoubleThresholdProperties:
     def test_relative_df_magnitude_bounded(self, pair, ratio):
         """|N0dt| <= K2 * (2/(pi X)) * ... stays below 2/pi + gap term."""
         k1, k2 = pair
-        value = relative_df_double(ratio * k2, k1, k2)
+        value = relative_df(DoubleThresholdParams(k1, k2), ratio * k2)
         assert abs(value) <= 1.0  # loose but universal sanity bound
 
 

@@ -1,8 +1,13 @@
 """Property-based tests for the marking state machines (hypothesis)."""
 
+import inspect
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import marking
 from repro.core.marking import DoubleThresholdMarker, SingleThresholdMarker
 
 queue_paths = st.lists(
@@ -35,6 +40,48 @@ class TestSingleThresholdProperties:
         marker = SingleThresholdMarker.from_threshold(k)
         for q in path:
             assert marker.should_mark(q) == (q >= k)
+
+
+#: One instance of every marker class in ``repro.core.marking`` that
+#: declares ``fused_threshold``, found by looking, so a future memoryless
+#: marker is held to the promise without being listed here.
+FUSED_MARKERS = {
+    "NullMarker": marking.NullMarker,
+    "SingleThresholdMarker": lambda: SingleThresholdMarker.from_threshold(17.5),
+}
+
+
+def test_every_fusing_marker_class_is_covered():
+    declaring = {
+        name
+        for name, cls in inspect.getmembers(marking, inspect.isclass)
+        if cls.__module__ == marking.__name__ and hasattr(cls, "fused_threshold")
+    }
+    assert declaring == set(FUSED_MARKERS)
+    for cls in (DoubleThresholdMarker, marking.REDMarker):
+        assert not hasattr(cls, "fused_threshold")  # stateful: no promise
+
+
+class TestFusedThresholdPromise:
+    @pytest.mark.parametrize("name", sorted(FUSED_MARKERS))
+    @given(
+        path=st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, allow_nan=False),  # includes inf
+                st.sampled_from([0.0, 17.5, math.inf]),
+            ),
+            min_size=1,
+            max_size=100,
+        ).flatmap(lambda qs: st.permutations(qs + qs))  # with repeats
+    )
+    def test_should_mark_is_the_compare(self, name, path):
+        """What the link's fused send relies on: the verdict is
+        ``q >= fused_threshold`` whatever was asked before."""
+        marker = FUSED_MARKERS[name]()
+        threshold = marker.fused_threshold
+        for q in path:
+            assert marker.should_mark(q) == (q >= threshold)
+        assert marker.fused_threshold == threshold
 
 
 class TestDoubleThresholdInvariants:

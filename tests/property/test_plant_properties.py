@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.margins import classical_margins, worst_case_amplitude
+from repro.core.margins import classical_margins
 from repro.core.parameters import (
     DoubleThresholdParams,
     NetworkParams,
@@ -95,7 +95,7 @@ class TestMarginProperties:
     @given(params=threshold_params())
     @settings(max_examples=40, deadline=None)
     def test_worst_case_amplitude_in_domain(self, params):
-        x = worst_case_amplitude(params, n_grid=512)
+        x = params.worst_case_amplitude()
         edge = params.k if isinstance(params, SingleThresholdParams) else params.k2
         assert x >= edge
 

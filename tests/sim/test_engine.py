@@ -162,6 +162,23 @@ class TestRunLimits:
         sim.run()  # the rejected call left the simulator usable
         assert fired == [1]
 
+    def test_nan_horizon_rejected(self):
+        """Regression: no event time is ``> nan``, so a NaN horizon was
+        silently no horizon at all - a self-rescheduling tick ran until
+        the event budget (here the guard) stopped it."""
+        sim = Simulator()
+
+        def tick():
+            sim.post(1.0, tick)
+
+        sim.post(1.0, tick)
+        with pytest.raises(ValueError, match="NaN"):
+            sim.run(until=float("nan"), max_events=1000)
+        assert sim.events_processed == 0
+        # An infinite horizon stays legal: "until the queue empties".
+        sim.run(until=float("inf"), max_events=3)
+        assert sim.now == 3.0
+
     def test_budget_exhaustion_does_not_fast_forward_clock(self):
         """Regression: run(until=..., max_events=...) used to jump the
         clock to `until` even with events still pending before it, so

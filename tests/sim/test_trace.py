@@ -20,7 +20,7 @@ class TestQueueMonitor:
         mon.start()
         sim.run(until=1.0)
         assert len(mon.times) == 11  # t = 0.0 .. 1.0
-        assert mon.times == pytest.approx(list(np.arange(11) * 0.1))
+        assert list(mon.times) == pytest.approx(list(np.arange(11) * 0.1))
 
     def test_records_occupancy_changes(self):
         sim = Simulator()
@@ -84,7 +84,7 @@ class TestAlphaMonitor:
         mon = AlphaMonitor(sim, [object(), object()], interval=0.1)
         mon.start()
         sim.run(until=1.0)
-        assert mon.mean_alphas == []
+        assert list(mon.mean_alphas) == []
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):

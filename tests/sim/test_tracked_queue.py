@@ -19,14 +19,14 @@ class TestTrackedFifoQueue:
         q.enqueue(pkt(0))
         q.enqueue(pkt(1))
         q.dequeue()
-        assert q.event_lengths == [0, 1, 2, 1]
+        assert list(q.event_lengths) == [0, 1, 2, 1]
 
     def test_records_drops_as_observations(self):
         sim = Simulator()
         q = TrackedFifoQueue(sim, 1500)
         q.enqueue(pkt(0))
         q.enqueue(pkt(1))  # dropped
-        assert q.event_lengths == [0, 1, 1]
+        assert list(q.event_lengths) == [0, 1, 1]
 
     def test_time_weighted_mean_exact(self):
         sim = Simulator()
@@ -74,16 +74,15 @@ class TestTrackedFifoQueue:
             q.time_weighted_mean(after=100.0)
 
     def test_fold_crosses_chunk_boundary(self):
-        """More events than one staging chunk: nothing lost, in order."""
-        from repro.sim.trace import _FOLD_EVENTS
-
+        """A long trace (past any power-of-two growth step of the
+        arrays): nothing lost, in order."""
         sim = Simulator()
         q = TrackedFifoQueue(sim, 100_000_000)
-        n = _FOLD_EVENTS + 500
+        n = 32768 + 500
         for i in range(n):
             sim._now = 1e-6 * (i + 1)
             q.enqueue(pkt(i))
         assert len(q.event_times) == n + 1
-        assert q.event_lengths == list(range(n + 1))
+        assert list(q.event_lengths) == list(range(n + 1))
         # Occupancy ramps 0..n-1 over n equal holds.
         assert q.time_weighted_mean() == pytest.approx((n - 1) / 2)
