@@ -13,48 +13,24 @@ prints mean / p95 / p99 completion times (paper Figure 15).
 Run:  python examples/web_search_aggregator.py
 """
 
+from repro.experiments.fig15_completion_time import run_completion_point
 from repro.experiments.protocols import dctcp_testbed, dt_dctcp_testbed
-from repro.experiments.fig14_incast import (
-    TESTBED_INITIAL_CWND,
-    TESTBED_START_JITTER,
-)
 from repro.experiments.tables import print_table
-from repro.sim.apps.partition_aggregate import partition_aggregate_app
-from repro.sim.topology import paper_testbed
-from repro.stats import tail_latency
-
-
-def run_fanout(protocol, n_flows: int, n_queries: int = 10):
-    testbed = paper_testbed(protocol.marker_factory)
-    app = partition_aggregate_app(
-        testbed.aggregator,
-        testbed.workers,
-        n_flows=n_flows,
-        n_queries=n_queries,
-        sender_cls=protocol.sender_cls,
-        initial_cwnd=TESTBED_INITIAL_CWND,
-        start_jitter=TESTBED_START_JITTER,
-    )
-    app.start()
-    testbed.sim.run(until=60.0 * n_queries)
-    times = app.completion_times()
-    p50, p95, p99 = tail_latency(times)
-    return sum(times) / len(times), p95, p99
 
 
 def main() -> None:
     fanouts = [8, 16, 24, 30, 33, 34, 36, 40]
     rows = []
     for n in fanouts:
-        dc_mean, _, dc_p99 = run_fanout(dctcp_testbed(), n)
-        dt_mean, _, dt_p99 = run_fanout(dt_dctcp_testbed(), n)
+        dc = run_completion_point(dctcp_testbed(), n, n_queries=10)
+        dt = run_completion_point(dt_dctcp_testbed(), n, n_queries=10)
         rows.append(
             (
                 n,
-                dc_mean * 1e3,
-                dc_p99 * 1e3,
-                dt_mean * 1e3,
-                dt_p99 * 1e3,
+                dc.mean_time * 1e3,
+                dc.p99_time * 1e3,
+                dt.mean_time * 1e3,
+                dt.p99_time * 1e3,
             )
         )
     print_table(

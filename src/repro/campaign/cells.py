@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from repro.campaign.grid import QUEUE_SAMPLE_INTERVAL
 from repro.core.marking import scheme_for
 from repro.exec.cases import Case
 from repro.sim.apps.incast import FanInApp
@@ -204,7 +205,7 @@ def run_cell(params: Dict[str, Any]) -> Dict[str, Any]:
                 bulk_flows.append(flow)
 
     monitor = QueueMonitor(
-        fabric.sim, fabric.downlink_queue(client), interval=20e-6
+        fabric.sim, fabric.downlink_queue(client), QUEUE_SAMPLE_INTERVAL
     )
     monitor.start()
     fabric.sim.run(until=duration)
@@ -212,7 +213,7 @@ def run_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     # perturb the cached ``events_processed`` count for nothing.
     InvariantWatchdog(fabric.network).check()
 
-    queue = monitor.series(after=warmup)
+    mean_queue, std_queue = monitor.steady_state(warmup)
     totals = _fabric_totals(fabric)
     started = sum(g.flows_started for g in generators)
     fcts: List[float] = []
@@ -223,8 +224,8 @@ def run_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         "flows_started": started,
         "flows_completed": sum(g.flows_completed for g in generators),
         "flows_incomplete": sum(g.flows_incomplete for g in generators),
-        "mean_queue_pkts": float(queue.mean()) if len(queue) else 0.0,
-        "std_queue_pkts": float(queue.std()) if len(queue) else 0.0,
+        "mean_queue_pkts": mean_queue,
+        "std_queue_pkts": std_queue,
         "fabric_marks": totals["marked"],
         "fabric_drops": totals["dropped"],
         "bulk_timeouts": sum(f.sender.timeouts for f in bulk_flows),

@@ -39,6 +39,9 @@ SCENARIOS = ("buildup", "incast", "space-dc")
 
 EXPERIMENT = "repro.campaign.cells"
 
+#: Sampling period of each cell's downlink-queue monitor (seconds).
+QUEUE_SAMPLE_INTERVAL = 20e-6
+
 
 @dataclasses.dataclass(frozen=True)
 class CellCoord:
@@ -182,8 +185,14 @@ class CampaignGrid:
             raise ValueError(
                 "campaign cells send cross-leaf traffic; need >= 2 leaves"
             )
-        if self.warmup >= self.duration:
-            raise ValueError("warmup must be shorter than duration")
+        # Two samples at least, so no cell can report the statistics of
+        # an empty window (``QueueMonitor.steady_state`` would refuse).
+        if self.duration - self.warmup < 2 * QUEUE_SAMPLE_INTERVAL:
+            raise ValueError(
+                f"warmup {self.warmup:g} s leaves {self.duration:g} s cells "
+                "a measured window shorter than two queue samples "
+                f"({QUEUE_SAMPLE_INTERVAL:g} s apart)"
+            )
 
     def coords(self) -> Iterator[CellCoord]:
         """Non-seed cells in expansion order."""

@@ -15,10 +15,6 @@ Commands:
                   scenario × seeds, run through the fault-tolerant
                   executor with censoring-aware p50/p95/p99 aggregation
                   (see :mod:`repro.campaign`);
-* ``faults``    — fault-injection smoke: runs a sweep with scheduled
-                  crashes/hangs/corruption, asserts the non-faulted
-                  results are byte-identical to a fault-free run, then
-                  resumes and asserts only the casualties re-execute;
 * ``cache``     — result-cache maintenance: ``stats``, ``verify``
                   (quarantine damaged entries), ``gc``.
 
@@ -47,7 +43,6 @@ Examples::
     python -m repro.cli campaign --k 40 --k 65 --k1k2 30,50 \\
         --loads 0.2,0.4 --fan-ins 0,8 --scenarios buildup,incast \\
         --seeds 1,2,3 --jobs 8 --output campaign.json
-    python -m repro.cli faults --cases 24 --rate 0.25 --jobs 4
     python -m repro.cli cache stats
 """
 
@@ -67,7 +62,6 @@ from repro.core import (
     paper_network,
 )
 from repro.exec import ResultCache, SweepExecutor
-from repro.exec.faults import FAULT_KINDS
 from repro.experiments import STAGES, full_scale, quick_scale, stage_by_id
 from repro.experiments.protocols import paper_config
 from repro.experiments.tables import print_table
@@ -93,7 +87,7 @@ def _checked(cast: Callable, ok: Callable, wants: str) -> Callable:
     def convert(text: str):
         try:
             value = cast(text)
-        except ValueError:
+        except (ValueError, OSError):
             value = None
         if value is None or not ok(value):
             raise argparse.ArgumentTypeError(f"must be {wants}, got {text!r}")
@@ -112,15 +106,25 @@ _positive_float = _checked(
 _non_negative_float = _checked(
     float, lambda v: 0 <= v < math.inf, "a finite number >= 0"
 )
-_unit_interval = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 _open_unit_interval = _checked(
     float, lambda v: 0 < v < 1, "a number in (0, 1)"
 )
-_fault_kinds = _checked(
-    lambda text: tuple(text.split(",")),
-    lambda kinds: all(kind in FAULT_KINDS for kind in kinds),
-    f"a comma-separated list from {', '.join(FAULT_KINDS)}",
-)
+
+
+def _new_file(text: str) -> Path:
+    Path(text).write_bytes(b"")
+    return Path(text)
+
+
+def _new_dir(text: str) -> Path:
+    Path(text).mkdir(parents=True, exist_ok=True)
+    return Path(text)
+
+
+# Destinations are created while the flags are parsed: one that cannot be
+# written is a usage error before the work, not a traceback after it.
+_output_file = _checked(_new_file, Path.exists, "a writable file path")
+_cache_root = _checked(_new_dir, Path.is_dir, "a creatable directory path")
 
 
 def _k1k2(text: str) -> Tuple[float, float]:
@@ -224,7 +228,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     network.sim.run(until=args.duration)
     if watchdog is not None:
         watchdog.check()
-    queue = monitor.series(after=args.duration * 0.4)
+    try:
+        mean_queue, std_queue = monitor.steady_state(args.duration * 0.4)
+    except ValueError as exc:
+        args.usage_error(f"argument --duration: {exc}")
     delivered = sum(f.receiver.packets_received for f in flows)
     # Baseline senders keep no congestion-extent estimate.
     alphas = [
@@ -233,8 +240,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     rows = [
         ("protocol", protocol.name),
         ("flows", args.flows),
-        ("mean queue (pkts)", float(queue.mean())),
-        ("std queue (pkts)", float(queue.std())),
+        ("mean queue (pkts)", mean_queue),
+        ("std queue (pkts)", std_queue),
         ("mean alpha", sum(alphas) / len(alphas) if alphas else "n/a"),
         ("goodput (Gbps)", delivered * 1500 * 8 / args.duration / 1e9),
         ("marks", network.bottleneck_queue.stats.marked),
@@ -310,14 +317,6 @@ _CAMPAIGN_DEFAULTS = {
 }
 
 
-def _campaign_setting(args: argparse.Namespace, preset: dict, key: str):
-    """Explicit flag > preset value > global default, per setting."""
-    value = getattr(args, key)
-    if value is not None:
-        return value
-    return preset.get(key, _CAMPAIGN_DEFAULTS[key])
-
-
 def _campaign_grid(args: argparse.Namespace):
     """The grid the ``campaign`` flags describe (``ValueError`` if invalid)."""
     from repro.campaign import CampaignGrid
@@ -335,8 +334,12 @@ def _campaign_grid(args: argparse.Namespace):
         if senders is None:
             senders = preset.get("senders", _CAMPAIGN_DEFAULTS["senders"])
 
-    def setting(key):
-        return _campaign_setting(args, preset, key)
+    def setting(key: str):
+        """Explicit flag > preset value > global default, per setting."""
+        value = getattr(args, key)
+        if value is not None:
+            return value
+        return preset.get(key, _CAMPAIGN_DEFAULTS[key])
 
     return CampaignGrid(
         thresholds=thresholds,
@@ -402,121 +405,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print(f"written: {args.output}")
     print(executor.report.render(), file=sys.stderr)
     return exit_code(executor.report)
-
-
-def cmd_faults(args: argparse.Namespace) -> int:
-    """Fault-injection smoke: partial completion, then clean resume.
-
-    Phase 1 runs a deterministic demo sweep with faults injected on a
-    seeded schedule and checks that (a) every non-faulted case's result
-    is byte-identical to a fault-free computation and (b) every failure
-    is attributed to a scheduled fault.  Phase 2 re-runs the sweep
-    against the same cache with no faults and checks that only the
-    casualties (skipped cases + torn cache entries) re-execute.  Without
-    ``--cache-dir`` the cache lives in a temporary directory that is
-    removed afterwards.
-    """
-    if args.cache_dir is not None:
-        return _faults_smoke(args, args.cache_dir)
-    import tempfile
-
-    with tempfile.TemporaryDirectory(prefix="repro-faults-") as tmp:
-        return _faults_smoke(args, Path(tmp))
-
-
-def _faults_smoke(args: argparse.Namespace, cache_dir: Path) -> int:
-    from repro.exec import faults as fl
-
-    cases = fl.demo_cases(args.cases)
-    plan = fl.FaultPlan.from_rate(
-        len(cases),
-        args.rate,
-        seed=args.seed,
-        kinds=args.kinds,
-        fail_attempts=args.fail_attempts,
-        hang_seconds=max(30.0, 10.0 * args.timeout),
-    )
-    expected = [fl.run_case(case) for case in cases]
-    faulted = set(plan.faulted_indices())
-    # Worker-side faults that outlast the retry budget become skips;
-    # torn-write cases succeed in-run and only hurt the *next* run.
-    permanent = args.fail_attempts > args.retries
-    expect_skipped = (
-        {
-            i for i in faulted
-            if plan.spec_for(i).kind != "torn-write"
-        }
-        if permanent
-        else set()
-    )
-    torn = {i for i in faulted if plan.spec_for(i).kind == "torn-write"}
-
-    print(
-        f"phase 1: {len(cases)} cases, {len(faulted)} faulted "
-        f"({plan.count('error')} error / {plan.count('die')} die / "
-        f"{plan.count('hang')} hang / {plan.count('corrupt')} corrupt / "
-        f"{plan.count('torn-write')} torn-write), cache at {cache_dir}"
-    )
-    ex = SweepExecutor(
-        jobs=args.jobs,
-        cache=ResultCache(cache_dir),
-        timeout=args.timeout,
-        retries=args.retries,
-        failure_policy="skip",
-        fault_plan=plan,
-    )
-    results = ex.run(cases, stage="faults-smoke")
-    print(ex.report.render())
-
-    ok = True
-    skipped = {i for i, r in enumerate(results) if r is None}
-    if skipped != expect_skipped:
-        print(f"FAIL: skipped {sorted(skipped)}, "
-              f"expected {sorted(expect_skipped)}")
-        ok = False
-    for i, result in enumerate(results):
-        if result is not None and result != expected[i]:
-            print(f"FAIL: case {i} result differs from fault-free run")
-            ok = False
-    bad_attribution = {
-        f.label for f in ex.report.failures
-    } - {cases[i].label for i in faulted}
-    if bad_attribution:
-        print(f"FAIL: failures attributed to non-faulted cases: "
-              f"{sorted(bad_attribution)}")
-        ok = False
-    if ok:
-        print(
-            f"phase 1 ok: {len(cases) - len(skipped)}/{len(cases)} "
-            f"completed, {len(skipped)} skipped (all attributed)"
-        )
-
-    if args.resume:
-        cache = ResultCache(cache_dir)
-        ex2 = SweepExecutor(jobs=args.jobs, cache=cache)
-        results2 = ex2.run(cases, stage="faults-smoke")
-        print(ex2.report.render())
-        stats = ex2.report.stages[0]
-        expect_rerun = len(expect_skipped) + len(torn)
-        if results2 != expected:
-            print("FAIL: resumed results differ from fault-free run")
-            ok = False
-        if stats.executed != expect_rerun:
-            print(f"FAIL: resume executed {stats.executed} cases, "
-                  f"expected {expect_rerun}")
-            ok = False
-        if cache.corrupt != len(torn):
-            print(f"FAIL: resume quarantined {cache.corrupt} entries, "
-                  f"expected {len(torn)}")
-            ok = False
-        if ok:
-            print(
-                f"resume ok: re-executed only the {expect_rerun} "
-                f"casualties ({len(expect_skipped)} skipped + "
-                f"{len(torn)} torn cache entries quarantined)"
-            )
-    print("FAULTS SMOKE: " + ("PASS" if ok else "FAIL"))
-    return 0 if ok else 1
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
@@ -599,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="audit packet conservation / queue "
                         "invariants during and after the run")
     _add_profile_args(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, usage_error=p.error)
 
     p = sub.add_parser("incast", help="one incast point on the testbed")
     p.add_argument("--flows", type=_positive_int, default=32)
@@ -667,38 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="space-dc cells: outage length per flap")
     p.add_argument("--flap-count", type=int, default=3,
                    help="space-dc cells: flaps in the train (0 disables)")
-    p.add_argument("--output", type=Path, default=None, metavar="PATH",
+    p.add_argument("--output", type=_output_file, default=None, metavar="PATH",
                    help="also write the full aggregates as JSON")
     add_executor_args(p)
     p.set_defaults(func=cmd_campaign)
-
-    p = sub.add_parser(
-        "faults",
-        help="fault-injection smoke (partial results + clean resume)",
-    )
-    p.add_argument("--cases", type=_positive_int, default=24,
-                   help="demo sweep size")
-    p.add_argument("--rate", type=_unit_interval, default=0.25,
-                   help="fraction of cases scheduled to fault")
-    p.add_argument("--seed", type=int, default=13,
-                   help="fault schedule seed (13 exercises all five kinds "
-                        "at the default size and rate)")
-    p.add_argument("--kinds", type=_fault_kinds,
-                   default="error,die,hang,corrupt,torn-write",
-                   help="comma-separated fault kinds to draw from")
-    p.add_argument("--fail-attempts", type=_positive_int, default=1_000_000,
-                   help="attempts each fault keeps firing for "
-                        "(default: permanent within the run)")
-    p.add_argument("--jobs", type=_positive_int, default=4)
-    p.add_argument("--timeout", type=_positive_float, default=2.0,
-                   help="per-case deadline (catches injected hangs)")
-    p.add_argument("--retries", type=_non_negative_int, default=1)
-    p.add_argument("--cache-dir", type=Path, default=None,
-                   help="cache directory, kept afterwards (default: a "
-                        "temporary directory, removed afterwards)")
-    p.add_argument("--no-resume", dest="resume", action="store_false",
-                   help="skip the phase-2 resume verification")
-    p.set_defaults(func=cmd_faults)
 
     p = sub.add_parser("cache", help="result-cache maintenance")
     p.add_argument("action", choices=["stats", "verify", "gc"])
@@ -723,7 +583,7 @@ def add_executor_args(p: argparse.ArgumentParser) -> None:
     """Declare the flags :func:`executor_from_args` reads."""
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for the sweep executor")
-    p.add_argument("--cache-dir", type=Path, default=None,
+    p.add_argument("--cache-dir", type=_cache_root, default=None,
                    help=_CACHE_DIR_HELP)
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and bypass the result cache")
@@ -762,8 +622,8 @@ def _add_profile_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", action="store_true",
                    help="wrap the run in cProfile "
                         "(top-20 cumulative table on stderr)")
-    p.add_argument("--profile-out", type=str, default=None, metavar="PATH",
-                   help="also dump raw pstats to PATH")
+    p.add_argument("--profile-out", type=_output_file, default=None,
+                   metavar="PATH", help="also dump raw pstats to PATH")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -24,7 +24,7 @@ arrival at a switch output queue).
   sinusoidal queue this produces exactly the waveform integrated in the
   paper's Figure 8 (ON for phase ``arcsin(K1/X) .. pi - arcsin(K2/X)``).
 * :class:`REDMarker` is a classic RED probabilistic marker, included as an
-  extra baseline for the ablation benches.
+  extra baseline for the mechanism bake-off.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ execution at scale actually produces:
   failure policies; a re-run resumes by executing only the cases
   without a valid cache entry;
 * :mod:`repro.exec.faults`   — deterministic fault injection (crashes,
-  hangs, corrupt returns, torn cache writes) for tests and the
-  ``repro.cli faults`` smoke command;
+  hangs, corrupt returns, torn cache writes) for the tests and the
+  performance ledger's ``sweep-replay`` workload;
 * :mod:`repro.exec.report`   — per-stage timing, cache-hit, retry, and
   failure telemetry.
 

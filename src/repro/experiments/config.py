@@ -1,7 +1,7 @@
 """Experiment scaling knobs.
 
 Every experiment module accepts a :class:`Scale`, so the same code backs
-the full paper-shaped run (``full_scale``), the CI-speed benchmark run
+the full paper-shaped run (``full_scale``), the CI-speed run
 (``quick_scale``), and anything in between.  The *structure* of each
 experiment never changes with scale — only durations, repetition counts,
 and sweep granularity.
@@ -61,7 +61,9 @@ def full_scale() -> Scale:
 
 
 def quick_scale() -> Scale:
-    """Benchmark/CI scale: same structure, coarser sweeps."""
+    """The scale ``--quick`` prints and tier-1 asserts the paper's claims
+    at (``tests/integration/test_experiments.py``): same structure,
+    coarser sweeps."""
     return Scale(
         sim_duration=0.02,
         warmup=0.008,

@@ -136,7 +136,7 @@ def dt_dctcp_testbed() -> ProtocolConfig:
 def ecn_red_baseline(
     min_th: float = 20.0, max_th: float = 60.0, max_p: float = 0.1
 ) -> ProtocolConfig:
-    """RED + ECN-Reno: the classic AQM baseline for the ablation benches."""
+    """RED + ECN-Reno: the classic AQM baseline for the mechanism bake-off."""
     return ProtocolConfig(
         name="RED-ECN",
         marker_factory=lambda: REDMarker(min_th=min_th, max_th=max_th, max_p=max_p),

@@ -100,7 +100,7 @@ def run_protocol(
         p50_fct=p50,
         p95_fct=p95,
         p99_fct=p99,
-        mean_queue=float(monitor.series(after=warmup).mean()),
+        mean_queue=monitor.steady_state(warmup)[0],
     )
 
 

@@ -17,7 +17,7 @@ N = 10..100 sweep into the minimum-window regime — the pipe holds only
 ``R0*C ~ 83`` packets, so for ``N > ~41`` each flow cannot go below its
 1-packet floor without inflating the queue (see EXPERIMENTS.md).  The
 runner therefore also supports a "deep pipe" variant (longer RTT) in
-which the whole sweep stays ECN-controlled; the benches report both.
+which the whole sweep stays ECN-controlled; tier-1 asserts both.
 
 For the parallel executor the sweep is also exposed as a
 ``cases()``/``run_case()`` pair: every (protocol, N) cell is one
@@ -106,14 +106,15 @@ def _measure(
     alpha_monitor.start()
     network.sim.run(until=sim_duration)
 
-    queue = queue_monitor.series(after=warmup)
+    mean_queue, std_queue = queue_monitor.steady_state(warmup)
     alphas = alpha_monitor.series(after=warmup)
     delivered_packets = sum(f.receiver.packets_received for f in flows)
     return SweepPoint(
         protocol=protocol.name,
         n_flows=n_flows,
-        mean_queue=float(queue.mean()),
-        std_queue=float(queue.std()),
+        mean_queue=mean_queue,
+        std_queue=std_queue,
+        # Senders that keep no alpha (the baselines) are never sampled.
         mean_alpha=float(alphas.mean()) if len(alphas) else 0.0,
         goodput_bps=delivered_packets * 1500 * 8.0 / sim_duration,
         timeouts=sum(f.sender.timeouts for f in flows),

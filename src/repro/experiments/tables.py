@@ -2,7 +2,7 @@
 
 Every experiment prints its results through :func:`format_table`, so
 harness output looks uniform whether it is run from an example script, a
-benchmark, or ``python -m repro.experiments.runner``.
+test, or ``python -m repro.experiments.runner``.
 """
 
 from __future__ import annotations

@@ -21,13 +21,13 @@ queue, standard deviation, oscillation amplitude, mean alpha).
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional
 
 import numpy as np
 
 from repro.fluid.delay_buffer import DelayBuffer
 from repro.fluid.model import FluidModel, FluidState
+from repro.stats import dominant_frequency, oscillation_amplitude
 
 __all__ = ["FluidTrace", "simulate"]
 
@@ -73,30 +73,20 @@ class FluidTrace:
 
     @property
     def queue_amplitude(self) -> float:
-        """Half the steady peak-to-trough queue swing.
-
-        Comparable to the DF prediction's amplitude ``X``.  Uses the 1st
-        and 99th percentiles rather than min/max so a single transient
-        spike does not dominate.
-        """
-        hi, lo = np.percentile(self.queue, [99.0, 1.0])
-        return float(hi - lo) / 2.0
+        """Half the steady peak-to-trough queue swing, comparable to the
+        DF prediction's amplitude ``X`` — the estimator the packet-level
+        traces go through (:func:`repro.stats.oscillation_amplitude`)."""
+        return oscillation_amplitude(self.queue)
 
     def dominant_frequency(self) -> float:
-        """Angular frequency (rad/s) of the strongest queue spectral line.
-
-        Comparable to the DF prediction's ``w``.  The mean is removed and
-        a Hann window applied before the FFT.
-        """
-        q = self.queue - np.mean(self.queue)
-        if len(q) < 16:
+        """Angular frequency (rad/s) of the strongest queue spectral line,
+        comparable to the DF prediction's ``w``
+        (:func:`repro.stats.dominant_frequency` at the trace's step)."""
+        if len(self.time) < 2:
             raise ValueError("trace too short for spectral analysis")
-        dt = float(self.time[1] - self.time[0])
-        windowed = q * np.hanning(len(q))
-        spectrum = np.abs(np.fft.rfft(windowed))
-        freqs = np.fft.rfftfreq(len(q), d=dt)
-        peak = int(np.argmax(spectrum[1:])) + 1  # skip DC
-        return float(2.0 * math.pi * freqs[peak])
+        return dominant_frequency(
+            self.queue, float(self.time[1] - self.time[0])
+        )
 
 
 def simulate(

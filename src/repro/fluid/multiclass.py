@@ -15,7 +15,8 @@ one delay per class.  With a single class this reduces exactly to
 :mod:`repro.fluid.model` (tested).
 
 The headline question it answers: does DT-DCTCP's stability advantage
-survive RTT heterogeneity?  (It does — see the multiclass benchmark.)
+survive RTT heterogeneity?  (It does — ``tests/claims/test_extensions.py``
+asserts it at four RTT mixes.)
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ class MultiClassModel:
         self.classes = list(classes)
         self.marker = marker
         self.g = g
+        #: Per-class round trips and flow counts, in ``classes`` order.
+        self.rtts = np.array([c.rtt for c in self.classes])
+        self.counts = np.array([float(c.n_flows) for c in self.classes])
 
     @property
     def n_classes(self) -> int:
@@ -81,11 +85,10 @@ class MultiClassModel:
         delayed_markings: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, float]:
         """Per-class window/alpha derivatives plus the queue derivative."""
-        rtts = np.array([c.rtt for c in self.classes])
-        counts = np.array([float(c.n_flows) for c in self.classes])
+        rtts = self.rtts
         d_w = 1.0 / rtts - (windows * alphas / (2.0 * rtts)) * delayed_markings
         d_a = (self.g / rtts) * (delayed_markings - alphas)
-        d_q = float(np.sum(counts * windows / rtts) - self.capacity)
+        d_q = float(np.sum(self.counts * windows / rtts) - self.capacity)
         if queue <= 0.0 and d_q < 0.0:
             d_q = 0.0
         return d_w, d_a, d_q
@@ -147,8 +150,8 @@ def simulate_multiclass(
 
     model.marker.reset()
     m = model.n_classes
-    rtts = np.array([c.rtt for c in model.classes])
-    counts = np.array([float(c.n_flows) for c in model.classes])
+    rtts = model.rtts
+    counts = model.counts
     # Start at full fair share per class, no congestion memory.
     windows = model.capacity * rtts / counts / m
     windows = np.maximum(windows, 1.0)
@@ -167,14 +170,12 @@ def simulate_multiclass(
     def delayed(now: float) -> np.ndarray:
         return np.array([history.value_at(now - r) for r in rtts])
 
+    rhs = model.derivatives
     t = 0.0
     for step in range(1, n_steps + 1):
         p0 = delayed(t)
         p_mid = delayed(t + dt / 2.0)
         p_end = delayed(t + dt)
-
-        def rhs(w, a, q, p):
-            return model.derivatives(w, a, q, p)
 
         k1 = rhs(windows, alphas, queue, p0)
         k2 = rhs(

@@ -13,7 +13,7 @@ workload holds is 500 000 samples (4 MB), so there is nothing to chunk.
 from __future__ import annotations
 
 from array import array
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +77,23 @@ class QueueMonitor:
         t = self.times.to_numpy()
         q = self.lengths.to_numpy()
         return q[t >= after]
+
+    def steady_state(self, warmup: float) -> Tuple[float, float]:
+        """``(mean, std)`` of the lengths sampled at or after ``warmup``.
+
+        The one reduction behind every reported queue statistic.  A
+        warm-up that discards every sample is a ``ValueError`` — not a
+        ``nan`` under numpy warnings, and not a ``0.0`` that reads as an
+        empty queue.
+        """
+        queue = self.series(after=warmup)
+        if not len(queue):
+            raise ValueError(
+                f"a warm-up of {warmup:g} s discards every queue sample: "
+                f"the run ended at {self.sim.now:g} s and the queue is "
+                f"sampled every {self.interval:g} s"
+            )
+        return float(queue.mean()), float(queue.std())
 
     def time_series(self, after: float = 0.0):
         """``(times, lengths)`` pair for plotting-style consumers."""

@@ -137,6 +137,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             grid(**overrides)
 
+    def test_measured_window_must_hold_two_queue_samples(self):
+        """The cells of such a grid used to run and report (and cache) a
+        mean queue of 0.0 for the empty window."""
+        with pytest.raises(ValueError, match="shorter than two queue samples"):
+            grid(warmup=0.00199, duration=0.002)
+        grid(warmup=0.0019, duration=0.002)  # five sample intervals: fine
+
     def test_scenarios_registry(self):
         assert SCENARIOS == ("buildup", "incast", "space-dc")
         # The sender axis is the protocol table; the historic pair stays.

@@ -10,6 +10,7 @@ import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.exec import executor as executor_mod
+from repro.exec import faults
 from repro.exec import (
     CaseTimeoutError,
     FaultInjected,
@@ -242,8 +243,7 @@ class TestAcceptance:
         assert ex.report.stages[0].failed == len(faulted)
 
         # Second invocation: resumes from the cache alone, executing
-        # exactly the casualties, and completes the sweep exactly (the
-        # assertions ``repro.cli faults`` phase 2 makes).
+        # exactly the casualties, and completes the sweep exactly.
         ex2 = supervisor(cache=ResultCache(tmp_path / "cache"))
         results2 = ex2.run(cases, stage="accept")
         assert results2 == baseline
@@ -276,6 +276,53 @@ class TestAcceptance:
         assert sorted(p.name for p in root.iterdir() if len(p.name) != 2) == [
             "quarantine"
         ]
+
+
+    @pytest.mark.parametrize(
+        "retries, fail_attempts",
+        [(1, PERMANENT), (2, 1)],
+        ids=["permanent-faults-are-skipped", "transient-faults-heal"],
+    )
+    def test_all_five_kinds_in_one_run(self, tmp_path, retries, fail_attempts):
+        """The plan CI's ``fault-smoke`` job runs by node id: errors,
+        worker deaths, hangs, corrupt payloads and torn cache writes
+        mixed in one 24-case sweep across four workers under a 2 s
+        deadline (no other test mixes all five kinds in one run)."""
+        cases = faults.demo_cases(24)
+        plan = FaultPlan.from_rate(
+            len(cases), 0.25, seed=13, kinds=faults.FAULT_KINDS,
+            fail_attempts=fail_attempts, hang_seconds=30.0,
+        )
+        assert all(plan.count(kind) for kind in faults.FAULT_KINDS)
+        expected = [faults.run_case(case) for case in cases]
+        faulted = set(plan.faulted_indices())
+        # A torn write succeeds in-run and only hurts the *next* run;
+        # the worker-side kinds become holes once they outlast the
+        # retry budget, and heal inside the run when they do not.
+        torn = {i for i in faulted if plan.spec_for(i).kind == "torn-write"}
+        holes = faulted - torn if fail_attempts > retries else set()
+
+        root = tmp_path / "cache"
+        ex = SweepExecutor(
+            jobs=4, cache=ResultCache(root), timeout=2.0, retries=retries,
+            failure_policy="skip", fault_plan=plan,
+        )
+        results = ex.run(cases, stage="five-kinds")
+        assert {i for i, r in enumerate(results) if r is None} == holes
+        for i, result in enumerate(results):
+            if i not in holes:
+                assert result == expected[i]
+        assert sorted(f.label for f in ex.report.failures) == sorted(
+            cases[i].label for i in holes
+        )
+
+        # Resume: a fault-free pass over the same cache executes the
+        # casualties - holes and quarantined torn entries - and no other.
+        cache = ResultCache(root)
+        ex2 = SweepExecutor(jobs=4, cache=cache)
+        assert ex2.run(cases, stage="five-kinds") == expected
+        assert ex2.report.stages[0].executed == len(holes) + len(torn)
+        assert cache.corrupt == len(torn)
 
 
 class TestBackoff:

@@ -6,7 +6,6 @@ import signal
 import pytest
 
 from repro.cli import build_parser, main
-from repro.exec import ResultCache
 from repro.experiments import STAGES, quick_scale, stage_by_id
 
 
@@ -111,13 +110,17 @@ class TestCommands:
         assert "CUBIC" in out
         assert "space-dc" in out
 
-    def test_figure_parser_accepts_executor_flags(self):
+    def test_figure_parser_accepts_executor_flags(self, tmp_path):
+        root = tmp_path / "cache" / "root"
         args = build_parser().parse_args(
             ["figure", "10", "--quick", "--jobs", "4",
-             "--cache-dir", "/tmp/x", "--no-cache"]
+             "--cache-dir", str(root), "--no-cache"]
         )
         assert args.jobs == 4
-        assert str(args.cache_dir) == "/tmp/x"
+        assert args.cache_dir == root
+        # Created while parsing, so a root that cannot be is a usage
+        # error before the first cell and not a traceback after it.
+        assert root.is_dir()
         assert args.no_cache
 
     def test_scaled_figure_reports_cache_hits_on_rerun(self, tmp_path, capsys):
@@ -214,6 +217,11 @@ class TestFigureAll:
         assert executor.jobs == 2 and executor.cache is None
 
 
+_SMALL_CAMPAIGN = [
+    "campaign", "--k", "40", "--loads", "0.2", "--fan-ins", "4",
+    "--seeds", "1", "--duration", "0.002", "--no-cache",
+]
+
 #: ROADMAP 4(d): each of these reached a library ``ValueError`` /
 #: ``ZeroDivisionError`` traceback instead of a usage error.
 BAD_ARGV = [
@@ -227,14 +235,9 @@ BAD_ARGV = [
     ["figure", "10", "--retries", "-1"],
     ["figure", "10", "--timeout", "0"],
     ["figure", "10", "--chunk-size", "0"],
-    ["faults", "--rate", "2"],
     ["simulate", "--rtt", "-1"],
     ["analyze", "--gain-scale", "-1"],
     ["cache", "gc", "--older-than", "-5"],
-    ["faults", "--kinds", "bogus"],
-    # Four cases at the default rate draw no fault, so the bogus name
-    # was never looked at: this one used to print FAULTS SMOKE: PASS.
-    ["faults", "--cases", "4", "--kinds", "bogus"],
     # Non-finite and out-of-range numbers used to reach the library:
     # the first and fourth never returned, the second and the last two
     # were tracebacks, the third ran every cell with a threshold that
@@ -245,6 +248,15 @@ BAD_ARGV = [
     ["campaign", "--duration", "nan"],
     ["campaign", "--host-bandwidth", "0"],
     ["campaign", "--per-hop-delay", "-1"],
+    # A warm-up (0.4 x duration) that discards every queue sample used
+    # to print ``nan`` statistics under five numpy RuntimeWarnings.
+    ["simulate", "--duration", "1e-7"],
+    # Destinations that cannot be written used to fail *after* the work:
+    # every cell run and then a FileNotFoundError traceback from
+    # ``open()``, ``cache.put`` or the profiler's ``finally``.
+    [*_SMALL_CAMPAIGN, "--output", "/nonexistent/x.json"],
+    ["figure", "10", "--quick", "--cache-dir", "/proc/nope"],
+    ["figure", "2", "--profile", "--profile-out", "/nonexistent/p"],
 ]
 
 
@@ -265,29 +277,24 @@ def _deadline(seconds):
 
 
 @pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
-def test_bad_value_is_a_usage_error(argv, capsys):
+def test_bad_value_is_a_usage_error(argv, capsys, recwarn):
     with pytest.raises(SystemExit) as exit_info, _deadline(5.0):
         main(argv)
     assert exit_info.value.code == 2
     out, err = capsys.readouterr()
     assert f"repro {argv[0]}: error: argument {argv[-2]}" in err
     assert "Traceback" not in err
-    assert "PASS" not in out
+    # Nothing was tabulated - no cell ran first, no ``nan`` was printed.
+    assert out == ""
+    assert not recwarn.list
 
 
-def test_faults_smoke_removes_its_temporary_cache(tmp_path, monkeypatch, capsys):
-    """Regression: without ``--cache-dir`` every run left a
-    ``repro-faults-*`` directory behind in the temp dir."""
-    import tempfile
-
-    scratch = tmp_path / "tmp"
-    scratch.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-    smoke = ["faults", "--cases", "4", "--rate", "0", "--jobs", "1"]
-    assert main(smoke) == 0
-    assert "FAULTS SMOKE: PASS" in capsys.readouterr().out
-    assert list(scratch.iterdir()) == []
-    # A directory the user named is theirs to keep.
-    kept = tmp_path / "kept"
-    assert main(smoke + ["--cache-dir", str(kept)]) == 0
-    assert ResultCache(kept).stats()["entries"] == 4
+def test_measured_window_shorter_than_two_samples_is_a_bad_grid(capsys):
+    """Each flag is valid alone; together the warm-up eats the window.
+    Every cell used to run, report ``queue (pkts) 0.0, queue std 0.0``
+    for a downlink with four bulk flows pinned on it, and cache that."""
+    with _deadline(5.0):
+        assert main([*_SMALL_CAMPAIGN, "--warmup", "0.00199"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("invalid campaign grid: warmup 0.00199 s leaves")
+    assert out == ""

@@ -1,4 +1,6 @@
-"""Tests for the convergence/fairness extension experiment."""
+"""The convergence/fairness extension experiment, as ``figure
+convergence`` runs it: the marking change must not break DCTCP's
+TCP-friendliness (Section II-A background)."""
 
 import pytest
 
@@ -10,11 +12,10 @@ class TestConvergence:
     @pytest.fixture(scope="class", params=["dctcp", "dt-dctcp"])
     def result(self, request):
         protocol = dctcp_sim() if request.param == "dctcp" else dt_dctcp_sim()
-        return run_protocol(protocol, n_initial=4, duration=0.03,
-                            join_at=0.008, measure_from=0.016)
+        return run_protocol(protocol)
 
     def test_steady_fairness_high(self, result):
-        assert result.steady_fairness > 0.9
+        assert result.steady_fairness > 0.95
 
     def test_late_joiner_converges_to_fair_share(self, result):
         assert 0.5 < result.joiner_relative_share < 1.5

@@ -7,7 +7,8 @@ import io
 import pytest
 
 from repro.exec import SweepExecutor
-from repro.experiments import STAGES, quick_scale
+from repro.exec.report import FailureRecord
+from repro.experiments import STAGES, queue_sweep, quick_scale, report
 from repro.experiments.report import generate_report
 from repro.experiments.runner import run_all
 
@@ -62,3 +63,41 @@ class TestReportStructure:
         text = buffer.getvalue()
         assert "marking strategies" in text
         assert "DT-DCTCP" in text
+
+
+class TestFailedStage:
+    def test_report_finishes_its_walk_and_exits_3(
+        self, stub_printers, monkeypatch, tmp_path, capsys
+    ):
+        """Regression: the report called ``stage.run`` bare, so under a
+        skip policy a stage that could not tabulate around its failed
+        case killed the report with that stage's traceback, and a run
+        that did finish exited 0 whatever had failed."""
+
+        def cannot_tabulate(scale, executor):
+            executor.report.add_failure(FailureRecord(
+                stage="Figure 10", experiment=queue_sweep.EXPERIMENT,
+                label="dctcp-sim/N=10", case_key="0" * 16, kind="timeout",
+                message="deadline", attempts=1,
+            ))
+            raise TypeError("SweepPoint(**None): the skipped cell's hole")
+
+        monkeypatch.setattr(queue_sweep, "main_fig10", cannot_tabulate)
+        output = tmp_path / "report.md"
+        monkeypatch.setattr("sys.argv", [
+            "report", "--quick", "--no-cache", "--failure-policy", "skip",
+            "-o", str(output),
+        ])
+        assert report.main() == 3
+        lines = output.read_text().splitlines()
+        assert [line[3:] for line in lines if line.startswith("## ")] == [
+            stage.title for stage in STAGES
+        ]
+        # Every other stage still printed; Figure 10 says why it did not.
+        assert [line for line in lines if line.startswith("stage ")] == [
+            f"stage {stage.id}" for stage in STAGES if stage.id != "10"
+        ]
+        assert lines.count("*incomplete: 1 failed case(s)*") == 1
+        err = capsys.readouterr().err
+        assert "the skipped cell's hole" in err  # the traceback, on stderr
+        assert "1 case(s) failed" in err

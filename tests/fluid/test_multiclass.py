@@ -1,5 +1,7 @@
 """Tests for the heterogeneous-RTT multi-class fluid model."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,30 @@ class TestSingleClassReduction:
         ).after(0.01)
         assert multi.mean_queue == pytest.approx(single.mean_queue, rel=0.1)
         assert multi.std_queue == pytest.approx(single.std_queue, rel=0.3)
+
+
+class TestTrajectoryPinned:
+    def test_three_class_trace_is_bit_identical_to_14c08b6(self):
+        """``rtts``/``counts`` built once in ``__init__`` and ``rhs`` bound
+        once outside the step loop are the same arrays in the same
+        expressions: every sample equals what commit 14c08b6 (which
+        rebuilt both arrays on each of the four ``derivatives`` calls a
+        step) produced, recorded there by running this configuration."""
+        classes = [FlowClass(4, 0.7e-4), FlowClass(3, 1e-4), FlowClass(3, 2e-4)]
+        trace = simulate_multiclass(
+            MultiClassModel(CAPACITY, classes, dt_marker()), duration=0.005
+        )
+        assert len(trace.time) == 2858
+        assert trace.queue[-1] == 46.479067359152154
+        sha = hashlib.sha256()
+        for name in ("time", "windows", "alphas", "queue"):
+            values = getattr(trace, name)
+            sha.update(f"{name}{values.shape}".encode())
+            for value in values.ravel().tolist():
+                sha.update(value.hex().encode())
+        assert sha.hexdigest() == (
+            "5108a9aaf71d68de32027e7c1f72a678191ed1d90dce16fef418a96828e69e95"
+        )
 
 
 class TestInvariants:

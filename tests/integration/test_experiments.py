@@ -1,10 +1,18 @@
-"""Integration tests for the experiment harness (one per paper figure).
+"""The paper's claims, one home each, at the scale ``--quick`` prints.
 
-Each test runs the figure's ``run()`` at a test-sized scale and asserts
-the *qualitative claim* the paper makes for that figure.  The benchmark
-suite runs the same code at larger scales.
+Every test asserts the *qualitative claim* the paper makes for a figure
+on that figure's own ``run()`` at ``quick_scale()`` — the cells ``python
+-m repro.cli figure all --quick`` (and CI's ``runner-smoke``) tabulate.
+Each simulated sweep runs **once** per module, in a fixture shared by
+its figure's tests and by the invariant audit: the paper pipe and the
+deep pipe of Figures 10-12, Figure 14, Figure 15, the fluid validation.
+
+This module is the only place these claims are asserted (ROADMAP item
+1(e)); the claims beyond the paper's figures live in
+``tests/claims/test_extensions.py``.
 """
 
+import contextlib
 import math
 
 import pytest
@@ -13,7 +21,6 @@ from repro.core import stability
 from repro.core.parameters import paper_dctcp, paper_network
 from repro.core.stability import critical_flow_count, stability_margin
 from repro.experiments import quick_scale
-from repro.experiments.config import Scale
 from repro.experiments import (
     fig01_oscillation,
     fig02_marking,
@@ -26,32 +33,106 @@ from repro.experiments import (
     fluid_validation,
     queue_sweep,
 )
+from repro.sim import topology
+from repro.sim.invariants import InvariantWatchdog
 
 
-def tiny_scale() -> Scale:
-    return Scale(
-        sim_duration=0.012,
-        warmup=0.005,
-        sample_interval=20e-6,
-        flow_counts=(10, 40),
-        n_queries=3,
-        incast_flows=(16, 36),
-        completion_flows=(16, 36),
-        fluid_duration=0.03,
-    )
+@contextlib.contextmanager
+def audited(module, builder_name, interval):
+    """Every network ``module`` builds gets an `InvariantWatchdog`
+    ticking each ``interval`` simulated seconds; yields the watchdogs.
+
+    A tick schedules one event of its own and touches no packet, so an
+    audited figure's result equals the unaudited one field for field —
+    which is what lets the audit ride on the one shared run.
+    """
+    real = getattr(topology, builder_name)
+    watchdogs = []
+
+    def build(*args, **kwargs):
+        built = real(*args, **kwargs)
+        watchdog = InvariantWatchdog(built.network)
+        watchdog.start(interval)
+        watchdogs.append(watchdog)
+        return built
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, builder_name, build)
+        yield watchdogs
+
+
+@pytest.fixture(scope="module")
+def fig01_audited():
+    with audited(fig01_oscillation, "dumbbell", interval=1e-3) as watchdogs:
+        result = fig01_oscillation.run(quick_scale(), n_small=10, n_large=40)
+    return result, watchdogs
+
+
+@pytest.fixture(scope="module")
+def paper_pipe_audited():
+    # One sweep backs Figures 10, 11 and 12 (10 Gbps, RTT 100 us).
+    with audited(queue_sweep, "dumbbell", interval=1e-3) as watchdogs:
+        sweep = queue_sweep.run(quick_scale())
+    return sweep, watchdogs
+
+
+@pytest.fixture(scope="module")
+def sweep(paper_pipe_audited):
+    return paper_pipe_audited[0]
+
+
+@pytest.fixture(scope="module")
+def deep_pipe():
+    """The same sweep at RTT 400 us, where R0*C ~ 333 packets keeps all
+    of N = 10..100 ECN-controlled (on the paper's pipe every N > ~41
+    sits on the minimum window - see EXPERIMENTS.md)."""
+    return queue_sweep.run(quick_scale(), rtt=400e-6)
+
+
+# Figures 14 and 15 simulate 60 s per query whatever happens, so their
+# watchdogs tick coarsely: a collapsed point spends about a second in
+# 200 ms RTOs and is still audited mid-stall.
+@pytest.fixture(scope="module")
+def incast_audited():
+    with audited(fig14_incast, "paper_testbed", interval=0.5) as watchdogs:
+        result = fig14_incast.run(quick_scale())
+    return result, watchdogs
+
+
+@pytest.fixture(scope="module")
+def completion_audited():
+    with audited(
+        fig15_completion_time, "paper_testbed", interval=0.5
+    ) as watchdogs:
+        result = fig15_completion_time.run(quick_scale())
+    return result, watchdogs
+
+
+@pytest.fixture(scope="module")
+def fluid_points():
+    return fluid_validation.run(quick_scale(), (10, 20, 30, 40))
 
 
 class TestFig01:
-    def test_large_n_oscillates_more(self):
-        result = fig01_oscillation.run(tiny_scale(), n_small=10, n_large=40)
-        assert result.amplitude_large > result.amplitude_small
-        assert result.std_large > result.std_small
-        assert result.amplitude_ratio > 1.0
+    """N = 10 vs N = 40: the top of the ECN-controlled regime.
 
-    def test_traces_returned(self):
-        result = fig01_oscillation.run(tiny_scale(), n_small=5, n_large=20)
-        times, queue = result.trace_small
-        assert len(times) == len(queue) > 100
+    On the paper's pipe (R0*C ~ 83 packets) flow counts beyond ~42 push
+    every flow onto its minimum window; there the queue sits flat at
+    ``N*w - BDP`` instead of oscillating (see EXPERIMENTS.md), so the
+    growing-amplitude claim is asserted across the regime where DCTCP's
+    operating point exists.
+    """
+
+    def test_large_n_oscillates_more(self, fig01_audited):
+        result, _ = fig01_audited
+        assert result.amplitude_large > 1.5 * result.amplitude_small
+        assert result.std_large > result.std_small
+        assert result.amplitude_ratio > 1.5
+
+    def test_traces_returned(self, fig01_audited):
+        result, _ = fig01_audited
+        for times, queue in (result.trace_small, result.trace_large):
+            assert len(times) == len(queue) > 100
 
 
 class TestFig02:
@@ -89,8 +170,9 @@ class TestFig04:
 
 class TestFig0608:
     def test_all_three_routes_agree(self):
-        rows = fig06_08_df.run(amplitude_ratios=(1.1, 2.0), n_samples=2048)
-        for row in rows:
+        """Closed form (Eq. 22 / 27) vs numeric Fourier integration vs
+        the live marker objects, over the amplitudes Figure 6/8 prints."""
+        for row in fig06_08_df.run():
             assert row.numeric_error < 1e-3
             assert row.marker_error < 1e-3
 
@@ -112,7 +194,11 @@ class TestFig07:
 
 class TestFig09:
     def test_dt_more_stable_at_every_n(self):
-        result = fig09_critical_n.run(flow_counts=(10, 30, 50, 60, 80, 100))
+        """Under the calibrated gain scale (``repro.core.stability``)
+        DCTCP's loci intersect at some N, DT-DCTCP's never do, and
+        DT-DCTCP's margin exceeds DCTCP's at every flow count of the
+        figure's own grid, N = 10, 15, .. 100."""
+        result = fig09_critical_n.run()
         assert result.dt_margin_always_larger
         assert result.dc_critical_n is not None
         assert result.dt_critical_n is None
@@ -143,141 +229,162 @@ class TestFig09:
 
 
 class TestFig10to12:
-    @pytest.fixture(scope="class")
-    def sweep(self):
-        # One sweep backs all three figures.
-        return queue_sweep.run(tiny_scale())
+    """Both pipes, because the paper's own (R0*C ~ 83 packets) leaves the
+    ECN-controlled regime at N ~ 42: past it the queue sits flat on the
+    minimum window and only the deep pipe carries the "grows with N"
+    claims to the top of the sweep."""
 
     def test_fig10_baselines_sane(self, sweep):
         # Both protocols regulate near the 40-packet setpoint at N=10.
         assert 25 < sweep.baseline("DCTCP") < 60
         assert 25 < sweep.baseline("DT-DCTCP") < 60
 
-    def test_fig11_std_grows_with_n(self, sweep):
-        assert sweep.grows_with_n("DCTCP", "std_queue")
+    def test_fig10_deep_pipe_inflation_is_bounded(self, deep_pipe):
+        """Queue inflation with N is physics (more flows need more
+        standing queue); the reproduction bounds it rather than ordering
+        it - EXPERIMENTS.md records the deviation from the paper's
+        flatness claim."""
+        for name in ("DCTCP", "DT-DCTCP"):
+            points = deep_pipe.points[name]
+            assert points[-1].mean_queue > points[0].mean_queue
+            assert deep_pipe.max_deviation(name) < 3.0
 
-    def test_fig11_dt_mostly_not_worse(self, sweep):
-        assert sweep.fraction_dt_not_worse() >= 0.5
+    def test_fig11_std_grows_with_n(self, sweep, deep_pipe):
+        # Paper pipe: growth through the ECN-controlled regime (N = 10
+        # to 30 here), before the flat minimum-window plateau.
+        dc = [p.std_queue for p in sweep.points["DCTCP"]]
+        assert dc[1] > dc[0]
+        assert max(dc) > 1.5 * dc[0]
+        # Deep pipe: growth over the whole sweep, for both protocols.
+        assert deep_pipe.grows_with_n("DCTCP", "std_queue")
+        assert deep_pipe.grows_with_n("DT-DCTCP", "std_queue")
+
+    def test_fig11_dt_mostly_not_worse(self, sweep, deep_pipe):
+        assert sweep.fraction_dt_not_worse() >= 0.7
+        assert deep_pipe.fraction_dt_not_worse() >= 0.7
 
     def test_fig12_alpha_grows_with_n(self, sweep):
         assert sweep.grows_with_n("DCTCP", "mean_alpha")
         assert sweep.grows_with_n("DT-DCTCP", "mean_alpha")
 
-    def test_fig12_alpha_in_unit_interval(self, sweep):
-        for points in sweep.points.values():
-            for p in points:
-                assert 0.0 <= p.mean_alpha <= 1.0
+    def test_fig12_dt_alpha_mostly_not_higher(self, sweep, deep_pipe):
+        """The paper: DT-DCTCP's alpha stays at or below DCTCP's."""
+        assert sweep.fraction_dt_not_higher() >= 0.7
+        assert deep_pipe.fraction_dt_not_higher() >= 0.7
+
+    def test_fig12_alpha_in_unit_interval(self, sweep, deep_pipe):
+        for pipe in (sweep, deep_pipe):
+            for points in pipe.points.values():
+                for p in points:
+                    assert 0.0 <= p.mean_alpha <= 1.0
 
 
 class TestFig14:
-    def test_collapse_ordering(self):
-        """DT-DCTCP postpones (or avoids) the collapse DCTCP suffers."""
-        scale = tiny_scale()
-        result = fig14_incast.run(scale, flow_counts=(16, 35, 36))
+    """The paper reports DCTCP collapsing at 32 synchronized flows and
+    DT-DCTCP surviving to 37: a sharp collapse for both, DT-DCTCP's
+    strictly later."""
+
+    def test_collapse_ordering(self, incast_audited):
+        result, _ = incast_audited
         dc = result.collapse_flows("DCTCP")
         dt = result.collapse_flows("DT-DCTCP")
         assert dc is not None
-        assert dt is None or dt >= dc
+        # DT-DCTCP postpones the collapse (or escapes it in the sweep).
+        assert dt is None or dt > dc
 
-    def test_precollapse_goodput_near_line_rate(self):
-        scale = tiny_scale()
-        result = fig14_incast.run(scale, flow_counts=(16,))
+    def test_precollapse_goodput_near_line_rate(self, incast_audited):
+        result, _ = incast_audited
         for points in result.points.values():
-            assert points[0].goodput_bps > 0.9e9
+            assert points[0].goodput_bps > 0.9 * result.line_rate_bps
 
 
 class TestFig15:
-    def test_completion_time_jump_is_one_min_rto(self):
-        scale = tiny_scale()
-        result = fig15_completion_time.run(scale, flow_counts=(16, 36))
-        dc = result.points["DCTCP"]
-        # Pre-collapse ~ base time; post-collapse ~ +200 ms.
-        assert dc[0].mean_time == pytest.approx(result.base_time, rel=0.3)
-        assert dc[1].mean_time > 0.15
-        # DT-DCTCP still fast at the fan-out where DCTCP collapsed.
-        dt = result.points["DT-DCTCP"]
-        assert dt[1].mean_time < dc[1].mean_time
+    """The paper reports ~10 ms completion until incast, then a ~20x
+    jump (one 200 ms minimum RTO); DCTCP degrades earlier."""
 
-    def test_percentiles_ordered(self):
-        scale = tiny_scale()
-        result = fig15_completion_time.run(scale, flow_counts=(16,))
+    def test_completion_time_jump_is_one_min_rto(self, completion_audited):
+        result, _ = completion_audited
+        dc = result.points["DCTCP"]
+        # Base completion ~ the 1 MB serialisation time.
+        assert dc[0].mean_time == pytest.approx(result.base_time, rel=0.3)
+        # DCTCP blows up somewhere in the sweep; DT-DCTCP no earlier.
+        dc_blowup = result.blowup_flows("DCTCP")
+        dt_blowup = result.blowup_flows("DT-DCTCP")
+        assert dc_blowup is not None
+        assert dt_blowup is None or dt_blowup >= dc_blowup
+        # The jump is roughly one minimum RTO: at the blow-up point the
+        # tail already pays it, and by the end of the sweep so does the
+        # mean.
+        post = [p for p in dc if p.n_flows >= dc_blowup]
+        assert post[0].p99_time > 10 * result.base_time
+        assert post[-1].mean_time > 10 * result.base_time
+        # At 36 workers DCTCP has collapsed (~ +200 ms) and DT-DCTCP is
+        # still faster.
+        dc_36 = next(p for p in dc if p.n_flows == 36)
+        dt_36 = next(
+            p for p in result.points["DT-DCTCP"] if p.n_flows == 36
+        )
+        assert dc_36.mean_time > 0.15
+        assert dt_36.mean_time < dc_36.mean_time
+
+    def test_percentiles_ordered(self, completion_audited):
+        result, _ = completion_audited
         for points in result.points.values():
-            p = points[0]
-            assert p.median_time <= p.p95_time <= p.p99_time
+            for p in points:
+                assert p.median_time <= p.p95_time <= p.p99_time
 
 
 class TestInvariantWatchdogOverExperiments:
     """The runtime watchdog audits the real figure pipelines clean.
 
     Every network a figure builds gets an `InvariantWatchdog` attached
-    via its topology builder; conservation, custody, pool and wedge
-    ledgers must balance throughout each experiment.
-
-    Checks run *during* each network's run (an `InvariantViolation`
-    from a periodic tick fails the figure), not after: the pool counter
-    is process-global, so a post-hoc audit of an earlier network would
-    misread the next network's in-flight packets as a leak.
+    via its topology builder (:func:`audited`); conservation, custody
+    and wedge ledgers must balance throughout each experiment.  Checks
+    run *during* each network's run — an `InvariantViolation` from a
+    periodic tick fails the figure's fixture, and with it every test of
+    that figure — on the same runs the claims above are read from.
     """
 
-    def _audited(self, monkeypatch, module, builder_name, interval):
-        from repro.sim import topology
-        from repro.sim.invariants import InvariantWatchdog
-
-        real = getattr(topology, builder_name)
-        watchdogs = []
-
-        def build(*args, **kwargs):
-            built = real(*args, **kwargs)
-            watchdog = InvariantWatchdog(built.network)
-            watchdog.start(interval)
-            watchdogs.append(watchdog)
-            return built
-
-        monkeypatch.setattr(module, builder_name, build)
-        return watchdogs
-
-    def _all_audited(self, watchdogs, expected_networks):
+    @staticmethod
+    def _all_audited(watchdogs, expected_networks):
         assert len(watchdogs) == expected_networks
         assert all(w.checks_run > 1 for w in watchdogs)
 
-    def test_fig01_dumbbells_audit_clean(self, monkeypatch):
-        watchdogs = self._audited(
-            monkeypatch, fig01_oscillation, "dumbbell", interval=1e-3
-        )
-        fig01_oscillation.run(tiny_scale(), n_small=5, n_large=20)
-        self._all_audited(watchdogs, expected_networks=2)
+    def test_fig01_dumbbells_audit_clean(self, fig01_audited):
+        self._all_audited(fig01_audited[1], expected_networks=2)
 
-    def test_queue_sweep_figures_audit_clean(self, monkeypatch):
+    def test_queue_sweep_figures_audit_clean(self, paper_pipe_audited):
         # Figures 10-12 all measure through queue_sweep's dumbbells.
-        watchdogs = self._audited(
-            monkeypatch, queue_sweep, "dumbbell", interval=1e-3
+        flow_counts = quick_scale().flow_counts
+        self._all_audited(
+            paper_pipe_audited[1], expected_networks=2 * len(flow_counts)
         )
-        queue_sweep.run(tiny_scale())
-        self._all_audited(watchdogs, expected_networks=4)
 
-    def test_fig14_incast_testbeds_audit_clean(self, monkeypatch):
-        watchdogs = self._audited(
-            monkeypatch, fig14_incast, "paper_testbed", interval=50e-3
+    def test_fig14_incast_testbeds_audit_clean(self, incast_audited):
+        fan_ins = quick_scale().incast_flows
+        self._all_audited(
+            incast_audited[1], expected_networks=2 * len(fan_ins)
         )
-        fig14_incast.run(tiny_scale(), flow_counts=(16,))
-        self._all_audited(watchdogs, expected_networks=2)
 
-    def test_fig15_completion_testbeds_audit_clean(self, monkeypatch):
-        watchdogs = self._audited(
-            monkeypatch, fig15_completion_time, "paper_testbed",
-            interval=50e-3,
+    def test_fig15_completion_testbeds_audit_clean(self, completion_audited):
+        fan_outs = quick_scale().completion_flows
+        self._all_audited(
+            completion_audited[1], expected_networks=2 * len(fan_outs)
         )
-        fig15_completion_time.run(tiny_scale(), flow_counts=(16,))
-        self._all_audited(watchdogs, expected_networks=2)
 
 
 class TestFluidValidation:
-    def test_dt_std_below_dc_everywhere(self):
-        points = fluid_validation.run(tiny_scale(), flow_counts=(10, 20))
-        for p in points:
-            assert p.dt_std < p.dc_std
+    """The nonlinear DDE (Eq. 1-3) for both marking mechanisms: the
+    paper's stability ordering at the fluid level, and the oscillation
+    frequency in the band the DF analysis predicts."""
 
-    def test_frequencies_in_plausible_band(self):
-        points = fluid_validation.run(tiny_scale(), flow_counts=(10,))
+    def test_dt_std_below_dc_everywhere(self, fluid_points):
+        for p in fluid_points:
+            assert p.dt_std < p.dc_std
+        # Oscillation does not die out with N within the valid regime.
+        assert fluid_points[-1].dc_std > fluid_points[0].dc_std * 0.8
+
+    def test_frequencies_in_plausible_band(self, fluid_points):
         # Oscillation periods of a few RTTs: w between ~1e3 and ~1e5.
-        assert 1e3 < points[0].dc_frequency < 1e5
+        for p in fluid_points:
+            assert 1e3 < p.dc_frequency < 1e5

@@ -50,3 +50,28 @@ def test_no_unregistered_repro_env_reads_anywhere():
             if pattern.search(line):
                 offenders.append(f"{path}:{lineno}: {line.strip()}")
     assert offenders == []
+
+
+def test_benchmarks_holds_only_the_ledger():
+    """One home per claim (ROADMAP item 1(e)): a claim is asserted under
+    ``tests/``, ``benchmarks/`` is the performance ledger and nothing
+    else, and the plugin and ``Scale`` preset of the 22 claim files that
+    used to sit beside it stay gone."""
+    benchmarks = PROJECT_ROOT / "benchmarks"
+    strays = sorted(
+        str(path.relative_to(PROJECT_ROOT))
+        for pattern in ("test_*.py", "conftest.py")
+        for path in benchmarks.rglob(pattern)
+        if path.relative_to(benchmarks).parts[0] != "ledger"
+    )
+    assert strays == []
+    # Spelled in halves so that this file does not name them itself.
+    retired = ("pytest" + "_benchmark", "bench" + "_scale")
+    offenders = [
+        f"{path.relative_to(PROJECT_ROOT)}: {name}"
+        for top in ("src", "tests", "examples")
+        for path in sorted((PROJECT_ROOT / top).rglob("*.py"))
+        for name in retired
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []

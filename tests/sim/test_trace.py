@@ -47,6 +47,38 @@ class TestQueueMonitor:
         sim.run(until=1.0)
         assert len(mon.series(after=0.55)) == 5
 
+    def test_steady_state_is_mean_and_std_after_the_warmup(self):
+        sim = Simulator()
+        q = FifoQueue(1e6)
+        from repro.sim.packet import Packet
+
+        mon = QueueMonitor(sim, q, interval=0.1)
+        mon.start()
+        for i in range(4):
+            sim.schedule(0.55 + 0.1 * i, q.enqueue, Packet(
+                flow_id=1, src=0, dst=1, seq=i, size_bytes=1500))
+        sim.run(until=1.0)
+        # Samples at 0.6 .. 1.0 see 1, 2, 3, 4, 4 packets.
+        mean, std = mon.steady_state(0.55)
+        assert (mean, std) == (2.8, float(np.std([1, 2, 3, 4, 4])))
+        assert mon.steady_state(0.95) == (4.0, 0.0)
+
+    def test_warmup_that_discards_every_sample_is_an_error(self, recwarn):
+        """Regression: three behaviours for one mistake - ``nan`` under
+        numpy RuntimeWarnings (``simulate``, the queue sweep, the
+        buildup stage), a silent ``0.0`` (campaign cells), a
+        ``ValueError`` (the tracked queue).  One now: the error, naming
+        the warm-up, the horizon and the sample interval."""
+        sim = Simulator()
+        mon = QueueMonitor(sim, FifoQueue(1000), interval=0.1)
+        mon.start()
+        sim.run(until=0.25)
+        with pytest.raises(ValueError) as error:
+            mon.steady_state(0.21)
+        for value in ("0.21 s", "0.25 s", "every 0.1 s"):
+            assert value in str(error.value)
+        assert not recwarn.list
+
     def test_stop_halts_sampling(self):
         sim = Simulator()
         mon = QueueMonitor(sim, FifoQueue(1000), interval=0.1)
