@@ -17,17 +17,14 @@ uses the analysis machinery to interrogate the design:
 Run:  python examples/design_space.py
 """
 
-from repro.core import (
-    classical_margins,
-    paper_dctcp,
-    paper_dt_dctcp,
-    paper_network,
-)
-from repro.core.parameters import DoubleThresholdParams
+from repro.core.marking import DoubleThresholdParams
+from repro.core.margins import classical_margins
+from repro.core.parameters import paper_dctcp, paper_dt_dctcp, paper_network
 from repro.core.stability import calibrate_gain_scale
 from repro.experiments import sensitivity
 from repro.experiments.tables import print_table
-from repro.fluid import fluid_model, simulate
+from repro.fluid.integrator import simulate
+from repro.fluid.model import fluid_model
 
 
 def step1_grid() -> None:

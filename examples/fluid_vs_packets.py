@@ -12,7 +12,8 @@ Run:  python examples/fluid_vs_packets.py
 from repro.core.parameters import paper_dctcp, paper_dt_dctcp, paper_network
 from repro.experiments.protocols import dctcp_sim, dt_dctcp_sim
 from repro.experiments.tables import print_table
-from repro.fluid import fluid_model, simulate
+from repro.fluid.integrator import simulate
+from repro.fluid.model import fluid_model
 from repro.sim.apps.bulk import launch_bulk_flows
 from repro.sim.topology import dumbbell
 from repro.sim.trace import QueueMonitor

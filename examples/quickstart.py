@@ -13,16 +13,12 @@ Runs in a few seconds and walks through the library's three layers:
 Run:  python examples/quickstart.py
 """
 
-from repro.core import (
-    analyze,
-    calibrate_gain_scale,
-    paper_dctcp,
-    paper_dt_dctcp,
-    paper_network,
-)
+from repro.core.parameters import paper_dctcp, paper_dt_dctcp, paper_network
+from repro.core.stability import analyze, calibrate_gain_scale
 from repro.experiments.protocols import dctcp_sim, dt_dctcp_sim
 from repro.experiments.tables import print_table
-from repro.fluid import fluid_model, simulate
+from repro.fluid.integrator import simulate
+from repro.fluid.model import fluid_model
 from repro.sim.apps.bulk import launch_bulk_flows
 from repro.sim.topology import dumbbell
 from repro.sim.trace import QueueMonitor

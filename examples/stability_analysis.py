@@ -16,15 +16,15 @@ Run:  python examples/stability_analysis.py
 
 import math
 
-from repro.core import (
-    calibrate_gain_scale,
-    critical_flow_count,
+from repro.core.describing_function import (
     df_double_threshold,
     df_single_threshold,
     numeric_df_from_marker,
-    paper_dctcp,
-    paper_dt_dctcp,
-    paper_network,
+)
+from repro.core.parameters import paper_dctcp, paper_dt_dctcp, paper_network
+from repro.core.stability import (
+    calibrate_gain_scale,
+    critical_flow_count,
     predicted_limit_cycle,
     stability_margin,
 )

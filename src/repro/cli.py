@@ -55,12 +55,6 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from repro.core import (
-    analyze,
-    calibrate_gain_scale,
-    paper_dctcp,
-    paper_network,
-)
 from repro.exec import ResultCache, SweepExecutor
 from repro.experiments import STAGES, full_scale, quick_scale, stage_by_id
 from repro.experiments.protocols import paper_config
@@ -68,7 +62,7 @@ from repro.experiments.tables import print_table
 from repro.sim.protocols import PROTOCOLS
 from repro.sim.tcp.sender import DctcpSender
 
-__all__ = ["add_executor_args", "executor_from_args", "main"]
+__all__ = ["add_executor_args", "executor_from_args", "main", "output_file"]
 
 
 def _analyzable() -> list:
@@ -111,8 +105,11 @@ _open_unit_interval = _checked(
 )
 
 
-def _new_file(text: str) -> Path:
-    Path(text).write_bytes(b"")
+def _probed_file(text: str) -> Path:
+    # Append mode creates an absent file and leaves an existing one's
+    # bytes alone: the command overwrites them when it has a result.
+    with open(text, "ab"):
+        pass
     return Path(text)
 
 
@@ -121,9 +118,9 @@ def _new_dir(text: str) -> Path:
     return Path(text)
 
 
-# Destinations are created while the flags are parsed: one that cannot be
+# Destinations are probed while the flags are parsed: one that cannot be
 # written is a usage error before the work, not a traceback after it.
-_output_file = _checked(_new_file, Path.exists, "a writable file path")
+output_file = _checked(_probed_file, Path.exists, "a writable file path")
 _cache_root = _checked(_new_dir, Path.is_dir, "a creatable directory path")
 
 
@@ -138,6 +135,9 @@ def _k1k2(text: str) -> Tuple[float, float]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.core.parameters import paper_dctcp, paper_network
+    from repro.core.stability import analyze, calibrate_gain_scale
+
     net = paper_network(args.flows, g=args.g)
     params = PROTOCOLS[args.protocol].scheme
     scale = (
@@ -170,6 +170,8 @@ def _maybe_profiled(args: argparse.Namespace) -> Iterator[None]:
     """``--profile``: cProfile the run, top-20 cumulative table on stderr
     (stdout carries the tables), raw pstats to ``--profile-out``."""
     if not getattr(args, "profile", False):
+        if getattr(args, "profile_out", None) is not None:
+            args.usage_error("argument --profile-out: needs --profile")
         yield
         return
     import cProfile
@@ -476,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true")
     add_executor_args(p)
     _add_profile_args(p)
-    p.set_defaults(func=cmd_figure)
+    p.set_defaults(func=cmd_figure, usage_error=p.error)
 
     p = sub.add_parser("simulate", help="one dumbbell run")
     p.add_argument("--flows", type=_positive_int, default=10)
@@ -555,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="space-dc cells: outage length per flap")
     p.add_argument("--flap-count", type=int, default=3,
                    help="space-dc cells: flaps in the train (0 disables)")
-    p.add_argument("--output", type=_output_file, default=None, metavar="PATH",
+    p.add_argument("--output", type=output_file, default=None, metavar="PATH",
                    help="also write the full aggregates as JSON")
     add_executor_args(p)
     p.set_defaults(func=cmd_campaign)
@@ -622,7 +624,7 @@ def _add_profile_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", action="store_true",
                    help="wrap the run in cProfile "
                         "(top-20 cumulative table on stderr)")
-    p.add_argument("--profile-out", type=_output_file, default=None,
+    p.add_argument("--profile-out", type=output_file, default=None,
                    metavar="PATH", help="also dump raw pstats to PATH")
 
 

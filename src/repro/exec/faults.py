@@ -4,8 +4,8 @@ A production sweep at scale sees workers raise, die, hang, and return
 garbage, and cache writes get torn by crashes mid-rename.  This module
 manufactures all of those failures *on a schedule* — seeded or by case
 index — so the supervision machinery in :mod:`repro.exec.executor` can
-be exercised reproducibly by tests and the ``repro.cli faults`` smoke
-command.
+be exercised reproducibly by
+``tests/executor/test_supervision.py::TestAcceptance``.
 
 Fault kinds (:data:`FAULT_KINDS`):
 

@@ -26,7 +26,8 @@ from repro.exec.cases import Case
 from repro.exec.executor import SweepExecutor, execute_cases
 from repro.experiments.config import Scale, full_scale
 from repro.experiments.tables import print_table
-from repro.fluid import fluid_model, simulate
+from repro.fluid.integrator import simulate
+from repro.fluid.model import fluid_model
 
 __all__ = ["EXPERIMENT", "FluidPoint", "cases", "run_case", "run", "main"]
 

@@ -1,16 +1,1 @@
 """Traffic applications: bulk flows, incast fan-in, partition-aggregate."""
-
-from repro.sim.apps.bulk import launch_bulk_flows
-from repro.sim.apps.incast import FanInApp, FanInResult
-from repro.sim.apps.partition_aggregate import (
-    TOTAL_RESPONSE_BYTES,
-    partition_aggregate_app,
-)
-
-__all__ = [
-    "FanInApp",
-    "FanInResult",
-    "TOTAL_RESPONSE_BYTES",
-    "launch_bulk_flows",
-    "partition_aggregate_app",
-]

@@ -45,7 +45,11 @@ from repro.experiments.protocols import (
     ecn_red_baseline,
 )
 from repro.experiments.queue_sweep import run_point
-from repro.fluid import FlowClass, MultiClassModel, simulate_multiclass
+from repro.fluid.multiclass import (
+    FlowClass,
+    MultiClassModel,
+    simulate_multiclass,
+)
 from repro.sim.apps.bulk import launch_bulk_flows
 from repro.sim.apps.incast import FanInApp
 from repro.sim.apps.partition_aggregate import partition_aggregate_app

@@ -257,6 +257,9 @@ BAD_ARGV = [
     [*_SMALL_CAMPAIGN, "--output", "/nonexistent/x.json"],
     ["figure", "10", "--quick", "--cache-dir", "/proc/nope"],
     ["figure", "2", "--profile", "--profile-out", "/nonexistent/p"],
+    # Without ``--profile`` nothing is ever written there: the path
+    # used to be truncated while the flags were parsed, then ignored.
+    ["simulate", "--profile-out", "/dev/null"],
 ]
 
 
@@ -298,3 +301,41 @@ def test_measured_window_shorter_than_two_samples_is_a_bad_grid(capsys):
     out, err = capsys.readouterr()
     assert err.startswith("invalid campaign grid: warmup 0.00199 s leaves")
     assert out == ""
+
+
+class TestDestinationSurvivesFailure:
+    """``--output`` is checked while the flags are parsed, and that
+    check used to be ``write_bytes(b"")``: whatever stopped the command
+    short of its result had already emptied the file it would have
+    replaced."""
+
+    PRECIOUS = b'{"precious": 1}\n'
+    #: One 2 ms cell that does run (the bare list's default warm-up
+    #: outlasts its duration).
+    ONE_CELL = [*_SMALL_CAMPAIGN, "--warmup", "0.0005"]
+
+    @pytest.fixture
+    def output(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(self.PRECIOUS)
+        return path
+
+    def test_bad_grid(self, output, capsys):
+        argv = [*self.ONE_CELL, "--loads", "abc", "--output", str(output)]
+        assert main(argv) == 2
+        assert "invalid campaign grid" in capsys.readouterr().err
+        assert output.read_bytes() == self.PRECIOUS
+
+    def test_first_cell_raises(self, output, monkeypatch):
+        def broken_cell(case):
+            raise RuntimeError("first cell")
+
+        monkeypatch.setattr("repro.campaign.cells.run_case", broken_cell)
+        with pytest.raises(RuntimeError, match="first cell"):
+            main([*self.ONE_CELL, "--output", str(output)])
+        assert output.read_bytes() == self.PRECIOUS
+
+    def test_a_finished_campaign_replaces_it(self, output):
+        assert main([*self.ONE_CELL, "--output", str(output)]) == 0
+        assert output.read_bytes().startswith(b"{\n")
+        assert b"precious" not in output.read_bytes()

@@ -101,3 +101,23 @@ class TestFailedStage:
         err = capsys.readouterr().err
         assert "the skipped cell's hole" in err  # the traceback, on stderr
         assert "1 case(s) failed" in err
+
+
+def test_unwritable_output_is_a_usage_error_before_any_stage(
+    monkeypatch, capsys
+):
+    """Regression: ``-o`` was opened after the walk, so a path that could
+    not be written cost all 19 stages and ended in a
+    ``FileNotFoundError`` traceback."""
+
+    def no_stage_may_run(*args, **kwargs):
+        raise AssertionError("a stage ran before the output was checked")
+
+    monkeypatch.setattr(report, "run_stage", no_stage_may_run)
+    monkeypatch.setattr(
+        "sys.argv", ["report", "--quick", "--no-cache", "-o", "/nonexistent/x.md"]
+    )
+    with pytest.raises(SystemExit) as exit_info:
+        report.main()
+    assert exit_info.value.code == 2
+    assert "argument -o/--output: must be a writable" in capsys.readouterr().err

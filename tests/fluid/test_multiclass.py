@@ -7,11 +7,11 @@ import pytest
 
 from repro.core.marking import DoubleThresholdMarker, SingleThresholdMarker
 from repro.core.parameters import paper_dctcp, paper_network
-from repro.fluid import (
+from repro.fluid.integrator import simulate
+from repro.fluid.model import fluid_model
+from repro.fluid.multiclass import (
     FlowClass,
     MultiClassModel,
-    fluid_model,
-    simulate,
     simulate_multiclass,
 )
 

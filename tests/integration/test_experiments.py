@@ -10,17 +10,33 @@ deep pipe of Figures 10-12, Figure 14, Figure 15, the fluid validation.
 This module is the only place these claims are asserted (ROADMAP item
 1(e)); the claims beyond the paper's figures live in
 ``tests/claims/test_extensions.py``.
+
+The tables themselves are pinned too: ``quick_tables/<stage id>.txt``
+beside this file holds what every stage of the experiment index prints
+at ``quick_scale()``, and :class:`TestQuickTables` compares bytes.  The
+sweep fixtures and that test share one executor over a throwaway cache,
+so a cell a fixture has run is a cache hit when its table is rendered.
+A change that moves a digit shows the digit in its diff; the files are
+rewritten only on purpose::
+
+    PYTHONPATH=src python -m tests.integration.test_experiments
 """
 
 import contextlib
+import difflib
+import io
 import math
+import pathlib
+import tempfile
 
 import pytest
 
 from repro.core import stability
 from repro.core.parameters import paper_dctcp, paper_network
 from repro.core.stability import critical_flow_count, stability_margin
-from repro.experiments import quick_scale
+from repro.exec.cache import ResultCache
+from repro.exec.executor import SweepExecutor
+from repro.experiments import STAGES, quick_scale
 from repro.experiments import (
     fig01_oscillation,
     fig02_marking,
@@ -61,18 +77,38 @@ def audited(module, builder_name, interval):
         yield watchdogs
 
 
+QUICK_TABLES = pathlib.Path(__file__).with_name("quick_tables")
+
+
+def render(stage, executor):
+    """What ``figure <stage.id> --quick`` prints on stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        stage.run(quick_scale(), executor)
+    return out.getvalue()
+
+
 @pytest.fixture(scope="module")
-def fig01_audited():
+def executor(tmp_path_factory):
+    """Inline (the audit's patched builders run in this process), over a
+    cache that lives as long as the module."""
+    return SweepExecutor(cache=ResultCache(tmp_path_factory.mktemp("cells")))
+
+
+@pytest.fixture(scope="module")
+def fig01_audited(executor):
     with audited(fig01_oscillation, "dumbbell", interval=1e-3) as watchdogs:
-        result = fig01_oscillation.run(quick_scale(), n_small=10, n_large=40)
+        result = fig01_oscillation.run(
+            quick_scale(), n_small=10, n_large=40, executor=executor
+        )
     return result, watchdogs
 
 
 @pytest.fixture(scope="module")
-def paper_pipe_audited():
+def paper_pipe_audited(executor):
     # One sweep backs Figures 10, 11 and 12 (10 Gbps, RTT 100 us).
     with audited(queue_sweep, "dumbbell", interval=1e-3) as watchdogs:
-        sweep = queue_sweep.run(quick_scale())
+        sweep = queue_sweep.run(quick_scale(), executor=executor)
     return sweep, watchdogs
 
 
@@ -93,24 +129,26 @@ def deep_pipe():
 # watchdogs tick coarsely: a collapsed point spends about a second in
 # 200 ms RTOs and is still audited mid-stall.
 @pytest.fixture(scope="module")
-def incast_audited():
+def incast_audited(executor):
     with audited(fig14_incast, "paper_testbed", interval=0.5) as watchdogs:
-        result = fig14_incast.run(quick_scale())
+        result = fig14_incast.run(quick_scale(), executor=executor)
     return result, watchdogs
 
 
 @pytest.fixture(scope="module")
-def completion_audited():
+def completion_audited(executor):
     with audited(
         fig15_completion_time, "paper_testbed", interval=0.5
     ) as watchdogs:
-        result = fig15_completion_time.run(quick_scale())
+        result = fig15_completion_time.run(quick_scale(), executor=executor)
     return result, watchdogs
 
 
 @pytest.fixture(scope="module")
-def fluid_points():
-    return fluid_validation.run(quick_scale(), (10, 20, 30, 40))
+def fluid_points(executor):
+    return fluid_validation.run(
+        quick_scale(), (10, 20, 30, 40), executor=executor
+    )
 
 
 class TestFig01:
@@ -388,3 +426,49 @@ class TestFluidValidation:
         # Oscillation periods of a few RTTs: w between ~1e3 and ~1e5.
         for p in fluid_points:
             assert 1e3 < p.dc_frequency < 1e5
+
+
+class TestQuickTables:
+    """Every stage of the experiment index prints, at ``quick_scale()``,
+    exactly the committed ``quick_tables/<id>.txt``."""
+
+    #: The fixture that has already run a sweep stage's cells.  Asking
+    #: for it first keeps the audit on the one real run: a fixture that
+    #: came second would read the cache and build no network to audit.
+    RUN_BY = {
+        "1": "fig01_audited",
+        "10": "paper_pipe_audited",
+        "11": "paper_pipe_audited",
+        "12": "paper_pipe_audited",
+        "14": "incast_audited",
+        "15": "completion_audited",
+        "fluid": "fluid_points",
+    }
+
+    def test_every_stage_has_exactly_one_file(self):
+        on_disk = sorted(p.name for p in QUICK_TABLES.iterdir())
+        assert on_disk == sorted(f"{stage.id}.txt" for stage in STAGES)
+
+    @pytest.mark.parametrize("stage", STAGES, ids=lambda stage: stage.id)
+    def test_table_is_byte_identical(self, stage, executor, request):
+        if stage.id in self.RUN_BY:
+            request.getfixturevalue(self.RUN_BY[stage.id])
+        expected = (QUICK_TABLES / f"{stage.id}.txt").read_text()
+        printed = render(stage, executor)
+        assert printed == expected, "".join(
+            difflib.unified_diff(
+                expected.splitlines(keepends=True),
+                printed.splitlines(keepends=True),
+                f"quick_tables/{stage.id}.txt",
+                f"figure {stage.id} --quick",
+            )
+        )
+
+
+if __name__ == "__main__":
+    QUICK_TABLES.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as cells:
+        shared = SweepExecutor(cache=ResultCache(pathlib.Path(cells)))
+        for each in STAGES:
+            (QUICK_TABLES / f"{each.id}.txt").write_text(render(each, shared))
+            print(f"wrote quick_tables/{each.id}.txt")

@@ -5,6 +5,11 @@ wall-clock read, an unseeded RNG or a stray ``os.environ["REPRO_*"]``,
 the tier-1 suite fails — CI wiring or not.
 """
 
+import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 from repro.lint import LintEngine, default_rules, default_src_root
@@ -73,5 +78,132 @@ def test_benchmarks_holds_only_the_ledger():
         for path in sorted((PROJECT_ROOT / top).rglob("*.py"))
         for name in retired
         if name in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
+# -- packages are namespaces ---------------------------------------------
+
+#: The five packages whose ``__init__`` used to re-export 101 names from
+#: their own modules; ``repro.core``'s pulled ``scipy.optimize`` into
+#: every process that imported ``repro.sim``.
+NAMESPACES = ("repro.core", "repro.sim", "repro.fluid", "repro.sim.tcp",
+              "repro.sim.apps")
+
+#: Package -> the sibling packages its modules may import at module
+#: level (DESIGN.md section 2, "Package DAG").
+PACKAGE_DAG = {
+    "core": set(),
+    "exec": set(),
+    "stats": set(),
+    "lint": set(),
+    "sim": {"core"},
+    "fluid": {"core", "stats"},
+    "campaign": {"core", "exec", "sim"},
+}
+
+
+def _package_dir(package):
+    return (PROJECT_ROOT / "src").joinpath(*package.split("."))
+
+
+def _module_level_imports(path):
+    """Import statements that run when ``path`` is imported (function
+    bodies are where a command or stage imports lazily, on purpose)."""
+    stack = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_namespace_packages_import_nothing():
+    for package in NAMESPACES:
+        init = _package_dir(package) / "__init__.py"
+        imports = [
+            node.lineno
+            for node in ast.walk(ast.parse(init.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        assert imports == [], f"{init}: import at line(s) {imports}"
+
+
+def test_names_are_imported_from_their_defining_module():
+    """``from repro.sim import topology`` names a module and is fine;
+    ``from repro.sim import dumbbell`` needs a re-export to exist."""
+
+    def is_submodule(package, name):
+        base = _package_dir(package)
+        return (base / f"{name}.py").is_file() or (base / name).is_dir()
+
+    offenders = [
+        f"{path.relative_to(PROJECT_ROOT)}:{node.lineno}: "
+        f"from {node.module} import {alias.name}"
+        for top in ("src", "tests", "examples")
+        for path in sorted((PROJECT_ROOT / top).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module in NAMESPACES
+        for alias in node.names
+        if not is_submodule(node.module, alias.name)
+    ]
+    assert offenders == []
+
+
+def test_only_the_analysis_loads_scipy():
+    """A simulator process, an executor worker and every CLI command but
+    ``analyze`` import no ``scipy``: it costs ~0.5 s and ~46 MB, and only
+    ``core.nyquist`` / ``core.stability`` and the stages built on them
+    call it."""
+    census = textwrap.dedent(
+        """
+        import importlib, pkgutil, sys
+
+        for name in ("sim", "exec", "campaign", "stats", "lint", "fluid"):
+            package = importlib.import_module(f"repro.{name}")
+            for module in pkgutil.walk_packages(
+                package.__path__, f"repro.{name}."
+            ):
+                importlib.import_module(module.name)
+        for stage in (
+            "queue_sweep", "fig01_oscillation", "fig14_incast",
+            "fig15_completion_time", "queue_buildup", "buffer_pressure",
+            "convergence", "deadlines",
+        ):
+            importlib.import_module(f"repro.experiments.{stage}")
+        import repro.cli
+
+        repro.cli.build_parser()
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", census],
+        env={**os.environ, "PYTHONPATH": str(PROJECT_ROOT / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.module == "repro":
+        return [f"repro.{alias.name}" for alias in node.names]
+    return [node.module or ""]
+
+
+def test_package_dag():
+    offenders = [
+        f"{path.relative_to(PROJECT_ROOT)}:{node.lineno}: "
+        f"repro.{package} imports {target}"
+        for package, allowed in PACKAGE_DAG.items()
+        for path in sorted(_package_dir(f"repro.{package}").rglob("*.py"))
+        for node in _module_level_imports(path)
+        for target in _imported_modules(node)
+        if target.startswith("repro.")
+        and target.split(".")[1] not in allowed | {package}
     ]
     assert offenders == []

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.marking import NullMarker, SingleThresholdMarker
 from repro.sim.queues import FifoQueue
-from repro.sim.tcp import CubicSender, DctcpSender, RenoSender, open_flow
+from repro.sim.tcp.cubic import CubicSender
+from repro.sim.tcp.flow import open_flow
+from repro.sim.tcp.sender import DctcpSender, RenoSender
 from repro.sim.topology import Network, dumbbell
 from repro.sim.apps.bulk import launch_bulk_flows
 from repro.sim.trace import QueueMonitor

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.marking import SingleThresholdMarker
 from repro.sim.packet_log import PacketLogger
-from repro.sim.tcp import DctcpSender, open_flow
+from repro.sim.tcp.flow import open_flow
+from repro.sim.tcp.sender import DctcpSender
 from repro.sim.topology import dumbbell
 
 

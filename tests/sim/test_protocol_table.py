@@ -23,7 +23,8 @@ from repro.exec.cases import execute_case
 from repro.experiments.config import quick_scale
 from repro.experiments.protocols import paper_config
 from repro.experiments.queue_sweep import run_point
-from repro.fluid import fluid_model, simulate
+from repro.fluid.integrator import simulate
+from repro.fluid.model import fluid_model
 from repro.sim.protocols import PROTOCOLS, Protocol
 from repro.sim.tcp.sender import DctcpSender, RenoSender
 from tests.sim.test_datapath_differential import _run_dumbbell
