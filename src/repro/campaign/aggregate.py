@@ -47,7 +47,10 @@ class FctAggregate:
     lower_bound: Dict[str, bool]
 
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        payload = dict(vars(self))
+        payload["percentiles"] = dict(self.percentiles)
+        payload["lower_bound"] = dict(self.lower_bound)
+        return payload
 
     def describe(self, q: str, scale: float = 1e3, unit: str = "ms") -> str:
         """One percentile as text, honest about censoring (e.g. ``>=3.1ms``)."""
@@ -77,25 +80,29 @@ def aggregate_fcts(
     n_incomplete = n_started - n_completed
     rate = n_incomplete / n_started if n_started else 0.0
 
-    values: Dict[str, Optional[float]] = {}
-    bounds: Dict[str, bool] = {}
-    arr = np.asarray(fcts, dtype=float) if n_completed else None
-    for q in percentiles:
-        key = f"{q:g}"
-        if arr is None:
-            values[key] = None
-            bounds[key] = n_started > 0  # everything censored
-        else:
-            values[key] = float(np.percentile(arr, q))
-            # Identifiable only while the percentile lies inside the
-            # uncensored fraction of the distribution.
-            bounds[key] = q / 100.0 > 1.0 - rate
+    keys = [f"{q:g}" for q in percentiles]
+    values: Dict[str, Optional[float]]
+    if n_completed:
+        arr = np.asarray(fcts, dtype=float)
+        mean: Optional[float] = float(arr.mean())
+        # One selection pass for every percentile; .tolist() hands back
+        # the Python floats one call per percentile would.
+        values = dict(zip(keys, np.percentile(arr, percentiles).tolist()))
+        # Identifiable only while the percentile lies inside the
+        # uncensored fraction of the distribution.
+        bounds = {
+            key: q / 100.0 > 1.0 - rate for key, q in zip(keys, percentiles)
+        }
+    else:
+        mean = None
+        values = dict.fromkeys(keys)
+        bounds = dict.fromkeys(keys, n_started > 0)  # everything censored
     return FctAggregate(
         n_started=n_started,
         n_completed=n_completed,
         n_incomplete=n_incomplete,
         censoring_rate=rate,
-        mean=float(arr.mean()) if arr is not None else None,
+        mean=mean,
         percentiles=values,
         lower_bound=bounds,
     )

@@ -25,6 +25,10 @@ from repro.exec.executor import SweepExecutor, execute_cases
 __all__ = ["CellSummary", "CampaignResult", "run_campaign"]
 
 
+def _pkts(value: Optional[float]) -> str:
+    return "n/a" if value is None else f"{value:.1f}"
+
+
 @dataclasses.dataclass(frozen=True)
 class CellSummary:
     """One grid cell, seeds pooled."""
@@ -38,12 +42,13 @@ class CellSummary:
     fct_slowdown: FctAggregate
     #: Seeds whose case failed (or was skipped); empty when complete.
     missing_seeds: Tuple[int, ...]
-    #: Time-average bottleneck queue, averaged over available seeds.
-    mean_queue_pkts: float
+    #: Time-average bottleneck queue, averaged over available seeds
+    #: (None when no seed landed).
+    mean_queue_pkts: Optional[float]
     #: Queue-oscillation amplitude: per-seed stddev of the bottleneck
     #: occupancy, averaged over available seeds (the paper's headline
-    #: stability metric).
-    std_queue_pkts: float
+    #: stability metric; None when no seed landed).
+    std_queue_pkts: Optional[float]
     fabric_marks: int
     fabric_drops: int
     incast_timeouts: int
@@ -55,8 +60,12 @@ class CellSummary:
         return not self.missing_seeds
 
     def to_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        payload["coord"]["protocol"] = self.coord.protocol
+        # Shallow copies suffice: every field but the aggregates is
+        # immutable.
+        payload = dict(vars(self))
+        payload["coord"] = dict(vars(self.coord), protocol=self.coord.protocol)
+        payload["fct"] = self.fct.to_dict()
+        payload["fct_slowdown"] = self.fct_slowdown.to_dict()
         return payload
 
 
@@ -72,7 +81,7 @@ class CampaignResult:
         return all(cell.complete for cell in self.cells)
 
     def to_dict(self) -> Dict[str, Any]:
-        grid = dataclasses.asdict(self.grid)
+        grid = dict(vars(self.grid))
         # Frozen output key: the grid option it recorded is gone (every
         # cell audits itself), but aggregates and the ledger's
         # ``result_digest`` cover this JSON byte for byte, so the key
@@ -104,8 +113,8 @@ class CampaignResult:
                     fct.describe("95"),
                     fct.describe("99"),
                     cell.fct_slowdown.describe("99", scale=1.0, unit="x"),
-                    f"{cell.mean_queue_pkts:.1f}",
-                    f"{cell.std_queue_pkts:.1f}",
+                    _pkts(cell.mean_queue_pkts),
+                    _pkts(cell.std_queue_pkts),
                 )
             )
         return rows
@@ -153,7 +162,7 @@ def run_campaign(
                 mean_queue_pkts=(
                     sum(r["mean_queue_pkts"] for r in landed) / len(landed)
                     if landed
-                    else 0.0
+                    else None
                 ),
                 # .get: cached payloads from before the chaos PR carry
                 # neither key; they aggregate as 0 rather than erroring.
@@ -161,7 +170,7 @@ def run_campaign(
                     sum(r.get("std_queue_pkts", 0.0) for r in landed)
                     / len(landed)
                     if landed
-                    else 0.0
+                    else None
                 ),
                 fabric_marks=sum(r["fabric_marks"] for r in landed),
                 fabric_drops=sum(r["fabric_drops"] for r in landed),

@@ -1,5 +1,7 @@
 """Campaign driver end-to-end: determinism, caching, resume, censoring."""
 
+import json
+
 import pytest
 
 from repro.campaign.aggregate import FctAggregate, aggregate_fcts
@@ -211,6 +213,29 @@ class TestExecutorIntegration:
         assert not result.complete
         assert cell.fct.n_started > 0  # seed 1 still aggregated
         assert "seed(s) missing" in result.table_rows()[0][4]
+
+    def test_cell_with_every_seed_failed_has_no_queue(self, monkeypatch):
+        """No landed seed is no queue data: ``n/a`` in the table and
+        ``null`` in the JSON, like the FCT percentiles beside it - not
+        a perfectly steady empty queue."""
+        import repro.campaign.driver as driver_mod
+
+        monkeypatch.setattr(
+            driver_mod, "execute_cases",
+            lambda cases, ex, stage="": [None] * len(cases),
+        )
+        result = run_campaign(tiny_grid())
+
+        cell = result.cells[0]
+        assert cell.missing_seeds == (1, 2)
+        assert cell.mean_queue_pkts is None
+        assert cell.std_queue_pkts is None
+        row = result.table_rows()[0]
+        assert row[4] == "0/0 (2 seed(s) missing)"
+        assert row[6:] == ("n/a",) * 6
+        payload = json.loads(json.dumps(result.to_dict()))["cells"][0]
+        assert payload["mean_queue_pkts"] is None
+        assert payload["std_queue_pkts"] is None
 
     def test_pre_chaos_cached_payloads_still_aggregate(self):
         """Cache entries written before the chaos PR lack the new result

@@ -1,10 +1,12 @@
 """Claims beyond the paper's figures (EXPERIMENTS.md, "Beyond the paper").
 
 Each test is its claim's only home.  Where ``src/`` has a rig the test
-calls it — ``queue_buildup.run`` and ``buffer_pressure.run`` are the
-``figure buildup`` / ``figure buffer`` stages themselves, ``df_bias.run``
-and ``queue_sweep.run_point`` take ``quick_scale()``, the scale ``figure
-all --quick`` prints — and where it has none the hand-built network
+calls it — the buildup, buffer-pressure and bias-corrected-DF claims
+assert on the results of the ``figure buildup`` / ``buffer`` /
+``df-bias`` stages themselves, from the run the ``quick_stage`` fixture
+shares with the snapshot test, and ``queue_sweep.run_point`` takes
+``quick_scale()``, the scale ``figure all --quick`` prints — and where
+it has none the hand-built network
 stays here as test code: these are the only end-to-end drivers of
 ``use_sack=True``, ``receive_window=``, ``mark_on_dequeue=True`` and
 :class:`~repro.core.marking.REDMarker`.
@@ -27,12 +29,7 @@ from repro.core.parameters import (
 )
 from repro.core.stability import calibrate_gain_scale, stability_margin
 from repro.core.transfer_function import open_loop
-from repro.experiments import (
-    buffer_pressure,
-    df_bias,
-    queue_buildup,
-    quick_scale,
-)
+from repro.experiments import quick_scale
 from repro.experiments.fig14_incast import (
     TESTBED_INITIAL_CWND,
     TESTBED_START_JITTER,
@@ -65,10 +62,10 @@ KB = 1024
 # -- microbenchmarks of Section II-A ------------------------------------
 
 
-def test_queue_buildup_short_flow_latency():
+def test_queue_buildup_short_flow_latency(quick_stage):
     """ECN marking protects latency-sensitive short flows; DT-DCTCP's
     steadier (and slightly lower) queue gives the best tail."""
-    by_name = {r.protocol: r for r in queue_buildup.run()}
+    by_name = {r.protocol: r for r in quick_stage("buildup")[1]}
     droptail = by_name["DropTail-Reno"]
     dctcp = by_name["DCTCP"]
     dt = by_name["DT-DCTCP"]
@@ -81,11 +78,11 @@ def test_queue_buildup_short_flow_latency():
     assert dt.mean_queue <= dctcp.mean_queue
 
 
-def test_buffer_pressure():
+def test_buffer_pressure(quick_stage):
     """Long flows on *other* ports of a shared-memory switch steal the
     pool an incast port needs: DropTail background collapses the incast,
     marking background leaves it at line rate."""
-    by_label = {r.background: r for r in buffer_pressure.run()}
+    by_label = {r.background: r for r in quick_stage("buffer")[1]}
     alone = by_label["none (DCTCP incast alone)"]
     droptail = by_label["Reno long flows, DropTail pool"]
     # Without pressure the incast runs near line rate.
@@ -104,13 +101,14 @@ def test_buffer_pressure():
 # -- theory against packets ---------------------------------------------
 
 
-def test_bias_corrected_df_predicts_simulation():
+def test_bias_corrected_df_predicts_simulation(quick_stage):
     """Parameter-free (no calibrated gain anywhere): centring the DF's
     test signal at the threshold predicts a limit cycle at every N with
     amplitude ``2 K |K0 G(j w180)| / pi`` - existence, scale and trend
-    against the packet-level measurement.  (``tests/core/test_df_bias.py``
-    holds the theory side alone.)"""
-    points = df_bias.run(quick_scale(), (10, 20, 30, 40))
+    against the packet-level measurement at N = 10, 20, 30, 40.
+    (``tests/core/test_df_bias.py`` holds the theory side alone.)"""
+    points = quick_stage("df-bias")[1]
+    assert [p.n_flows for p in points] == [10, 20, 30, 40]
     for p in points:
         # Existence and scale: measured within ~2x of the prediction.
         assert 0.5 < p.amplitude_ratio < 2.5

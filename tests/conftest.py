@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import contextlib
+import io
+
 import pytest
 
 from repro.core.parameters import (
@@ -7,6 +10,29 @@ from repro.core.parameters import (
     SingleThresholdParams,
     paper_network,
 )
+from repro.experiments import quick_scale, stage_by_id
+
+
+@pytest.fixture(scope="session")
+def quick_stage():
+    """``figure <id> --quick`` of a stage that runs no sweep, at most once
+    per session, as ``(printed text, the printer's results)``.
+
+    The snapshot test compares the text and the claims in
+    ``tests/claims/test_extensions.py`` assert on the results, so a
+    seconds-long stage such as ``buffer`` runs once for both.
+    """
+    runs = {}
+
+    def run(stage_id):
+        if stage_id not in runs:
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                results = stage_by_id(stage_id).run(quick_scale())
+            runs[stage_id] = (printed.getvalue(), results)
+        return runs[stage_id]
+
+    return run
 
 
 @pytest.fixture
