@@ -68,10 +68,7 @@ def step3_tradeoff() -> None:
     rows = []
     for gap in (4.0, 10.0, 20.0, 40.0):
         params = DoubleThresholdParams(k1=40 - gap / 2, k2=40 + gap / 2)
-        trace = simulate(
-            fluid_model(net, params, variable_rtt=True),
-            duration=0.04,
-        ).after(0.02)
+        trace = simulate(fluid_model(net, params), duration=0.04).after(0.02)
         rows.append((gap, trace.mean_queue, trace.std_queue,
                      trace.queue_amplitude))
     print_table(

@@ -26,7 +26,7 @@ def fluid_stats(n_flows: int, double_threshold: bool):
     net = paper_network(n_flows)
     scheme = paper_dt_dctcp() if double_threshold else paper_dctcp()
     trace = simulate(
-        fluid_model(net, scheme, variable_rtt=True), duration=DURATION
+        fluid_model(net, scheme), duration=DURATION
     ).after(WARMUP)
     return trace.mean_queue, trace.std_queue, trace.mean_alpha
 

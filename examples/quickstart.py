@@ -53,8 +53,8 @@ def fluid_layer() -> None:
     net = paper_network(10)
     rows = []
     for name, model in (
-        ("DCTCP", fluid_model(net, paper_dctcp(), variable_rtt=True)),
-        ("DT-DCTCP", fluid_model(net, paper_dt_dctcp(), variable_rtt=True)),
+        ("DCTCP", fluid_model(net, paper_dctcp())),
+        ("DT-DCTCP", fluid_model(net, paper_dt_dctcp())),
     ):
         trace = simulate(model, duration=0.04).after(0.02)
         rows.append(

@@ -81,12 +81,10 @@ def run_case(case: Case) -> dict:
     gain = calibrate_gain_scale(paper_network(10), paper_dctcp(), onset_flows=60)
     net = paper_network(n)
     dc_trace = simulate(
-        fluid_model(net, paper_dctcp(), variable_rtt=True),
-        duration=fluid_duration,
+        fluid_model(net, paper_dctcp()), duration=fluid_duration
     ).after(fluid_duration / 2)
     dt_trace = simulate(
-        fluid_model(net, paper_dt_dctcp(), variable_rtt=True),
-        duration=fluid_duration,
+        fluid_model(net, paper_dt_dctcp()), duration=fluid_duration
     ).after(fluid_duration / 2)
     # The DF method locates any oscillation at the plant's phase
     # crossover; below onset no limit cycle is *predicted*, but the

