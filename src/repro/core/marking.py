@@ -365,15 +365,6 @@ class DoubleThresholdMarker:
         # otherwise: within the deadband -> hysteresis holds the state
         return self._marking
 
-    def observe(self, queue_length: float) -> bool:
-        """Update direction state without an arriving packet.
-
-        The fluid model calls this on every integration step so that the
-        hysteresis state follows the continuous queue trajectory.
-        Returns the post-update marking state.
-        """
-        return self.should_mark(queue_length)
-
     def reset(self) -> None:
         self._marking = False
         self._reference = None

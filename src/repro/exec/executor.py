@@ -48,6 +48,7 @@ sequential one.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import sys
 import time
@@ -138,8 +139,13 @@ class SweepExecutor:
                 f"failure_policy must be one of {FAILURE_POLICIES}, "
                 f"got {failure_policy!r}"
             )
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
+        # ``not (x > 0)`` rather than ``x <= 0``: a NaN deadline would
+        # never expire, and an infinite one overflows ``wait()`` after
+        # the pool has started.
+        if timeout is not None and not (timeout > 0 and math.isfinite(timeout)):
+            raise ValueError(
+                f"timeout must be positive and finite, got {timeout}"
+            )
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.jobs = jobs

@@ -23,7 +23,6 @@ def launch_bulk_flows(
     sender_cls: Type[TcpSender] = DctcpSender,
     start_jitter: float = 0.0,
     jitter_seed: int = 0,
-    delayed_ack_factor: int = 1,
     **sender_kwargs,
 ) -> List[Flow]:
     """One infinite flow from every dumbbell sender to the client.
@@ -41,7 +40,6 @@ def launch_bulk_flows(
             network.receiver,
             sender_cls=sender_cls,
             total_packets=None,
-            delayed_ack_factor=delayed_ack_factor,
             **sender_kwargs,
         )
         delay = rng.uniform(0.0, start_jitter) if rng is not None else 0.0

@@ -29,10 +29,9 @@ environment:
   observes the queue (see ``drain_hook`` in
   :class:`~repro.sim.queues.FifoQueue`).
 * ``"two-event"``: an explicit tx-done event between transmission and
-  propagation.  Taken automatically for queues whose semantics act at
-  the dequeue *instant* (``mark_on_dequeue`` departure marking, shared
-  buffer pools), where deferral would change cross-queue or marker
-  observation order, and pinned by the fault layer
+  propagation.  Taken automatically for queues whose admission acts at
+  the dequeue *instant* (shared buffer pools), where deferral would
+  change cross-queue observation order, and pinned by the fault layer
   (:meth:`Interface.pin_two_event`) on interfaces whose delivery time
   cannot be known at admission (jitter, wire cuts).
 
@@ -59,6 +58,7 @@ the environment, so results stay a pure function of the spec.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Optional, TYPE_CHECKING
 
@@ -105,10 +105,16 @@ class Interface:
         queue: FifoQueue,
         name: str = "",
     ):
-        if bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth_bps must be positive, got {bandwidth_bps}")
-        if prop_delay < 0:
-            raise ValueError(f"prop_delay must be >= 0, got {prop_delay}")
+        # ``not (x > 0)`` rather than ``x <= 0``: NaN fails both
+        # comparisons and would otherwise schedule every delivery at NaN.
+        if not (bandwidth_bps > 0 and math.isfinite(bandwidth_bps)):
+            raise ValueError(
+                f"bandwidth_bps must be positive and finite, got {bandwidth_bps}"
+            )
+        if not (prop_delay >= 0 and math.isfinite(prop_delay)):
+            raise ValueError(
+                f"prop_delay must be >= 0 and finite, got {prop_delay}"
+            )
         self.sim = sim
         self.bandwidth_bps = bandwidth_bps
         self.prop_delay = prop_delay
@@ -133,8 +139,8 @@ class Interface:
         #: call per packet.  Recomputed whenever the drain hook is
         #: installed, i.e. on the first send through a queue object;
         #: subclasses (``TrackedFifoQueue``) always take the method-call
-        #: path.  Dequeue-instant queues (``mark_on_dequeue``, shared
-        #: buffer pool) never get here: they run two-event.
+        #: path.  Dequeue-instant queues (a shared buffer pool) never
+        #: get here: they run two-event.
         self._q_fused = False
         #: ``"busy-until"`` or ``"two-event"``: which transmitter this
         #: interface runs (see the module docstring).  Only ever moves
@@ -204,12 +210,12 @@ class Interface:
                 # Cold path: first send through this queue object (the
                 # hook survives for the queue's lifetime, so this runs
                 # once per queue, not once per packet).
-                if queue.mark_on_dequeue or queue.pool is not None:
-                    # Dequeue-instant semantics (departure marking,
-                    # shared buffer admission) need the exact eager
-                    # schedule.  Queues are configured/swapped before
-                    # traffic, so this is the very first packet; a swap
-                    # after traffic raises in pin_two_event().
+                if queue.pool is not None:
+                    # Dequeue-instant semantics (shared buffer
+                    # admission) need the exact eager schedule.  Queues
+                    # are configured/swapped before traffic, so this is
+                    # the very first packet; a swap after traffic
+                    # raises in pin_two_event().
                     self.pin_two_event()
                     return self._send_two_event(packet)
                 queue.drain_hook = self._drain_hook
@@ -229,8 +235,8 @@ class Interface:
             if self._q_fused:
                 # Fused enqueue: the exact FifoQueue.enqueue body,
                 # inlined — per-packet, the method call plus its
-                # re-dispatch on mark_on_dequeue/pool (neither reaches
-                # this lane) are pure overhead.  A memoryless marker's
+                # re-dispatch on the pool (which never reaches this
+                # lane) are pure overhead.  A memoryless marker's
                 # rule (``fused_threshold``) is additionally inlined to
                 # a compare; every other marker keeps its pre-bound call.
                 qd = queue._queue
@@ -248,7 +254,6 @@ class Interface:
                     packet.ce = True
                     stats.marked += 1
                 stats.enqueued += 1
-                stats.bytes_in += size
                 prev_busy = self._busy_until
                 start = prev_busy if prev_busy > now else now
                 # Direct sums keep the float association identical to
@@ -265,7 +270,6 @@ class Interface:
                     # exactly the amounts the enqueue/dequeue pair
                     # would have moved them.
                     stats.dequeued += 1
-                    stats.bytes_out += size
                 else:
                     qd.append(packet)
                     queue._bytes += size
@@ -332,10 +336,8 @@ class Interface:
                         # deferred schedule is void.
                         starts.clear()
                         break
-                    size = qd.popleft().size_bytes
-                    queue._bytes -= size
+                    queue._bytes -= qd.popleft().size_bytes
                     stats.dequeued += 1
-                    stats.bytes_out += size
             else:
                 dequeue = queue.dequeue
                 while starts and starts[0] < now:

@@ -14,14 +14,11 @@ lets go of it.
 
 from __future__ import annotations
 
-import itertools
-
 __all__ = [
     "Packet",
     "MSS_BYTES",
     "ACK_BYTES",
     "HEADER_BYTES",
-    "reset_packet_uids",
 ]
 
 #: Maximum segment size: the paper's "each packet is about 1.5KB".
@@ -31,26 +28,11 @@ ACK_BYTES = 40
 #: Header overhead carried by every data packet (already included in MSS).
 HEADER_BYTES = 40
 
-_packet_ids = itertools.count()
-
-
-def reset_packet_uids(start: int = 0) -> None:
-    """Begin a fresh packet-uid epoch.
-
-    Called by :class:`repro.sim.topology.Network` on construction so a
-    scenario's packet uids (and hence any uid-bearing logs) depend only
-    on the scenario, not on how many simulations the process ran
-    before — in-process replays match fresh-process runs exactly.
-    """
-    global _packet_ids
-    _packet_ids = itertools.count(start)
-
 
 class Packet:
     """One simulated packet (data segment or ACK)."""
 
     __slots__ = (
-        "uid",
         "flow_id",
         "src",
         "dst",
@@ -61,10 +43,7 @@ class Packet:
         "ce",
         "ece",
         "ecn_capable",
-        "sent_at",
         "is_retransmit",
-        "delayed_ack_count",
-        "sack_blocks",
         "deliver_at",
     )
 
@@ -79,7 +58,6 @@ class Packet:
         ack_seq: int = -1,
         ecn_capable: bool = True,
     ):
-        self.uid = next(_packet_ids)
         self.flow_id = flow_id
         self.src = src
         self.dst = dst
@@ -95,15 +73,7 @@ class Packet:
         self.ece = False
         #: ECT: whether switches may mark instead of relying on drops.
         self.ecn_capable = ecn_capable
-        #: Simulated send time, for RTT sampling (-1 on retransmits,
-        #: which are excluded from RTT estimation per Karn's rule).
-        self.sent_at = -1.0
         self.is_retransmit = False
-        #: How many data packets this (possibly delayed) ACK covers.
-        self.delayed_ack_count = 1
-        #: SACK option: up to three ``(start, end)`` received-out-of-order
-        #: ranges beyond the cumulative point (empty when SACK is off).
-        self.sack_blocks: tuple = ()
         #: Scratch field owned by the in-flight interface: the simulated
         #: instant a busy-until link hands this packet to its peer.
         self.deliver_at = -1.0

@@ -37,6 +37,7 @@ transmission-start time (used by the event-exact
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, Deque, Optional, TYPE_CHECKING
 
@@ -52,15 +53,13 @@ __all__ = ["FifoQueue", "QueueStats"]
 class QueueStats:
     """Cumulative counters a queue maintains for the harness."""
 
-    __slots__ = ("enqueued", "dequeued", "dropped", "marked", "bytes_in", "bytes_out")
+    __slots__ = ("enqueued", "dequeued", "dropped", "marked")
 
     def __init__(self) -> None:
         self.enqueued = 0
         self.dequeued = 0
         self.dropped = 0
         self.marked = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
 
     def __repr__(self) -> str:
         return (
@@ -72,8 +71,8 @@ class QueueStats:
 class FifoQueue:
     """Bounded FIFO with arrival-time ECN marking.
 
-    The marker's ``should_mark``/``observe`` dispatch is resolved to
-    bound methods once at construction and the per-packet bodies run
+    The marker's ``should_mark`` dispatch is resolved to a bound method
+    once at construction and the per-packet bodies run
     straight-line with counters hoisted into locals.
     """
 
@@ -81,14 +80,12 @@ class FifoQueue:
         "capacity_bytes",
         "marker",
         "name",
-        "mark_on_dequeue",
         "pool",
         "drain_hook",
         "_queue",
         "_bytes",
         "_stats",
         "_marker_should_mark",
-        "_marker_observe",
         "_marker_k",
     )
 
@@ -98,20 +95,16 @@ class FifoQueue:
         marker: Optional[Marker] = None,
         name: str = "",
         pool: Optional["SharedBufferPool"] = None,
-        mark_on_dequeue: bool = False,
     ):
-        if capacity_bytes <= 0:
-            raise ValueError(f"capacity_bytes must be positive, got {capacity_bytes}")
+        # ``not (x > 0)`` rather than ``x <= 0``: NaN fails both
+        # comparisons and would otherwise admit every packet.
+        if not (capacity_bytes > 0 and math.isfinite(capacity_bytes)):
+            raise ValueError(
+                f"capacity_bytes must be positive and finite, got {capacity_bytes}"
+            )
         self.capacity_bytes = capacity_bytes
         self.marker = marker if marker is not None else NullMarker()
         self.name = name
-        #: Evaluate the marking decision when the packet *leaves* instead
-        #: of when it arrives.  Departure marking reflects the queue the
-        #: packet actually experienced and shaves up to one queueing
-        #: delay off the feedback loop (a known DCTCP deployment
-        #: variant); arrival marking is the paper's Figure 2 rule and
-        #: the default.
-        self.mark_on_dequeue = mark_on_dequeue
         #: Optional shared-memory pool this port draws from; see
         #: :mod:`repro.sim.buffer_pool`.
         self.pool = pool
@@ -126,7 +119,6 @@ class FifoQueue:
         #: the queue's lifetime (``reset()`` restarts its *state*, never
         #: swaps the object), so no packet pays a ``getattr`` ladder.
         self._marker_should_mark = self.marker.should_mark
-        self._marker_observe = getattr(self.marker, "observe", None)
         #: A memoryless marker declares ``fused_threshold`` — ``K`` for
         #: DCTCP's relay, ``inf`` for DropTail (see
         #: :class:`~repro.core.marking.Marker`) — and the fused lane
@@ -182,21 +174,7 @@ class FifoQueue:
         in the tree is :meth:`repro.sim.link.Interface.send`.
         """
         stats = self._stats
-        occupancy = len(self._queue)
-        if self.mark_on_dequeue:
-            # The *decision* happens at departure, but stateful markers
-            # (DT-DCTCP's direction-tracking hysteresis) still have to
-            # see every arrival or they cannot track the queue's trend.
-            # Markers without an observe() hook get their should_mark()
-            # verdict computed and discarded instead.
-            observe = self._marker_observe
-            if observe is not None:
-                observe(occupancy)
-            else:
-                self._marker_should_mark(occupancy)
-            wants_mark = False
-        else:
-            wants_mark = self._marker_should_mark(occupancy)
+        wants_mark = self._marker_should_mark(len(self._queue))
         size = packet.size_bytes
         if self._bytes + size > self.capacity_bytes:
             stats.dropped += 1
@@ -212,7 +190,6 @@ class FifoQueue:
         self._queue.append(packet)
         self._bytes += size
         stats.enqueued += 1
-        stats.bytes_in += size
         return True
 
     def dequeue(self, at_time: Optional[float] = None) -> Optional[Packet]:
@@ -233,23 +210,12 @@ class FifoQueue:
                 hook()
         if not self._queue:
             return None
-        stats = self._stats
         packet = self._queue.popleft()
         size = packet.size_bytes
         self._bytes -= size
         if self.pool is not None:
             self.pool.release(size)
-        if self.mark_on_dequeue:
-            # Decision from the occupancy left behind - the queue this
-            # packet just waited through.
-            if (
-                self._marker_should_mark(len(self._queue))
-                and packet.ecn_capable
-            ):
-                packet.ce = True
-                stats.marked += 1
-        stats.dequeued += 1
-        stats.bytes_out += size
+        self._stats.dequeued += 1
         return packet
 
     def reset(self) -> None:

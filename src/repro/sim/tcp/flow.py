@@ -24,12 +24,12 @@ _flow_ids = itertools.count(1)
 def reset_flow_ids(start: int = 1) -> None:
     """Begin a fresh flow-id epoch.
 
-    Called by :class:`repro.sim.topology.Network` on construction, for
-    the same reason packet uids are reset there: flow ids feed the
-    switches' ECMP path hash, so a scenario's flow placement must depend
-    only on the scenario — never on how many flows earlier simulations
-    in this process happened to open.  Demux is per-host, so concurrent
-    networks restarting from 1 cannot collide.
+    Called by :class:`repro.sim.topology.Network` on construction: flow
+    ids feed the switches' ECMP path hash, so a scenario's flow
+    placement must depend only on the scenario — never on how many
+    flows earlier simulations in this process happened to open.  Demux
+    is per-host, so concurrent networks restarting from 1 cannot
+    collide.
     """
     global _flow_ids
     _flow_ids = itertools.count(start)
@@ -62,16 +62,12 @@ def open_flow(
     sender_cls: Type[TcpSender] = DctcpSender,
     total_packets: Optional[int] = None,
     on_complete: Optional[Callable[[float], None]] = None,
-    on_data: Optional[Callable[[int], None]] = None,
-    delayed_ack_factor: int = 1,
     **sender_kwargs,
 ) -> Flow:
     """Create and register a ``src -> dst`` connection.
 
     ``sender_kwargs`` pass through to the sender class (``initial_cwnd``,
-    ``min_rto``, ``g`` for DCTCP, ``use_sack``, ...).  When ``use_sack``
-    is requested the receiver is created with SACK generation on, so the
-    option is negotiated end-to-end like the real TCP option.
+    ``min_rto``, ``g`` for DCTCP, ...).
     """
     if src.sim is not dst.sim:
         raise ValueError("flow endpoints must live in the same simulation")
@@ -90,9 +86,6 @@ def open_flow(
         host=dst,
         flow_id=flow_id,
         peer_node_id=src.node_id,
-        delayed_ack_factor=delayed_ack_factor,
-        on_data=on_data,
-        sack_enabled=sender.use_sack,
     )
     src.register_endpoint(flow_id, sender)
     dst.register_endpoint(flow_id, receiver)

@@ -12,10 +12,14 @@ timestamp and produce no samples).
 
 from __future__ import annotations
 
-__all__ = ["RttEstimator", "DEFAULT_MIN_RTO"]
+import math
+
+__all__ = ["RttEstimator", "DEFAULT_MIN_RTO", "INITIAL_RTO"]
 
 #: Stock Linux minimum RTO; the quantum of incast collapse.
 DEFAULT_MIN_RTO = 0.2
+#: RFC 6298's RTO before the first RTT sample.
+INITIAL_RTO = 1.0
 
 
 class RttEstimator:
@@ -28,17 +32,22 @@ class RttEstimator:
     BETA = 0.25
     K = 4.0
 
-    def __init__(self, min_rto: float = DEFAULT_MIN_RTO, max_rto: float = 60.0,
-                 initial_rto: float = 1.0):
-        if min_rto <= 0:
-            raise ValueError(f"min_rto must be positive, got {min_rto}")
-        if max_rto < min_rto:
-            raise ValueError(f"max_rto {max_rto} < min_rto {min_rto}")
+    def __init__(self, min_rto: float = DEFAULT_MIN_RTO, max_rto: float = 60.0):
+        # ``not (x > 0)`` rather than ``x <= 0``: NaN fails both
+        # comparisons and would otherwise make every RTO NaN.
+        if not (min_rto > 0 and math.isfinite(min_rto)):
+            raise ValueError(
+                f"min_rto must be positive and finite, got {min_rto}"
+            )
+        if not (min_rto <= max_rto and math.isfinite(max_rto)):
+            raise ValueError(
+                f"max_rto must be finite and >= min_rto {min_rto}, got {max_rto}"
+            )
         self.srtt: float = 0.0
         self.rttvar: float = 0.0
         self.min_rto = min_rto
         self.max_rto = max_rto
-        self._rto = max(min_rto, min(initial_rto, max_rto))
+        self._rto = max(min_rto, min(INITIAL_RTO, max_rto))
         self.samples = 0
 
     @property

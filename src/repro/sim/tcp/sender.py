@@ -22,10 +22,10 @@ number of packets in flight is bounded by its floor.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.sim.packet import MSS_BYTES, Packet
-from repro.sim.tcp.intervals import IntervalSet
 from repro.sim.tcp.rto import DEFAULT_MIN_RTO, RttEstimator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,8 +60,6 @@ class TcpSender:
         "flow_id",
         "peer_node_id",
         "total_packets",
-        "mss_bytes",
-        "receive_window",
         "on_complete",
         "cwnd",
         "ssthresh",
@@ -71,9 +69,6 @@ class TcpSender:
         "dup_acks",
         "_in_recovery",
         "_recover_seq",
-        "use_sack",
-        "_sacked",
-        "_sack_rtx_next",
         "rtt",
         "_rto_timer",
         "_rto_deadline",
@@ -83,7 +78,6 @@ class TcpSender:
         "packets_sent",
         "retransmits",
         "timeouts",
-        "ece_seen",
     )
 
     #: Whether data packets are sent ECN-capable (ECT codepoint).
@@ -97,32 +91,27 @@ class TcpSender:
         peer_node_id: int,
         total_packets: Optional[int] = None,
         initial_cwnd: float = 10.0,
-        mss_bytes: int = MSS_BYTES,
         min_rto: float = DEFAULT_MIN_RTO,
         max_rto: float = 60.0,
-        initial_rto: float = 1.0,
-        use_sack: bool = False,
-        receive_window: Optional[int] = None,
         on_complete: Optional[Callable[[float], None]] = None,
     ):
-        if total_packets is not None and total_packets <= 0:
-            raise ValueError(f"total_packets must be positive, got {total_packets}")
-        if initial_cwnd < 1:
-            raise ValueError(f"initial_cwnd must be >= 1, got {initial_cwnd}")
-        if receive_window is not None and receive_window < 1:
+        # ``not (x > 0)`` rather than ``x <= 0``: a NaN size would never
+        # send, and a NaN or infinite window fails at the first send.
+        if total_packets is not None and not (
+            total_packets > 0 and math.isfinite(total_packets)
+        ):
             raise ValueError(
-                f"receive_window must be >= 1 packet, got {receive_window}"
+                f"total_packets must be positive and finite, got {total_packets}"
+            )
+        if not (initial_cwnd >= 1 and math.isfinite(initial_cwnd)):
+            raise ValueError(
+                f"initial_cwnd must be >= 1 and finite, got {initial_cwnd}"
             )
         self.sim = sim
         self.host = host
         self.flow_id = flow_id
         self.peer_node_id = peer_node_id
         self.total_packets = total_packets
-        self.mss_bytes = mss_bytes
-        #: Advertised receive window in packets (flow control): the
-        #: sending window is min(cwnd, rwnd).  Capping it per worker is
-        #: the classic application-level incast mitigation.  None = no cap.
-        self.receive_window = receive_window
         self.on_complete = on_complete
 
         self.cwnd: float = float(initial_cwnd)
@@ -137,18 +126,7 @@ class TcpSender:
         self._in_recovery = False
         self._recover_seq = 0
 
-        #: RFC 6675-style selective-acknowledgment recovery.  The
-        #: scoreboard records ranges the receiver holds beyond the
-        #: cumulative point; in recovery the sender retransmits the holes
-        #: in order (ACK-clocked) and counts SACKed packets out of the
-        #: pipe, instead of NewReno's one-hole-per-RTT crawl.
-        self.use_sack = use_sack
-        self._sacked = IntervalSet()
-        self._sack_rtx_next = 0
-
-        self.rtt = RttEstimator(
-            min_rto=min_rto, max_rto=max_rto, initial_rto=initial_rto
-        )
+        self.rtt = RttEstimator(min_rto=min_rto, max_rto=max_rto)
         self._rto_timer = None
         self._rto_deadline: Optional[float] = None
         self._send_times: Dict[int, float] = {}
@@ -159,7 +137,6 @@ class TcpSender:
         self.packets_sent = 0
         self.retransmits = 0
         self.timeouts = 0
-        self.ece_seen = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -185,38 +162,20 @@ class TcpSender:
         """Packets sent but not yet cumulatively acknowledged."""
         return self.next_seq - self.highest_ack
 
-    @property
-    def pipe(self) -> int:
-        """Outstanding packets believed to be in the network.
-
-        With SACK, packets the receiver already holds are subtracted
-        (RFC 6675's pipe estimate); without it, equals :attr:`in_flight`.
-        """
-        if self.use_sack:
-            return self.in_flight - len(self._sacked)
-        return self.in_flight
-
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
 
     def _try_send(self) -> None:
-        window = int(self.cwnd)
-        if self.receive_window is not None:
-            window = min(window, self.receive_window)
-        # ``pipe < window`` is a bound on ``next_seq`` computed once:
-        # nothing in the loop body can move ``highest_ack`` or the SACK
-        # scoreboard (transmission is asynchronous; no callback
-        # re-enters this sender before the loop exits).  The retransmit
-        # flag against a frozen high-water mark is exact too: after
-        # sending seq, the mark is ``max(high, seq + 1)``, so
-        # ``seq + 1 < mark`` iff ``seq + 1 < high``.
+        # ``in_flight < cwnd`` is a bound on ``next_seq`` computed once:
+        # nothing in the loop body can move ``highest_ack``
+        # (transmission is asynchronous; no callback re-enters this
+        # sender before the loop exits).  The retransmit flag against a
+        # frozen high-water mark is exact too: after sending seq, the
+        # mark is ``max(high, seq + 1)``, so ``seq + 1 < mark`` iff
+        # ``seq + 1 < high``.
         next_seq = self.next_seq
-        limit = self.highest_ack + window
-        if self.use_sack:
-            # RFC 6675 pipe: packets the receiver already holds are not
-            # in the network.
-            limit += len(self._sacked)
+        limit = self.highest_ack + int(self.cwnd)
         total = self.total_packets
         high = self._high_water
         while next_seq < limit and (total is None or next_seq < total):
@@ -231,7 +190,7 @@ class TcpSender:
             src=self.host.node_id,
             dst=self.peer_node_id,
             seq=seq,
-            size_bytes=self.mss_bytes,
+            size_bytes=MSS_BYTES,
             ecn_capable=self.ecn_capable,
         )
         packet.is_retransmit = retransmit
@@ -240,9 +199,7 @@ class TcpSender:
             # Karn's rule: a retransmitted sequence yields no RTT sample.
             self._send_times.pop(seq, None)
         else:
-            now = self.sim._now
-            packet.sent_at = now
-            self._send_times[seq] = now
+            self._send_times[seq] = self.sim._now
         self._high_water = max(self._high_water, seq + 1)
         self.packets_sent += 1
         self.host.send(packet)
@@ -254,12 +211,6 @@ class TcpSender:
     def on_packet(self, packet: Packet) -> None:
         if not packet.is_ack or self._completed:
             return
-        if packet.ece:
-            self.ece_seen += 1
-        if self.use_sack and packet.sack_blocks:
-            for start, end in packet.sack_blocks:
-                self._sacked.add_range(start, end)
-
         if packet.ack_seq > self.highest_ack:
             self._on_new_ack(packet)
         elif packet.ack_seq == self.highest_ack:
@@ -280,8 +231,6 @@ class TcpSender:
         if self.next_seq < ack_seq:
             self.next_seq = ack_seq
         self.dup_acks = 0
-        if self.use_sack:
-            self._sacked.remove_below(ack_seq)
 
         send_times = self._send_times
         sample_time = send_times.pop(ack_seq - 1, None)
@@ -303,9 +252,6 @@ class TcpSender:
             if ack_seq >= self._recover_seq:
                 self._in_recovery = False
                 self.cwnd = max(self.ssthresh, 1.0)
-            elif self.use_sack:
-                # SACK partial ACK: fill the lowest remaining hole.
-                self._sack_retransmit_one()
             else:
                 # NewReno partial ACK: the next hole is lost too.
                 self._transmit(ack_seq, retransmit=True)
@@ -324,7 +270,7 @@ class TcpSender:
             self.cwnd += float(newly_acked) / self.cwnd
 
     def _on_duplicate_ack(self, packet: Packet) -> None:
-        # A dupack for an empty window is a stray (e.g. delayed ACK after
+        # A dupack for an empty window is a stray (e.g. a late ACK after
         # recovery already moved on); only count when data is in flight.
         if self.in_flight == 0:
             return
@@ -332,9 +278,6 @@ class TcpSender:
         self._on_ecn_feedback(packet, 0)
         if self.dup_acks == 3 and not self._in_recovery:
             self._enter_recovery()
-        elif self._in_recovery and self.use_sack:
-            # ACK-clocked hole filling while recovery lasts.
-            self._sack_retransmit_one()
 
     def _enter_recovery(self) -> None:
         self.ssthresh = max(self.cwnd / 2.0, 2.0)
@@ -342,31 +285,7 @@ class TcpSender:
         self._in_recovery = True
         self._recover_seq = self.next_seq
         self._transmit(self.highest_ack, retransmit=True)
-        self._sack_rtx_next = self.highest_ack + 1
         self._arm_rto()
-
-    def _next_sack_hole(self) -> Optional[int]:
-        """Lowest unretransmitted, un-SACKed hole inside the recovery
-        window, or None when every hole has been filled once.
-
-        A sequence only counts as a hole when SACKed data exists *above*
-        it (RFC 6675's loss inference): everything beyond the highest
-        SACKed packet is merely still in flight, not missing.
-        """
-        if not self._sacked:
-            return None
-        highest_sacked_end = self._sacked.blocks[-1][1]
-        start = max(self._sack_rtx_next, self.highest_ack)
-        hole = self._sacked.first_gap_at_or_after(start)
-        if hole >= min(self._recover_seq, self.next_seq, highest_sacked_end):
-            return None
-        return hole
-
-    def _sack_retransmit_one(self) -> None:
-        hole = self._next_sack_hole()
-        if hole is not None:
-            self._transmit(hole, retransmit=True)
-            self._sack_rtx_next = hole + 1
 
     # ------------------------------------------------------------------
     # ECN reaction (the variant-specific part)
@@ -433,10 +352,6 @@ class TcpSender:
         self.cwnd = 1.0
         self.dup_acks = 0
         self._in_recovery = False
-        # The scoreboard is cleared with the go-back-N rewind: everything
-        # outstanding is presumed lost and will be resent anyway.
-        self._sacked.clear()
-        self._sack_rtx_next = 0
         self.rtt.backoff()
         # Go-back-N: everything outstanding is presumed lost; the send
         # pointer rewinds to the first unacknowledged packet and slow
@@ -505,20 +420,16 @@ class DctcpSender(TcpSender):
         "_cut_end",
     )
 
-    def __init__(
-        self, *args, g: float = 1.0 / 16.0, initial_alpha: float = 1.0, **kwargs
-    ):
+    def __init__(self, *args, g: float = 1.0 / 16.0, **kwargs):
         super().__init__(*args, **kwargs)
         if not 0.0 < g < 1.0:
             raise ValueError(f"g must lie in (0, 1), got {g}")
-        if not 0.0 <= initial_alpha <= 1.0:
-            raise ValueError(f"initial_alpha must lie in [0, 1], got {initial_alpha}")
         self.g = g
         #: Start pessimistic (alpha = 1), as production DCTCP stacks do:
         #: a cold-start sender that receives marks before its first
         #: alpha update would otherwise compute a zero cut and steamroll
         #: the switch buffer — fatal in incast.
-        self.alpha = initial_alpha
+        self.alpha = 1.0
         self._window_acked = 0
         self._window_marked = 0
         self._alpha_seq = 0

@@ -35,7 +35,6 @@ from repro.core.marking import Marker
 from repro.sim.engine import Simulator
 from repro.sim.link import Interface
 from repro.sim.node import Host, Node, Switch, reset_node_ids
-from repro.sim.packet import reset_packet_uids
 from repro.sim.queues import FifoQueue
 from repro.sim.routing import populate_routes
 from repro.sim.tcp.flow import reset_flow_ids
@@ -59,12 +58,11 @@ class Network:
 
     def __init__(self, sim: Optional[Simulator] = None):
         self.sim = sim if sim is not None else Simulator()
-        # Fresh packet-uid, flow-id, and node-id epochs per network: a
-        # scenario's uids — and its ECMP flow placement, which hashes
-        # flow ids and node ids — depend only on the scenario, never on
-        # earlier runs in this process, so in-process replays reproduce
-        # fresh-process logs exactly.
-        reset_packet_uids()
+        # Fresh flow-id and node-id epochs per network: a scenario's
+        # ECMP flow placement, which hashes flow ids and node ids,
+        # depends only on the scenario, never on earlier runs in this
+        # process, so in-process replays reproduce fresh-process logs
+        # exactly.
         reset_flow_ids()
         reset_node_ids()
         self.nodes: List[Node] = []

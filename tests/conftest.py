@@ -1,9 +1,10 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and hypothesis profiles for the test suite."""
 
 import contextlib
 import io
 
 import pytest
+from hypothesis import settings
 
 from repro.core.parameters import (
     DoubleThresholdParams,
@@ -11,6 +12,19 @@ from repro.core.parameters import (
     paper_network,
 )
 from repro.experiments import quick_scale, stage_by_id
+
+# Tier-1 draws the same examples on every run: a red test is a change
+# in the code, never a new draw.  No example database either, so a
+# failure found once is not replayed into later runs as a different
+# test.  Each test keeps its own ``max_examples``.
+settings.register_profile("tier-1", derandomize=True, database=None)
+# CI's property job explores instead: fresh draws every run and more
+# examples for the tests that do not set their own
+# (``pytest -m hypothesis --hypothesis-profile=ci-random``).
+settings.register_profile("ci-random", max_examples=500, database=None)
+# ``--hypothesis-profile`` is applied after this module is imported, so
+# it overrides the default below.
+settings.load_profile("tier-1")
 
 
 @pytest.fixture(scope="session")

@@ -112,11 +112,6 @@ class TestDoubleThresholdMarker:
         assert not m.marking
         assert not m.should_mark(40.0)  # unknown direction -> OFF
 
-    def test_observe_is_alias_for_should_mark(self):
-        m = self.make()
-        assert m.observe(60.0) is True
-        assert m.marking
-
     def test_negative_deadband_rejected(self):
         with pytest.raises(ValueError):
             DoubleThresholdMarker.from_thresholds(30.0, 50.0, deadband=-1.0)

@@ -6,6 +6,8 @@ thing — raised exceptions, hard worker deaths, hung workers — not
 mocks.  Backoffs are kept tiny so the suite stays fast.
 """
 
+import math
+
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
@@ -53,6 +55,14 @@ class TestConstruction:
             SweepExecutor(timeout=0)
         with pytest.raises(ValueError):
             SweepExecutor(retries=-1)
+
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_timeout(self, timeout):
+        # A NaN deadline never expires; an infinite one overflowed
+        # ``wait()`` once the pool had started.  Both are refused before
+        # any worker exists.
+        with pytest.raises(ValueError, match="timeout"):
+            SweepExecutor(jobs=2, timeout=timeout)
 
     def test_default_executor_is_unsupervised(self):
         assert not SweepExecutor(jobs=4).supervised

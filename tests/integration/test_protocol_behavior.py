@@ -140,27 +140,6 @@ class TestBaselines:
         assert goodput_d > goodput_r
 
 
-class TestDelayedAcks:
-    def test_transfer_completes_with_delack2(self):
-        nw = dumbbell(2, lambda: SingleThresholdMarker.from_threshold(40))
-        flows = launch_bulk_flows(nw, delayed_ack_factor=2)
-        nw.sim.run(until=0.01)
-        assert all(f.receiver.packets_received > 100 for f in flows)
-        # Roughly half as many ACKs as packets.
-        for f in flows:
-            ratio = f.receiver.acks_sent / f.receiver.packets_received
-            assert ratio < 0.75
-
-    def test_queue_still_regulated_with_delack2(self):
-        nw = dumbbell(4, lambda: SingleThresholdMarker.from_threshold(40))
-        launch_bulk_flows(nw, delayed_ack_factor=2)
-        monitor = QueueMonitor(nw.sim, nw.bottleneck_queue, interval=10e-6)
-        monitor.start()
-        nw.sim.run(until=DURATION)
-        queue = monitor.series(after=WARMUP)
-        assert 20.0 < queue.mean() < 70.0
-
-
 class TestScaling:
     def test_oscillation_grows_with_flow_count(self):
         """Figure 1's observation, end to end (within the ECN-controlled

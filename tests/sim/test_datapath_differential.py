@@ -10,11 +10,11 @@ same per-flow outcomes:
 
 * fused send (``type(queue) is FifoQueue``) vs the method-call path: a
   :class:`TrackedFifoQueue` bottleneck swapped in before traffic, across
-  every marker type and departure marking;
+  every marker type;
 * the sender's single ``_try_send``/``_on_new_ack`` vs
   :class:`tests.sim.oracles.GeneralBodySender` (the deleted general
   bodies, handed in through ``sender_cls=``) under loss — fast
-  retransmit, partial ACKs, RTOs, go-back-N — with SACK off and on;
+  retransmit, partial ACKs, RTOs, go-back-N;
 * the switch's memoized egress vs the pure :meth:`Switch.route_for`,
   attacked at every invalidation edge.
 """
@@ -68,7 +68,6 @@ def _run_dumbbell(
     tracked: bool = False,
     n_flows: int = 4,
     duration: float = 0.003,
-    mark_on_dequeue: bool = False,
     sender_cls=DctcpSender,
     buffer_pkts=None,
     **sender_kwargs,
@@ -90,15 +89,12 @@ def _run_dumbbell(
     iface = network.network.interface_between(
         network.switch.node_id, network.receiver.node_id
     )
-    if tracked or mark_on_dequeue:
-        config = dict(
-            marker=marker(), name="bottleneck", mark_on_dequeue=mark_on_dequeue
-        )
-        capacity = network.bottleneck_queue.capacity_bytes
-        iface.queue = (
-            TrackedFifoQueue(network.sim, capacity, **config)
-            if tracked
-            else FifoQueue(capacity, **config)
+    if tracked:
+        iface.queue = TrackedFifoQueue(
+            network.sim,
+            network.bottleneck_queue.capacity_bytes,
+            marker=marker(),
+            name="bottleneck",
         )
     log = PacketLogger()
     for interface in network.network.all_interfaces():
@@ -141,17 +137,6 @@ class TestDumbbellTraces:
         assert not tracked_iface._q_fused
         assert tracked_iface.model == "busy-until"
 
-    @pytest.mark.parametrize("marker_key", ["single", "double"])
-    def test_traces_identical_under_departure_marking(self, marker_key):
-        # mark_on_dequeue forces the two-event link lane; the base
-        # enqueue/dequeue bodies and the time-stamping subclass on top
-        # of them must still agree exactly.
-        plain_iface, tracked_iface = _compare_plain_vs_tracked(
-            MARKERS[marker_key], mark_on_dequeue=True
-        )
-        assert plain_iface.model == tracked_iface.model == "two-event"
-        assert plain_iface.queue.stats.marked > 0
-
     @settings(max_examples=8, deadline=None)
     @given(
         n_flows=st.integers(min_value=2, max_value=6),
@@ -175,7 +160,7 @@ class TestDumbbellTraces:
         assert tracked == plain
 
 
-def _run_incast(sender_cls, use_sack: bool, n_flows: int = 45):
+def _run_incast(sender_cls, n_flows: int = 45):
     """One Figure 14-style incast query past collapse, every interface
     tapped; everything observable."""
     testbed = paper_testbed(dctcp_testbed().marker_factory, bandwidth_bps=1e9)
@@ -192,7 +177,6 @@ def _run_incast(sender_cls, use_sack: bool, n_flows: int = 45):
         initial_cwnd=TESTBED_INITIAL_CWND,
         start_jitter=TESTBED_START_JITTER,
         on_done=testbed.sim.stop,
-        use_sack=use_sack,
     )
     app.start()
     testbed.sim.run(until=60.0)
@@ -209,10 +193,9 @@ class TestSenderBodies:
     """The sender's one body vs the general bodies it replaced, where
     they could differ: under loss."""
 
-    @pytest.mark.parametrize("use_sack", [False, True], ids=["reno", "sack"])
-    def test_incast_collapse_matches_general_bodies(self, use_sack):
-        one = _run_incast(DctcpSender, use_sack)
-        general = _run_incast(GeneralBodySender, use_sack)
+    def test_incast_collapse_matches_general_bodies(self):
+        one = _run_incast(DctcpSender)
+        general = _run_incast(GeneralBodySender)
         records, stats, per_query, _ = general
         # 45 synchronized 64 KB responses overflow the 128 KB buffer:
         # drops, fast retransmits and real RTOs with go-back-N.
@@ -227,14 +210,13 @@ class TestSenderBodies:
         n_flows=st.integers(min_value=2, max_value=6),
         buffer_pkts=st.integers(min_value=4, max_value=24),
         marker_key=st.sampled_from(["null", "single"]),
-        use_sack=st.booleans(),
     )
     def test_lossy_dumbbell_matches_general_bodies(
-        self, n_flows, buffer_pkts, marker_key, use_sack
+        self, n_flows, buffer_pkts, marker_key
     ):
         kwargs = dict(
             n_flows=n_flows, buffer_pkts=buffer_pkts, duration=0.006,
-            use_sack=use_sack, min_rto=500e-6,
+            min_rto=500e-6,
         )
         *one, _ = _run_dumbbell(MARKERS[marker_key], **kwargs)
         *general, iface = _run_dumbbell(

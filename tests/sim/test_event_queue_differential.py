@@ -45,6 +45,7 @@ from repro.experiments.protocols import dctcp_testbed
 from repro.sim import topology
 from repro.sim.apps.incast import FanInApp
 from repro.sim.engine import Simulator
+from repro.sim.packet import MSS_BYTES
 from repro.sim.packet_log import PacketLogger
 from repro.sim.topology import paper_testbed
 
@@ -315,8 +316,22 @@ def _fig14():
     app.start()
     testbed.sim.run(until=60.0)
     raw = testbed.bottleneck_queue.stats
+    stats = {field: getattr(raw, field) for field in raw.__slots__}
+    # The digest was recorded when the queue also tallied bytes in and
+    # out.  The bottleneck carries only full-size data segments (the
+    # ACKs return on the other direction), so those tallies were the
+    # packet counts times MSS; the log confirms the premise.
+    bottleneck = testbed.network.interface_between(
+        testbed.core_switch.node_id, testbed.aggregator.node_id
+    ).name
+    assert {
+        (r.kind, r.size_bytes) for r in log.records
+        if r.interface == bottleneck
+    } == {("DATA", MSS_BYTES)}
+    stats["bytes_in"] = raw.enqueued * MSS_BYTES
+    stats["bytes_out"] = raw.dequeued * MSS_BYTES
     result = {
-        "stats": {field: getattr(raw, field) for field in raw.__slots__},
+        "stats": stats,
         "per_query": [
             (r.completion_time, r.timeouts, r.retransmits)
             for r in app.results

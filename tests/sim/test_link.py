@@ -124,18 +124,6 @@ class TestModelSelection:
         iface = Interface(Simulator(), 1e9, 1e-6, FifoQueue(1000))
         assert iface.model == "busy-until"
 
-    def test_dequeue_marking_queue_downgrades_to_two_event(self):
-        """Queues with dequeue-instant semantics force the two-event
-        schedule; the downgrade happens on the first send."""
-        sim = Simulator()
-        queue = FifoQueue(1_000_000)
-        queue.mark_on_dequeue = True
-        iface = Interface(sim, 1e9, 10e-6, queue)
-        iface.connect(Sink(sim))
-        iface.send(data_packet())
-        assert iface.model == "two-event"
-        sim.run()
-
 
 class CountingHookQueue(FifoQueue):
     """Counts assignments to ``drain_hook`` (shadows the base slot)."""
@@ -185,16 +173,12 @@ class TestDrainHookInstalledOnce:
         assert queue.hook_assignments == 2
         assert not iface._q_fused  # a subclass: method-call path
 
-    @pytest.mark.parametrize("kind", ["mark_on_dequeue", "pool"])
-    def test_dequeue_instant_queue_after_traffic_raises(self, kind):
+    def test_pooled_queue_after_traffic_raises(self):
         sim = Simulator()
         iface, _ = make_iface(sim)
         iface.send(data_packet())
         sim.run()
-        if kind == "pool":
-            late = FifoQueue(1_000_000, pool=SharedBufferPool(4_000_000))
-        else:
-            late = FifoQueue(1_000_000, mark_on_dequeue=True)
+        late = FifoQueue(1_000_000, pool=SharedBufferPool(4_000_000))
         iface.queue = late
         with pytest.raises(RuntimeError, match="'test'.*carried traffic"):
             iface.send(data_packet(seq=1))

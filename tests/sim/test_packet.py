@@ -22,20 +22,12 @@ packet_args = st.fixed_dictionaries(
 PER_TRIP_DEFAULTS = {
     "ce": False,
     "ece": False,
-    "sent_at": -1.0,
     "is_retransmit": False,
-    "delayed_ack_count": 1,
-    "sack_blocks": (),
     "deliver_at": -1.0,
 }
 
 
 class TestPacket:
-    def test_uids_unique_and_increasing(self):
-        a = Packet(flow_id=1, src=0, dst=1, seq=0, size_bytes=100)
-        b = Packet(flow_id=1, src=0, dst=1, seq=1, size_bytes=100)
-        assert b.uid > a.uid
-
     def test_defaults(self):
         p = Packet(flow_id=1, src=0, dst=1, seq=5, size_bytes=1500)
         assert not p.is_ack
@@ -43,18 +35,14 @@ class TestPacket:
         assert not p.ece
         assert p.ecn_capable
         assert not p.is_retransmit
-        assert p.delayed_ack_count == 1
-        assert p.sack_blocks == ()
-        assert p.sent_at == -1.0
+        assert p.deliver_at == -1.0
 
     @given(args=packet_args)
     def test_fresh_packet_initialises_every_slot(self, args):
         # Endpoints construct one packet per segment and per ACK, so
         # construction alone must leave no slot unset or stale.
-        first = Packet(**args)
         packet = Packet(**args)
-        assert packet.uid == first.uid + 1
-        expected = dict(args, uid=packet.uid, **PER_TRIP_DEFAULTS)
+        expected = dict(args, **PER_TRIP_DEFAULTS)
         assert set(expected) == set(Packet.__slots__)
         for field, value in expected.items():
             assert getattr(packet, field) == value, field

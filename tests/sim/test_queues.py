@@ -116,8 +116,7 @@ class TestMarking:
         q.dequeue()
         s = q.stats
         assert (s.enqueued, s.dequeued, s.dropped, s.marked) == (2, 1, 1, 1)
-        assert s.bytes_in == 3000
-        assert s.bytes_out == 1500
+        assert q.len_bytes == 1500
 
 
 class TestReset:

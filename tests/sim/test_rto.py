@@ -7,10 +7,10 @@ from repro.sim.tcp.rto import DEFAULT_MIN_RTO, RttEstimator
 
 class TestInitialState:
     def test_initial_rto_respects_bounds(self):
-        est = RttEstimator(min_rto=0.2, initial_rto=1.0)
-        assert est.rto == 1.0
-        est2 = RttEstimator(min_rto=0.2, initial_rto=0.05)
-        assert est2.rto == 0.2
+        # RFC 6298's 1 s before the first sample, clamped to the bounds.
+        assert RttEstimator(min_rto=0.2).rto == 1.0
+        assert RttEstimator(min_rto=2.0, max_rto=5.0).rto == 2.0
+        assert RttEstimator(min_rto=0.1, max_rto=0.5).rto == 0.5
 
     def test_default_min_rto_is_200ms(self):
         # The quantum behind Figure 15's 20x completion-time jump.
@@ -76,11 +76,11 @@ class TestSampling:
 
 class TestBackoff:
     def test_doubles_until_max(self):
-        est = RttEstimator(min_rto=0.2, max_rto=1.0, initial_rto=0.2)
-        assert est.backoff() == pytest.approx(0.4)
-        assert est.backoff() == pytest.approx(0.8)
-        assert est.backoff() == pytest.approx(1.0)
-        assert est.backoff() == pytest.approx(1.0)
+        est = RttEstimator(min_rto=0.2, max_rto=5.0)
+        assert est.backoff() == pytest.approx(2.0)
+        assert est.backoff() == pytest.approx(4.0)
+        assert est.backoff() == pytest.approx(5.0)
+        assert est.backoff() == pytest.approx(5.0)
 
     def test_reset_backoff_restores_estimate(self):
         est = RttEstimator(min_rto=0.1)
@@ -92,7 +92,7 @@ class TestBackoff:
         assert est.rto == pytest.approx(base)
 
     def test_reset_backoff_noop_without_samples(self):
-        est = RttEstimator(min_rto=0.2, initial_rto=1.0)
+        est = RttEstimator(min_rto=0.2)
         est.backoff()
         est.reset_backoff()
         assert est.rto == pytest.approx(2.0)  # stays backed off

@@ -1,4 +1,4 @@
-"""Unit tests for the TCP receiver and its DCTCP ECN-echo state machine."""
+"""Unit tests for the TCP receiver: reassembly and the per-packet ECN echo."""
 
 import pytest
 
@@ -36,11 +36,8 @@ def host(sim):
     return FakeHost(sim)
 
 
-def make_receiver(sim, host, m=1, on_data=None):
-    return TcpReceiver(
-        sim, host, flow_id=1, peer_node_id=3, delayed_ack_factor=m,
-        on_data=on_data,
-    )
+def make_receiver(sim, host):
+    return TcpReceiver(sim, host, flow_id=1, peer_node_id=3)
 
 
 class TestCumulativeAck:
@@ -78,21 +75,28 @@ class TestCumulativeAck:
         assert rx.rcv_next == 1
 
     def test_out_of_order_forces_immediate_dupacks(self, sim, host):
-        rx = make_receiver(sim, host, m=4)
+        rx = make_receiver(sim, host)
         rx.on_packet(data(0))
         rx.on_packet(data(5))
         rx.on_packet(data(6))
         # Each out-of-order arrival forced an immediate ACK.
         acks = [a.ack_seq for a in host.sent]
-        assert acks.count(1) >= 2
+        assert acks == [1, 1, 1]
 
-    def test_on_data_reports_in_order_only(self, sim, host):
-        delivered = []
-        rx = make_receiver(sim, host, on_data=delivered.append)
+    def test_in_order_arrival_pops_the_buffered_run(self, sim, host):
+        rx = make_receiver(sim, host)
         rx.on_packet(data(0))
-        rx.on_packet(data(2))
-        rx.on_packet(data(1))
-        assert delivered == [1, 2]  # 1 packet, then 2 at once
+        for seq in (4, 2, 3, 7):
+            rx.on_packet(data(seq))
+        assert rx.rcv_next == 1
+        rx.on_packet(data(1))  # joins up with 2-4, not with 7
+        assert rx.rcv_next == 5
+        assert host.sent[-1].ack_seq == 5
+        rx.on_packet(data(5))
+        rx.on_packet(data(6))
+        assert rx.rcv_next == 8
+        assert rx.packets_received == 8
+        assert rx.duplicates_received == 0
 
     def test_ignores_stray_acks(self, sim, host):
         rx = make_receiver(sim, host)
@@ -116,55 +120,19 @@ class TestEcnEcho:
         assert host.sent[0].ece
 
     def test_per_packet_acks_echo_exactly(self, sim, host):
-        rx = make_receiver(sim, host, m=1)
+        rx = make_receiver(sim, host)
         pattern = [False, True, True, False, True]
         for i, ce in enumerate(pattern):
             rx.on_packet(data(i, ce=ce))
         assert [a.ece for a in host.sent] == pattern
 
-    def test_ce_transition_flushes_with_old_state(self, sim, host):
-        """DCTCP receiver rule: a CE change forces an immediate ACK
-        carrying the *previous* CE state (SIGCOMM'10, Section 3.2)."""
-        rx = make_receiver(sim, host, m=10)
-        rx.on_packet(data(0, ce=False))
-        rx.on_packet(data(1, ce=False))
-        assert host.sent == []  # coalescing, no ACK yet
-        rx.on_packet(data(2, ce=True))  # transition
-        assert len(host.sent) == 1
-        flushed = host.sent[0]
-        assert flushed.ece is False  # old state
-        assert flushed.ack_seq == 2  # covers packets 0-1 only
-        assert flushed.delayed_ack_count == 2
-
-    def test_delayed_ack_factor_coalesces(self, sim, host):
-        rx = make_receiver(sim, host, m=2)
-        rx.on_packet(data(0))
-        assert host.sent == []
-        rx.on_packet(data(1))
-        assert len(host.sent) == 1
-        assert host.sent[0].ack_seq == 2
-        assert host.sent[0].delayed_ack_count == 2
-
-    def test_delack_timer_flushes_lone_packet(self, sim, host):
-        rx = make_receiver(sim, host, m=2)
-        rx.on_packet(data(0))
-        sim.run(until=rx.delayed_ack_timeout * 2)
-        assert len(host.sent) == 1
-        assert host.sent[0].ack_seq == 1
-
     def test_marked_fraction_reconstructable(self, sim, host):
-        """Sender-side alpha needs sum(delayed_ack_count | ece) to equal
-        the number of marked packets - verify over a mixed pattern."""
-        rx = make_receiver(sim, host, m=3)
+        """Sender-side alpha needs the ECE-flagged ACKs to count the
+        marked packets exactly - verify over a mixed pattern, out of
+        order and duplicated arrivals included."""
+        rx = make_receiver(sim, host)
         pattern = [False, False, True, True, True, False, True, False, False]
-        for i, ce in enumerate(pattern):
-            rx.on_packet(data(i, ce=ce))
-        sim.run(until=1.0)
-        marked = sum(a.delayed_ack_count for a in host.sent if a.ece)
-        unmarked = sum(a.delayed_ack_count for a in host.sent if not a.ece)
-        assert marked == sum(pattern)
-        assert unmarked == len(pattern) - sum(pattern)
-
-    def test_rejects_bad_delack_factor(self, sim, host):
-        with pytest.raises(ValueError):
-            make_receiver(sim, host, m=0)
+        arrivals = (0, 2, 1, 3, 3, 4, 5, 6, 7, 8)
+        for seq in arrivals:
+            rx.on_packet(data(seq, ce=pattern[seq]))
+        assert [a.ece for a in host.sent] == [pattern[s] for s in arrivals]
