@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import random
 import sys
 import time
@@ -116,6 +117,12 @@ def _init_worker(parent_sys_path: List[str]) -> None:
             sys.path.insert(0, entry)
 
 
+def _check_count(field: str, value: Any, minimum: int) -> None:
+    """A count is an integer >= ``minimum`` (NaN passes ``x < 0``)."""
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise ValueError(f"{field} must be an integer >= {minimum}, got {value!r}")
+
+
 class SweepExecutor:
     """Fan independent cases across ``jobs`` workers, cache-first."""
 
@@ -130,10 +137,9 @@ class SweepExecutor:
         fault_plan: Optional["_faults.FaultPlan"] = None,
         chunk_size: Optional[int] = None,
     ):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        _check_count("jobs", jobs, 1)
+        if chunk_size is not None:
+            _check_count("chunk_size", chunk_size, 1)
         if failure_policy not in FAILURE_POLICIES:
             raise ValueError(
                 f"failure_policy must be one of {FAILURE_POLICIES}, "
@@ -146,8 +152,7 @@ class SweepExecutor:
             raise ValueError(
                 f"timeout must be positive and finite, got {timeout}"
             )
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
+        _check_count("retries", retries, 0)
         self.jobs = jobs
         self.cache = cache
         self.report = RunReport(jobs=jobs)

@@ -8,6 +8,7 @@ hosts; zero keeps the paper's perfectly synchronized start).
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional, Type
 
@@ -30,6 +31,8 @@ def launch_bulk_flows(
     Returns the flows (their senders expose ``alpha``, ``cwnd``,
     timeout counters for the monitors).
     """
+    if not (0.0 <= start_jitter < math.inf):  # NaN fails it too
+        raise ValueError(f"start_jitter must be >= 0 and finite, got {start_jitter}")
     rng: Optional[random.Random] = (
         random.Random(jitter_seed) if start_jitter > 0 else None
     )

@@ -111,9 +111,14 @@ class Node:
 
 
 class Host(Node):
-    """End host: one NIC, many transport endpoints."""
+    """End host: one NIC, many transport endpoints.
 
-    __slots__ = ("nic", "_endpoints", "_demux_get", "packets_received")
+    :meth:`attach_nic` puts the NIC's bound ``send`` in the instance
+    dict, shadowing :meth:`send`: an endpoint's send costs no host frame.
+    Not a slot, so that tools wrapping the class's ``send`` still work.
+    """
+
+    __slots__ = ("nic", "_endpoints", "_demux_get", "packets_received", "__dict__")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         super().__init__(sim, name)
@@ -129,6 +134,11 @@ class Host(Node):
         if self.nic is not None:
             raise RuntimeError(f"host {self.name} already has a NIC")
         self.nic = nic
+        self.__dict__["send"] = nic.send
+
+    def send(self, packet: Packet) -> bool:
+        """Transmit out of the NIC (until :meth:`attach_nic`: raise)."""
+        raise RuntimeError(f"host {self.name} has no NIC")
 
     def register_endpoint(self, flow_id: int, endpoint: Endpoint) -> None:
         """Bind ``endpoint`` to ``flow_id``; one endpoint per flow per host."""
@@ -140,12 +150,6 @@ class Host(Node):
 
     def unregister_endpoint(self, flow_id: int) -> None:
         self._endpoints.pop(flow_id, None)
-
-    def send(self, packet: Packet) -> bool:
-        """Transmit a locally originated packet out of the NIC."""
-        if self.nic is None:
-            raise RuntimeError(f"host {self.name} has no NIC")
-        return self.nic.send(packet)
 
     def receive(self, packet: Packet) -> None:
         self.packets_received += 1

@@ -68,7 +68,6 @@ class CubicSender(TcpSender):
         self._in_recovery = True
         self._recover_seq = self.next_seq
         self._transmit(self.highest_ack, retransmit=True)
-        self._arm_rto()
 
     def _on_rto(self) -> None:
         # Only an *actual* expiry restarts the cubic epoch.  The base

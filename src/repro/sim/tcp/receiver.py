@@ -28,6 +28,10 @@ __all__ = ["TcpReceiver"]
 class TcpReceiver:
     """Receiving endpoint of one flow."""
 
+    __slots__ = ("sim", "host", "flow_id", "peer_node_id", "rcv_next",
+                 "_out_of_order", "packets_received", "duplicates_received",
+                 "acks_sent")
+
     def __init__(
         self,
         sim: "Simulator",
@@ -70,15 +74,8 @@ class TcpReceiver:
         else:
             self.duplicates_received += 1
 
-        ack = Packet(
-            flow_id=self.flow_id,
-            src=self.host.node_id,
-            dst=self.peer_node_id,
-            seq=-1,
-            size_bytes=ACK_BYTES,
-            is_ack=True,
-            ack_seq=rcv_next,
-        )
+        ack = Packet(self.flow_id, self.host.node_id, self.peer_node_id, -1,
+                     ACK_BYTES, True, rcv_next)
         ack.ece = packet.ce
         self.acks_sent += 1
         self.host.send(ack)

@@ -25,7 +25,7 @@ INITIAL_RTO = 1.0
 class RttEstimator:
     """SRTT/RTTVAR tracker producing the current RTO."""
 
-    __slots__ = ("srtt", "rttvar", "min_rto", "max_rto", "_rto", "samples")
+    __slots__ = ("srtt", "rttvar", "min_rto", "max_rto", "rto", "samples")
 
     #: RFC 6298 gains.
     ALPHA = 0.125
@@ -47,18 +47,19 @@ class RttEstimator:
         self.rttvar: float = 0.0
         self.min_rto = min_rto
         self.max_rto = max_rto
-        self._rto = max(min_rto, min(INITIAL_RTO, max_rto))
+        #: Current RTO in seconds (a plain slot: read on every ACK).
+        self.rto: float = max(min_rto, min(INITIAL_RTO, max_rto))
         self.samples = 0
 
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout in seconds."""
-        return self._rto
-
     def on_sample(self, rtt: float) -> None:
-        """Fold a fresh (non-retransmitted) RTT measurement in."""
-        if rtt <= 0:
-            raise ValueError(f"rtt sample must be positive, got {rtt}")
+        """Fold a fresh (non-retransmitted) RTT measurement in; the new
+        RTO also undoes any backoff."""
+        # One chained comparison, no call: a NaN or infinite sample
+        # would poison ``srtt`` (and the RTO) for the rest of the run.
+        if not (0.0 < rtt < math.inf):
+            raise ValueError(
+                f"rtt sample must be positive and finite, got {rtt}"
+            )
         if self.samples == 0:
             self.srtt = rtt
             self.rttvar = rtt / 2.0
@@ -68,15 +69,9 @@ class RttEstimator:
             self.srtt += self.ALPHA * err
         self.samples += 1
         raw = self.srtt + self.K * self.rttvar
-        self._rto = min(self.max_rto, max(self.min_rto, raw))
+        self.rto = min(self.max_rto, max(self.min_rto, raw))
 
     def backoff(self) -> float:
         """Double the RTO after a timeout (exponential backoff); returns it."""
-        self._rto = min(self.max_rto, self._rto * 2.0)
-        return self._rto
-
-    def reset_backoff(self) -> None:
-        """Undo backoff once fresh acknowledgements arrive."""
-        if self.samples:
-            raw = self.srtt + self.K * self.rttvar
-            self._rto = min(self.max_rto, max(self.min_rto, raw))
+        self.rto = min(self.max_rto, self.rto * 2.0)
+        return self.rto

@@ -167,32 +167,28 @@ class TcpSender:
     # ------------------------------------------------------------------
 
     def _try_send(self) -> None:
-        # ``in_flight < cwnd`` is a bound on ``next_seq`` computed once:
-        # nothing in the loop body can move ``highest_ack``
-        # (transmission is asynchronous; no callback re-enters this
-        # sender before the loop exits).  The retransmit flag against a
-        # frozen high-water mark is exact too: after sending seq, the
-        # mark is ``max(high, seq + 1)``, so ``seq + 1 < mark`` iff
-        # ``seq + 1 < high``.
+        # ``in_flight < cwnd`` and the transfer size are one bound on
+        # ``next_seq`` computed once: nothing in the loop body can move
+        # ``highest_ack`` (transmission is asynchronous; no callback
+        # re-enters this sender before the loop exits).  The retransmit
+        # flag against a frozen high-water mark is exact too: after
+        # sending seq, the mark is ``max(high, seq + 1)``.
         next_seq = self.next_seq
         limit = self.highest_ack + int(self.cwnd)
         total = self.total_packets
+        if total is not None and total < limit:
+            limit = total
         high = self._high_water
-        while next_seq < limit and (total is None or next_seq < total):
-            self._transmit(next_seq, retransmit=next_seq < high)
+        transmit = self._transmit
+        while next_seq < limit:
+            transmit(next_seq, next_seq < high)
             next_seq += 1
         self.next_seq = next_seq
         self._arm_rto()
 
     def _transmit(self, seq: int, retransmit: bool) -> None:
-        packet = Packet(
-            flow_id=self.flow_id,
-            src=self.host.node_id,
-            dst=self.peer_node_id,
-            seq=seq,
-            size_bytes=MSS_BYTES,
-            ecn_capable=self.ecn_capable,
-        )
+        packet = Packet(self.flow_id, self.host.node_id, self.peer_node_id,
+                        seq, MSS_BYTES, False, -1, self.ecn_capable)
         packet.is_retransmit = retransmit
         if retransmit:
             self.retransmits += 1
@@ -200,7 +196,8 @@ class TcpSender:
             self._send_times.pop(seq, None)
         else:
             self._send_times[seq] = self.sim._now
-        self._high_water = max(self._high_water, seq + 1)
+        if seq >= self._high_water:
+            self._high_water = seq + 1
         self.packets_sent += 1
         self.host.send(packet)
 
@@ -241,8 +238,7 @@ class TcpSender:
         # synthetic/looped-back ACKs): the estimator needs rtt > 0.
         now = self.sim._now
         if sample_time is not None and now > sample_time:
-            self.rtt.on_sample(now - sample_time)
-            self.rtt.reset_backoff()
+            self.rtt.on_sample(now - sample_time)  # undoes any backoff
 
         # The ECN hook may *enter* recovery (CUBIC does), so the flag is
         # read only after it ran.
@@ -260,8 +256,6 @@ class TcpSender:
 
         if self.total_packets is not None and ack_seq >= self.total_packets:
             self._complete()
-            return
-        self._arm_rto()
 
     def _grow_window(self, newly_acked: int) -> None:
         if self.cwnd < self.ssthresh:
@@ -285,7 +279,6 @@ class TcpSender:
         self._in_recovery = True
         self._recover_seq = self.next_seq
         self._transmit(self.highest_ack, retransmit=True)
-        self._arm_rto()
 
     # ------------------------------------------------------------------
     # ECN reaction (the variant-specific part)
@@ -301,6 +294,10 @@ class TcpSender:
     def _arm_rto(self) -> None:
         """Slide the retransmission deadline forward from *now*.
 
+        Once per ACK: every ACK that leaves the flow open ends in
+        :meth:`_try_send`, whose last act this is; the ACK handlers and
+        :meth:`_enter_recovery` do not re-arm on their own.
+
         Soft deadline: acknowledgements only move the ``_rto_deadline``
         variable; the single pending timer event checks it when it fires
         and re-sleeps until the deadline (:meth:`_on_rto`).  The
@@ -312,10 +309,10 @@ class TcpSender:
         eager subclass in ``tests/sim/test_timer_model_differential.py``
         holds the traces to that, bit for bit.
         """
-        if self.in_flight == 0:
+        if self.next_seq == self.highest_ack:
             self._rto_deadline = None
             return
-        deadline = self.sim.now + self.rtt.rto
+        deadline = self.sim._now + self.rtt.rto
         self._rto_deadline = deadline
         timer = self._rto_timer
         if timer is None:
@@ -436,11 +433,10 @@ class DctcpSender(TcpSender):
         self._cut_end = 0
 
     def _on_ecn_feedback(self, packet: Packet, newly_acked: int) -> None:
-        covered = max(newly_acked, 0)
-        if covered:
-            self._window_acked += covered
+        if newly_acked > 0:
+            self._window_acked += newly_acked
             if packet.ece:
-                self._window_marked += covered
+                self._window_marked += newly_acked
 
         # One alpha update per window of data (~one RTT).
         if self.highest_ack >= self._alpha_seq and self._window_acked > 0:

@@ -1,5 +1,7 @@
 """Unit tests for the process-pool sweep executor and its telemetry."""
 
+import math
+
 import pytest
 
 from repro.exec.cache import ResultCache
@@ -33,6 +35,23 @@ class TestSequential:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             SweepExecutor(jobs=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("jobs", math.nan),
+            ("jobs", 2.5),
+            ("jobs", math.inf),
+            ("retries", math.nan),
+            ("retries", math.inf),
+            ("retries", 1.5),
+            ("retries", -1),
+            ("chunk_size", math.nan),
+        ],
+    )
+    def test_non_integer_counts_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SweepExecutor(**{field: value})
 
 
 class TestParallel:

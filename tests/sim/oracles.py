@@ -64,7 +64,9 @@ class GeneralBodySender(DctcpSender):
         # synthetic/looped-back ACKs): the estimator needs rtt > 0.
         if sample_time is not None and self.sim.now > sample_time:
             self.rtt.on_sample(self.sim.now - sample_time)
-            self.rtt.reset_backoff()
+            # A ``self.rtt.reset_backoff()`` call stood here; it
+            # recomputed the RTO ``on_sample`` had just set from the
+            # same expression, so it had no effect and is gone.
 
         self._on_ecn_feedback(packet, newly)
 

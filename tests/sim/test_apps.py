@@ -1,5 +1,7 @@
 """Tests for the traffic applications (bulk, incast, partition-aggregate)."""
 
+import math
+
 import pytest
 
 from repro.core.marking import NullMarker, SingleThresholdMarker
@@ -44,6 +46,15 @@ class TestBulkFlows:
         nw.sim.run(until=2e-3)
         sent = [f.sender.packets_sent for f in flows]
         assert len(set(sent)) > 1  # staggered, not lockstep
+
+    @pytest.mark.parametrize(
+        "jitter", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"]
+    )
+    def test_bad_start_jitter_rejected(self, jitter):
+        nw = dumbbell(2, droptail)
+        with pytest.raises(ValueError, match="start_jitter"):
+            launch_bulk_flows(nw, start_jitter=jitter)
+        assert nw.sim.events_scheduled == 0  # nothing opened or started
 
     def test_sender_kwargs_forwarded(self):
         nw = dumbbell(1, droptail)

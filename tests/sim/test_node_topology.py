@@ -69,9 +69,40 @@ class TestHost:
             net.connect(a, c, 1e9, 1e-6, FifoQueue(1e6), FifoQueue(1e6))
 
     def test_send_without_nic_rejected(self):
-        host = Host(Simulator())
-        with pytest.raises(RuntimeError):
+        host = Host(Simulator(), "lonely")
+        with pytest.raises(RuntimeError, match="host lonely has no NIC"):
             host.send(Packet(flow_id=1, src=0, dst=1, seq=0, size_bytes=10))
+
+    def test_attached_send_is_the_nics(self):
+        net = Network()
+        a, b = net.add_host("a"), net.add_host("b")
+        net.connect(a, b, 1e9, 1e-6, FifoQueue(1e6), FifoQueue(1e6))
+        # Bound methods compare equal when function and instance match:
+        # an endpoint's ``host.send`` is the interface's, no host frame.
+        assert a.send == a.nic.send
+
+    def test_class_level_send_wrapper_leaves_hosts_working(self, monkeypatch):
+        """A tracer may replace ``Host.send`` on the class before any
+        network is built; construction and forwarding must survive it."""
+        calls = []
+        original = Host.send
+
+        def wrapped(self, packet):
+            calls.append(packet)
+            return original(self, packet)
+
+        monkeypatch.setattr(Host, "send", wrapped)
+        net = Network()
+        a, b = net.add_host("a"), net.add_host("b")
+        net.connect(a, b, 1e9, 1e-6, FifoQueue(1e6), FifoQueue(1e6))
+        net.finalize_routes()
+        rec = Recorder()
+        b.register_endpoint(1, rec)
+        a.send(Packet(flow_id=1, src=a.node_id, dst=b.node_id, seq=0,
+                      size_bytes=100))
+        net.sim.run()
+        assert len(rec.packets) == 1
+        assert calls == []  # attached hosts bypass the class attribute
 
 
 class TestSwitchForwarding:

@@ -6,7 +6,8 @@ a NaN minimum RTO makes every timeout NaN, and a NaN transfer size never
 sends.  The checks live in the constructors that own each value
 (:class:`FifoQueue`, :class:`Interface`, :class:`RttEstimator`,
 :class:`TcpSender`), so every topology builder and application inherits
-them; each must name the field it rejects.
+them; each must name the field it rejects.  An RTT sample is checked
+where it is folded in (:meth:`RttEstimator.on_sample`).
 """
 
 import math
@@ -52,3 +53,16 @@ CASES = [
 def test_non_finite_input_is_rejected_by_name(build, argument, field, value):
     with pytest.raises(ValueError, match=field):
         build(**{argument: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_rtt_sample_is_rejected(value):
+    """A NaN sample would make ``srtt`` NaN for good (the RTO then
+    sticks at ``min_rto``, and no later sample repairs it); an infinite
+    one pins the RTO at ``max_rto``."""
+    est = RttEstimator(min_rto=0.01, max_rto=5.0)
+    est.on_sample(0.05)
+    before = (est.srtt, est.rttvar, est.rto, est.samples)
+    with pytest.raises(ValueError, match="rtt sample"):
+        est.on_sample(value)
+    assert (est.srtt, est.rttvar, est.rto, est.samples) == before

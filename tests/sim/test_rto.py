@@ -82,17 +82,20 @@ class TestBackoff:
         assert est.backoff() == pytest.approx(5.0)
         assert est.backoff() == pytest.approx(5.0)
 
-    def test_reset_backoff_restores_estimate(self):
+    def test_fresh_sample_undoes_backoff(self):
         est = RttEstimator(min_rto=0.1)
         est.on_sample(0.05)
-        base = est.rto
         est.backoff()
         est.backoff()
-        est.reset_backoff()
-        assert est.rto == pytest.approx(base)
+        est.on_sample(0.07)
+        unbacked = RttEstimator(min_rto=0.1)
+        unbacked.on_sample(0.05)
+        unbacked.on_sample(0.07)
+        assert est.rto == unbacked.rto
 
-    def test_reset_backoff_noop_without_samples(self):
+    def test_backoff_stands_until_a_sample(self):
         est = RttEstimator(min_rto=0.2)
         est.backoff()
-        est.reset_backoff()
         assert est.rto == pytest.approx(2.0)  # stays backed off
+        est.on_sample(0.05)
+        assert est.rto == pytest.approx(0.2)  # the estimate, at min_rto
