@@ -18,9 +18,12 @@ rendering marks those values ``>=``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
+
+from repro.stats.summary import linear_percentile
 
 __all__ = ["PERCENTILES", "FctAggregate", "aggregate_fcts"]
 
@@ -70,7 +73,12 @@ def aggregate_fcts(
 
     ``n_started`` counts every launched flow, completed or not;
     ``len(fcts)`` flows completed.  ``n_started < len(fcts)`` is a
-    caller bug and raises.
+    caller bug and raises, and so is a NaN or infinite FCT.
+
+    The sample is sorted once and every percentile read off it with
+    :func:`~repro.stats.summary.linear_percentile` (``np.percentile``'s
+    default method, bit for bit); the mean is numpy's pairwise sum over
+    ``n``, which is ``np.mean`` bit for bit.
     """
     n_completed = len(fcts)
     if n_started < n_completed:
@@ -84,10 +92,17 @@ def aggregate_fcts(
     values: Dict[str, Optional[float]]
     if n_completed:
         arr = np.asarray(fcts, dtype=float)
-        mean: Optional[float] = float(arr.mean())
-        # One selection pass for every percentile; .tolist() hands back
-        # the Python floats one call per percentile would.
-        values = dict(zip(keys, np.percentile(arr, percentiles).tolist()))
+        ordered = np.sort(arr).tolist()
+        # np.sort puts NaN last: the two ends show any non-finite FCT.
+        if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
+            raise ValueError(
+                f"fcts must be finite, got {ordered[0]} .. {ordered[-1]}"
+            )
+        mean: Optional[float] = float(np.add.reduce(arr)) / n_completed
+        values = {
+            key: linear_percentile(ordered, q)
+            for key, q in zip(keys, percentiles)
+        }
         # Identifiable only while the percentile lies inside the
         # uncensored fraction of the distribution.
         bounds = {

@@ -22,9 +22,10 @@ All three return ``None`` to the caller (the case re-runs), but the
 ``hits / misses / corrupt / stale`` counters and the quarantine
 directory tell an operator exactly what happened.
 
-The key (:func:`repro.exec.cases.case_key`) hashes the experiment name
-and the full parameter set, so any parameter change — scale, RTT,
-thresholds — lands in a fresh slot and never aliases an old result.
+The key (``Case.key``, computed once when the case is built; see
+:func:`repro.exec.cases.case_key`) hashes the experiment name and the
+full parameter set, so any parameter change — scale, RTT, thresholds —
+lands in a fresh slot and never aliases an old result.
 
 ``REPRO_CACHE_DIR`` (the default cache location) is the only ``REPRO_*``
 variable the codebase reads, and this module is the only place allowed
@@ -42,9 +43,9 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional, Union
 
-from repro.exec.cases import CACHE_SCHEMA_VERSION, Case, case_key
+from repro.exec.cases import CACHE_SCHEMA_VERSION, Case
 
 __all__ = ["ResultCache", "default_cache_dir"]
 
@@ -98,6 +99,8 @@ class ResultCache:
     # -- paths ---------------------------------------------------------
 
     def _path(self, key: str) -> Path:
+        """Where ``key``'s entry lives; ``get`` and ``put`` spell the same
+        layout with ``os.path.join``, which costs a hit no ``Path``."""
         return self.root / key[:2] / f"{key}.json"
 
     @property
@@ -119,7 +122,7 @@ class ResultCache:
     # -- read / write --------------------------------------------------
 
     @staticmethod
-    def _load_entry(path: Path, expected_key: str) -> Dict[str, Any]:
+    def _load_entry(path: Union[str, Path], expected_key: str) -> Dict[str, Any]:
         """Parse and validate one entry; :class:`_Corrupt` on any damage.
 
         ``OSError`` propagates: a concurrent runner's quarantine / gc /
@@ -128,7 +131,7 @@ class ResultCache:
         skip), never as corruption.
         """
         try:
-            with path.open("r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
         except ValueError as exc:
             raise _Corrupt(f"unparseable JSON: {exc}") from exc
@@ -147,21 +150,24 @@ class ResultCache:
         return payload
 
     def get(self, case: Case) -> Optional[Dict[str, Any]]:
-        """The cached result for ``case``, or None (counts the outcome)."""
-        key = case_key(case)
-        path = self._path(key)
-        if not path.is_file():
-            self.misses += 1
-            return None
+        """The cached result for ``case``, or None (counts the outcome).
+
+        One ``open`` per lookup, no ``stat`` first: an absent entry is a
+        ``FileNotFoundError`` from the open itself, so a hit pays for no
+        existence check and a file that a concurrent quarantine / gc
+        removes between any two steps is an ordinary miss.
+        """
+        key = case.key
+        path = os.path.join(self.root, key[:2], key + ".json")
         try:
             payload = self._load_entry(path, key)
         except _Corrupt:
-            self.quarantine(path)
+            self.quarantine(Path(path))
             self.corrupt += 1
             return None
         except OSError:
-            # A concurrent quarantine/gc removed the file between the
-            # is_file() check and the open: an ordinary miss.
+            # No entry (or a directory, or an unreadable file, in its
+            # place): the case re-runs.
             self.misses += 1
             return None
         if payload.get("schema") != CACHE_SCHEMA_VERSION:
@@ -171,10 +177,14 @@ class ResultCache:
         return payload["result"]
 
     def put(self, case: Case, result: Dict[str, Any]) -> None:
-        """Store ``result`` atomically under the case's key."""
-        key = case_key(case)
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        """Store ``result`` atomically under the case's key.
+
+        The shard directory is made only when the temp file cannot be
+        created for want of it: one ``mkdir`` per new shard, not per put.
+        """
+        key = case.key
+        shard = os.path.join(self.root, key[:2])
+        name = key + ".json"
         payload = json.dumps(
             {
                 "schema": CACHE_SCHEMA_VERSION,
@@ -186,13 +196,15 @@ class ResultCache:
             },
             sort_keys=True,
         )
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
+        try:
+            fd, tmp = tempfile.mkstemp(dir=shard, prefix=name, suffix=".tmp")
+        except FileNotFoundError:
+            os.makedirs(shard, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=shard, prefix=name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(payload)
-            os.replace(tmp, path)
+            os.replace(tmp, os.path.join(shard, name))
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -303,18 +315,18 @@ class ResultCache:
         total_bytes = 0
         experiments: Dict[str, int] = {}
         for path in self._entries():
-            entries += 1
+            # Counted only once read: an entry a concurrent gc removes
+            # midway is in none of the three tallies, not some of them.
             try:
-                total_bytes += path.stat().st_size
-            except OSError:
-                continue
-            try:
+                size = path.stat().st_size
                 payload = self._load_entry(path, path.stem)
                 name = str(payload.get("experiment", "<unknown>"))
             except _Corrupt:
                 name = "<corrupt>"
             except OSError:
                 continue  # vanished under a concurrent runner
+            entries += 1
+            total_bytes += size
             experiments[name] = experiments.get(name, 0) + 1
         quarantined = (
             sum(1 for _ in self.quarantine_root.iterdir())

@@ -11,7 +11,10 @@ The cache key is the SHA-256 of the canonical JSON encoding of
 ``(schema version, experiment, params)`` — two cases agree on their key
 iff they describe the same computation, which is what makes the cache
 content-addressed: Figures 10, 11 and 12 all read the same
-``queue_sweep`` cells, so one figure's run warms the other two.
+``queue_sweep`` cells, so one figure's run warms the other two.  A case
+computes its key once, when it is built: that encoding is also the
+check that its params serialise, and the cache lookup, the cache write
+and the retry jitter all read ``case.key``.
 """
 
 from __future__ import annotations
@@ -45,41 +48,50 @@ class Case:
     ``experiment`` is the dotted module exposing ``run_case``;
     ``label`` is for progress display and telemetry only (it does not
     enter the cache key); ``params`` must be JSON-serialisable and
-    fully determine the computation.
+    fully determine the computation.  ``key`` is derived from the other
+    fields at construction (``dataclasses.replace`` derives it afresh)
+    and takes no part in equality or hashing.
     """
 
     experiment: str
     label: str
     params: Dict[str, Any]
+    key: str = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.experiment:
             raise ValueError("Case.experiment must name a module")
-        # Fail fast on un-serialisable params: a case that cannot be
-        # encoded cannot be cached or shipped to a worker.
+        # The one encoding of the case: it fails fast on un-serialisable
+        # params (a case that cannot be encoded cannot be cached or
+        # shipped to a worker) and its digest is the cache key.
         try:
-            json.dumps(self.params, sort_keys=True)
+            payload = json.dumps(
+                {
+                    "version": CACHE_SCHEMA_VERSION,
+                    "experiment": self.experiment,
+                    "params": self.params,
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            )
         except (TypeError, ValueError) as exc:
             raise ValueError(
                 f"Case params must be JSON-serialisable: {exc}"
             ) from exc
+        key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        object.__setattr__(self, "key", key)
 
     def __repr__(self) -> str:
         return f"Case({self.experiment}:{self.label})"
 
 
 def case_key(case: Case) -> str:
-    """Stable content hash of the computation the case describes."""
-    payload = json.dumps(
-        {
-            "version": CACHE_SCHEMA_VERSION,
-            "experiment": case.experiment,
-            "params": case.params,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Stable content hash of the computation the case describes.
+
+    The SHA-256 of the canonical JSON of ``{version, experiment,
+    params}``, computed once when the case was built (``case.key``).
+    """
+    return case.key
 
 
 class InvalidResultError(TypeError):

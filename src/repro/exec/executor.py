@@ -62,7 +62,6 @@ from repro.exec.cache import ResultCache
 from repro.exec.cases import (
     Case,
     InvalidResultError,
-    case_key,
     ensure_result,
     execute_case,
     execute_case_chunk,
@@ -215,10 +214,8 @@ class SweepExecutor:
         chunk = max(1, self.chunk_size or 1)
         if pending:
             if self.supervised or (self.jobs > 1 and len(pending) > 1):
-                keys = [case_key(case) for case in cases]
                 self._run_supervised(
-                    cases, keys, pending, results, stage_name, counters,
-                    chunk,
+                    cases, pending, results, stage_name, counters, chunk
                 )
             else:
                 self._run_inline(cases, pending, results)
@@ -255,7 +252,6 @@ class SweepExecutor:
     def _run_supervised(
         self,
         cases: Sequence[Case],
-        keys: Sequence[str],
         pending: Sequence[int],
         results: List[Optional[Dict[str, Any]]],
         stage: str,
@@ -326,7 +322,7 @@ class SweepExecutor:
                         deadlines.clear()
                         self._rebuild_pool(workers)
                         self._probe(
-                            cases, keys, results, stage, suspects,
+                            cases, results, stage, suspects,
                             retry_q, counters, workers,
                         )
                         broken_on_submit = True
@@ -360,7 +356,7 @@ class SweepExecutor:
                         if len(members) == 1:
                             (i, attempt), = members
                             self._on_failure(
-                                cases, keys, i, attempt, "exception", exc,
+                                cases, i, attempt, "exception", exc,
                                 stage, retry_q, counters,
                             )
                         else:
@@ -378,12 +374,12 @@ class SweepExecutor:
                     if len(members) == 1:
                         (i, attempt), = members
                         self._on_success(
-                            cases, keys, i, attempt, result, results,
+                            cases, i, attempt, result, results,
                             stage, retry_q, counters,
                         )
                     else:
                         self._on_chunk_result(
-                            cases, keys, members, result, results,
+                            cases, members, result, results,
                             stage, retry_q, counters,
                         )
                 if suspects:
@@ -397,12 +393,12 @@ class SweepExecutor:
                     deadlines.clear()
                     self._rebuild_pool(workers)
                     self._probe(
-                        cases, keys, results, stage, suspects, retry_q,
+                        cases, results, stage, suspects, retry_q,
                         counters, workers,
                     )
                     continue
                 self._expire_overdue(
-                    cases, keys, results, stage, inflight, deadlines,
+                    cases, results, stage, inflight, deadlines,
                     retry_q, counters, workers,
                 )
         except BaseException:
@@ -428,7 +424,6 @@ class SweepExecutor:
     def _on_chunk_result(
         self,
         cases: Sequence[Case],
-        keys: Sequence[str],
         members: Tuple[Tuple[int, int], ...],
         outcomes: Any,
         results: List[Optional[Dict[str, Any]]],
@@ -440,12 +435,12 @@ class SweepExecutor:
         for (i, attempt), outcome in zip(members, outcomes):
             if outcome[0] == "ok":
                 self._on_success(
-                    cases, keys, i, attempt, outcome[1], results,
+                    cases, i, attempt, outcome[1], results,
                     stage, retry_q, counters,
                 )
             else:
                 self._on_failure(
-                    cases, keys, i, attempt, "exception",
+                    cases, i, attempt, "exception",
                     ChunkMemberError(outcome[1], outcome[2]),
                     stage, retry_q, counters,
                 )
@@ -453,7 +448,6 @@ class SweepExecutor:
     def _probe(
         self,
         cases: Sequence[Case],
-        keys: Sequence[str],
         results: List[Optional[Dict[str, Any]]],
         stage: str,
         suspects: Sequence[Tuple[int, int]],
@@ -482,7 +476,7 @@ class SweepExecutor:
             if future not in done:
                 self._rebuild_pool(workers)
                 self._on_failure(
-                    cases, keys, i, attempt, "timeout",
+                    cases, i, attempt, "timeout",
                     CaseTimeoutError(
                         f"{cases[i]!r} exceeded {probe_timeout}s"
                     ),
@@ -494,24 +488,23 @@ class SweepExecutor:
             except BrokenProcessPool as exc:
                 self._rebuild_pool(workers)
                 self._on_failure(
-                    cases, keys, i, attempt, "pool-broken", exc,
+                    cases, i, attempt, "pool-broken", exc,
                     stage, retry_q, counters,
                 )
             except BaseException as exc:
                 self._on_failure(
-                    cases, keys, i, attempt, "exception", exc,
+                    cases, i, attempt, "exception", exc,
                     stage, retry_q, counters,
                 )
             else:
                 self._on_success(
-                    cases, keys, i, attempt, result, results,
+                    cases, i, attempt, result, results,
                     stage, retry_q, counters,
                 )
 
     def _expire_overdue(
         self,
         cases: Sequence[Case],
-        keys: Sequence[str],
         results: List[Optional[Dict[str, Any]]],
         stage: str,
         inflight: Dict[Future, Tuple[Tuple[int, int], ...]],
@@ -554,7 +547,7 @@ class SweepExecutor:
             elif len(members) == 1:
                 (i, attempt), = members
                 self._on_failure(
-                    cases, keys, i, attempt, "timeout",
+                    cases, i, attempt, "timeout",
                     CaseTimeoutError(
                         f"{cases[i]!r} exceeded {self.timeout}s"
                     ),
@@ -564,7 +557,7 @@ class SweepExecutor:
                 suspects.extend(members)
         if suspects:
             self._probe(
-                cases, keys, results, stage, suspects, retry_q,
+                cases, results, stage, suspects, retry_q,
                 counters, workers,
             )
         for members in innocents:
@@ -575,7 +568,6 @@ class SweepExecutor:
     def _on_success(
         self,
         cases: Sequence[Case],
-        keys: Sequence[str],
         i: int,
         attempt: int,
         result: Any,
@@ -588,7 +580,7 @@ class SweepExecutor:
             result = ensure_result(cases[i], result)
         except InvalidResultError as exc:
             self._on_failure(
-                cases, keys, i, attempt, "invalid-result", exc,
+                cases, i, attempt, "invalid-result", exc,
                 stage, retry_q, counters,
             )
             return
@@ -598,7 +590,6 @@ class SweepExecutor:
     def _on_failure(
         self,
         cases: Sequence[Case],
-        keys: Sequence[str],
         i: int,
         attempt: int,
         kind: str,
@@ -609,7 +600,7 @@ class SweepExecutor:
     ) -> None:
         if attempt <= self.retries:
             counters["retried"] += 1
-            ready = time.monotonic() + self._backoff(keys[i], attempt)
+            ready = time.monotonic() + self._backoff(cases[i].key, attempt)
             heapq.heappush(retry_q, (ready, i, attempt + 1))
             return
         if self.failure_policy == "raise":
@@ -619,7 +610,7 @@ class SweepExecutor:
                 stage=stage,
                 experiment=cases[i].experiment,
                 label=cases[i].label,
-                case_key=keys[i],
+                case_key=cases[i].key,
                 kind=kind,
                 message=str(exc),
                 attempts=attempt,

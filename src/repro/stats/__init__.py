@@ -3,6 +3,7 @@
 from repro.stats.summary import (
     coefficient_of_variation,
     jain_fairness,
+    linear_percentile,
     mean,
     oscillation_amplitude,
     percentile,
@@ -24,6 +25,7 @@ __all__ = [
     "crossings",
     "dominant_frequency",
     "jain_fairness",
+    "linear_percentile",
     "mean",
     "oscillation_amplitude",
     "percentile",

@@ -3,12 +3,15 @@
 Plain functions over numpy arrays, no state.  ``oscillation_amplitude``
 matches how the DF analysis measures a limit cycle (half the steady
 peak-to-trough swing), and ``tail_latency`` covers Figure 15's
-completion-time percentiles.
+completion-time percentiles.  ``linear_percentile`` reads a percentile
+off samples sorted once, so a caller wanting several percentiles of
+one sample sorts it once, not once per percentile.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+import math
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -16,6 +19,7 @@ __all__ = [
     "mean",
     "std",
     "percentile",
+    "linear_percentile",
     "tail_latency",
     "oscillation_amplitude",
     "relative_to_baseline",
@@ -31,6 +35,45 @@ def _require_nonempty(values: Sequence[float], what: str) -> np.ndarray:
     return arr
 
 
+def _sorted_finite(values: Sequence[float], what: str) -> List[float]:
+    """The samples ascending, as Python floats, refusing NaN and ±inf:
+    a NaN has no place in a sorted sample, and an inf turns an
+    interpolated percentile into NaN."""
+    ordered = np.sort(_require_nonempty(values, what)).tolist()
+    # np.sort puts NaN last: the two ends show any non-finite sample.
+    if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
+        raise ValueError(
+            f"{what} samples must be finite, got {ordered[0]} .. {ordered[-1]}"
+        )
+    return ordered
+
+
+def linear_percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of non-empty, ascending ``ordered``.
+
+    numpy's default ``linear`` method, bit for bit: the virtual index
+    ``v = (n - 1)·(q/100)`` splits into ``lo = floor(v)`` and
+    ``t = v - lo``, the last value stands for any ``v >= n - 1``, and
+    the interpolation between ``a = ordered[lo]`` and ``b =
+    ordered[lo + 1]`` is ``b - (b - a)(1 - t)`` when ``t >= 0.5``, else
+    ``a + (b - a)·t`` — the same operations in the same order as
+    ``np.percentile``'s lerp, so the same rounding.
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile q must lie in [0, 100], got {q}")
+    last = len(ordered) - 1
+    v = last * (q / 100.0)
+    if v >= last:
+        return ordered[last]
+    lo = math.floor(v)
+    t = v - lo
+    a = ordered[lo]
+    b = ordered[lo + 1]
+    if t >= 0.5:
+        return b - (b - a) * (1.0 - t)
+    return a + (b - a) * t
+
+
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean."""
     return float(np.mean(_require_nonempty(values, "mean")))
@@ -43,16 +86,17 @@ def std(values: Sequence[float]) -> float:
 
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile, ``q`` in [0, 100]."""
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile q must lie in [0, 100], got {q}")
-    return float(np.percentile(_require_nonempty(values, "percentile"), q))
+    return linear_percentile(_sorted_finite(values, "percentile"), q)
 
 
 def tail_latency(values: Sequence[float]) -> Tuple[float, float, float]:
     """``(median, p95, p99)`` of a latency sample."""
-    arr = _require_nonempty(values, "tail_latency")
-    p50, p95, p99 = np.percentile(arr, [50.0, 95.0, 99.0])
-    return float(p50), float(p95), float(p99)
+    ordered = _sorted_finite(values, "tail_latency")
+    return (
+        linear_percentile(ordered, 50.0),
+        linear_percentile(ordered, 95.0),
+        linear_percentile(ordered, 99.0),
+    )
 
 
 def oscillation_amplitude(values: Sequence[float]) -> float:

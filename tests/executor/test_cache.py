@@ -1,7 +1,9 @@
 """Unit tests for the on-disk result cache."""
 
 import json
+import os
 
+import repro.exec.cache as cache_module
 from repro.exec.cache import ResultCache, default_cache_dir
 from repro.exec.cases import CACHE_SCHEMA_VERSION, Case, case_key
 from tests.executor.stub_experiment import EXPERIMENT
@@ -57,11 +59,59 @@ class TestResultCache:
         key = case_key(case)
         assert (tmp_path / key[:2] / f"{key}.json").exists()
 
+    def test_put_creates_missing_root_and_shard(self, tmp_path):
+        root = tmp_path / "a" / "b"
+        ResultCache(root).put(make_case(), {"value": 2})
+        assert ResultCache(root).get(make_case()) == {"value": 2}
+
     def test_default_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
         assert default_cache_dir() == tmp_path / "c"
         monkeypatch.delenv("REPRO_CACHE_DIR")
         assert str(default_cache_dir()) == ".repro-cache"
+
+
+class TestMissWithoutStat:
+    """A lookup is one ``open``; whatever stops it is a miss, and none of
+    these is mistaken for corruption."""
+
+    def assert_clean_miss(self, cache, case):
+        assert cache.get(case) is None
+        assert (cache.hits, cache.misses, cache.corrupt, cache.stale) == (
+            0, 1, 0, 0
+        )
+        assert not cache.quarantine_root.exists()
+
+    def test_missing_root_is_a_miss(self, tmp_path):
+        self.assert_clean_miss(ResultCache(tmp_path / "absent"), make_case())
+
+    def test_missing_shard_directory_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        case = make_case()
+        assert not (tmp_path / case.key[:2]).exists()
+        self.assert_clean_miss(cache, case)
+
+    def test_directory_at_the_entry_path_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        case = make_case()
+        cache._path(case.key).mkdir(parents=True)
+        self.assert_clean_miss(cache, case)
+        assert cache._path(case.key).is_dir()  # left alone
+
+    def test_file_vanishing_before_open_is_a_miss(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ResultCache(tmp_path)
+        case = make_case()
+        cache.put(case, {"value": 2})
+
+        def unlink_then_open(path, *args, **kwargs):
+            os.unlink(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "open", unlink_then_open,
+                            raising=False)
+        self.assert_clean_miss(cache, case)
 
 
 class TestQuarantine:
@@ -145,7 +195,7 @@ class TestQuarantine:
 
 class TestConcurrentMutation:
     """A concurrent runner's quarantine/gc can unlink an entry between
-    the directory listing (or ``is_file`` check) and the open; that race
+    the directory listing and the read; that race
     must read as an ordinary miss / skip, never crash the sweep."""
 
     def vanish_on_load(self, monkeypatch):
@@ -178,6 +228,27 @@ class TestConcurrentMutation:
         self.vanish_on_load(monkeypatch)
         assert cache.gc()["removed_entries"] == 0
         assert cache.stats()["experiments"] == {}
+
+    def test_stats_counts_only_entries_it_read(self, tmp_path, monkeypatch):
+        """An entry that vanishes between the listing and the read is in
+        none of ``entries`` / ``bytes`` / ``experiments``."""
+        cache = ResultCache(tmp_path)
+        kept, gone = make_case(1), make_case(2)
+        cache.put(kept, {"value": 2})
+        cache.put(gone, {"value": 4})
+        real = ResultCache._load_entry
+
+        def vanish_one(path, expected_key):
+            if expected_key == gone.key:
+                raise FileNotFoundError(path)
+            return real(path, expected_key)
+
+        monkeypatch.setattr(ResultCache, "_load_entry",
+                            staticmethod(vanish_one))
+        stats = cache.stats()
+        assert stats["entries"] == 1
+        assert stats["bytes"] == cache._path(kept.key).stat().st_size
+        assert stats["experiments"] == {EXPERIMENT: 1}
 
 
 class TestMaintenance:

@@ -1,10 +1,13 @@
 """Unit tests for the Case model and the content-addressed key."""
 
+import dataclasses
 import importlib
+import pickle
 
 import pytest
 
 from repro.exec.cases import Case, case_key, execute_case
+from tests.executor import oracles
 from tests.executor.stub_experiment import EXPERIMENT
 
 
@@ -126,6 +129,82 @@ def test_case_key_is_pinned(name):
         module = importlib.import_module(f"repro.experiments.{name}")
         first = module.cases(quick_scale())[0]
     assert (first.label, case_key(first)) == PINNED_KEYS[name]
+
+
+#: The executor-managed stages of ``figure all --quick``: module names
+#: under ``repro.experiments`` whose ``cases(quick_scale())`` they run.
+QUICK_SWEEPS = (
+    "fig01_oscillation", "queue_sweep", "fig14_incast",
+    "fig15_completion_time", "fluid_validation",
+)
+
+
+def quick_and_fabric_cases():
+    from repro.cli import _campaign_grid, build_parser
+    from repro.experiments.config import quick_scale
+
+    cases = []
+    for name in QUICK_SWEEPS:
+        module = importlib.import_module(f"repro.experiments.{name}")
+        cases.extend(module.cases(quick_scale()))
+    for argv in ("campaign", "campaign --scenario space-dc"):
+        grid = _campaign_grid(build_parser().parse_args(argv.split()))
+        cases.extend(grid.expand())
+    return cases
+
+
+class TestStoredKey:
+    """``Case.key`` is computed once, at construction, by the formula
+    every existing cache store is addressed by."""
+
+    def test_key_equals_the_former_formula_on_every_real_case(self):
+        cases = quick_and_fabric_cases()
+        assert len(cases) > 50
+        for case in cases:
+            assert case.key == oracles.case_key(case), case
+            assert case_key(case) == case.key
+
+    def test_key_equals_the_former_formula_on_odd_params(self):
+        for params in ({}, {"b": [1, 2.5, None], "a": {"z": True}},
+                       {"unicode": "K=40 µs", "nan": float("nan")}):
+            case = Case(experiment=EXPERIMENT, label="odd", params=params)
+            assert case.key == oracles.case_key(case)
+
+    def test_pickle_round_trips_the_key(self):
+        case = make_case(x=7, y=[1, 2])
+        clone = pickle.loads(pickle.dumps(case))
+        assert clone == case
+        assert clone.key == case.key == oracles.case_key(clone)
+
+    def test_replace_recomputes_the_key(self):
+        case = make_case(x=1)
+        moved = dataclasses.replace(case, params={"x": 2})
+        assert moved.key == oracles.case_key(moved) != case.key
+        relabelled = dataclasses.replace(case, label="other")
+        assert relabelled.key == case.key
+
+    def test_equality_ignores_the_key(self):
+        a, b = make_case(x=1), make_case(x=1)
+        object.__setattr__(b, "key", "0" * 64)
+        assert a == b
+        assert "key" not in repr(a) and a.key not in repr(a)
+
+    def test_hash_ignores_the_key(self):
+        field = {f.name: f for f in dataclasses.fields(Case)}["key"]
+        assert (field.init, field.repr, field.compare) == (False, False, False)
+        assert field.hash is None  # follows compare: not hashed
+
+    def test_key_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            Case(experiment=EXPERIMENT, label="a", params={}, key="0" * 64)
+
+    def test_bad_params_raise_the_same_value_error(self):
+        with pytest.raises(ValueError, match="JSON-serialisable"):
+            Case(experiment=EXPERIMENT, label="bad", params={"s": {1, 2}})
+        loop = {}
+        loop["self"] = loop
+        with pytest.raises(ValueError, match="JSON-serialisable"):
+            Case(experiment=EXPERIMENT, label="bad", params=loop)
 
 
 class TestExecuteCase:

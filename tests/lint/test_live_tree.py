@@ -99,7 +99,7 @@ PACKAGE_DAG = {
     "lint": set(),
     "sim": {"core"},
     "fluid": {"core", "stats"},
-    "campaign": {"core", "exec", "sim"},
+    "campaign": {"core", "exec", "sim", "stats"},
 }
 
 
