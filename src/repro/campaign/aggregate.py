@@ -65,7 +65,7 @@ class FctAggregate:
 
 
 def aggregate_fcts(
-    fcts: Sequence[float],
+    fcts: Sequence[float] | np.ndarray,
     n_started: int,
     percentiles: Sequence[float] = PERCENTILES,
 ) -> FctAggregate:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.campaign.aggregate import FctAggregate, aggregate_fcts
 from repro.campaign.grid import CampaignGrid, CellCoord
 from repro.exec.executor import SweepExecutor, execute_cases
@@ -61,9 +63,10 @@ class CellSummary:
 
     def to_dict(self) -> Dict[str, Any]:
         # Shallow copies suffice: every field but the aggregates is
-        # immutable.
+        # immutable.  ``protocol`` is the coordinate's last field, so it
+        # stays the last key of ``coord``.
         payload = dict(vars(self))
-        payload["coord"] = dict(vars(self.coord), protocol=self.coord.protocol)
+        payload["coord"] = dict(vars(self.coord))
         payload["fct"] = self.fct.to_dict()
         payload["fct_slowdown"] = self.fct_slowdown.to_dict()
         return payload
@@ -156,7 +159,7 @@ def run_campaign(
                 coord=coord,
                 fct=aggregate_fcts(fcts, started),
                 fct_slowdown=aggregate_fcts(
-                    [fct / base_fct for fct in fcts], started
+                    np.asarray(fcts, dtype=float) / base_fct, started
                 ),
                 missing_seeds=missing,
                 mean_queue_pkts=(

@@ -58,12 +58,17 @@ class CellCoord:
     #: Sender implementation driving the cell's traffic; ``"cubic"``
     #: rides the same marking fabric but reacts to loss, not marks.
     sender: str = "dctcp"
+    #: What tables and ``to_dict`` call the cell's protocol: the marking
+    #: scheme's label, or the upper-cased sender when it is not DCTCP.
+    #: Derived once, when the coordinate is built; not part of equality.
+    protocol: str = dataclasses.field(init=False, repr=False, compare=False)
 
-    @property
-    def protocol(self) -> str:
+    def __post_init__(self) -> None:
         if self.sender != "dctcp":
-            return self.sender.upper()
-        return scheme_for(self.thresholds).label
+            protocol = self.sender.upper()
+        else:
+            protocol = scheme_for(self.thresholds).label
+        object.__setattr__(self, "protocol", protocol)
 
     def label(self) -> str:
         return (

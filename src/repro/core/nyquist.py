@@ -21,7 +21,6 @@ import math
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.describing_function import neg_inv_relative_df
 from repro.core.marking import MarkingParams
@@ -82,6 +81,21 @@ def default_amplitude_grid(
     return params.amplitude_floor * np.geomspace(1.0 + 1e-6, max_ratio, n_points)
 
 
+def _scaled_gain(params: MarkingParams, loop_gain_scale: float) -> float:
+    """``K0 * scale``: the one place the loop-gain knob enters the loci.
+
+    A scale that is not positive and finite is refused: NaN or infinity
+    leaves no finite locus sample, which the margin reads as "no
+    oscillation", and a zero or negative scale collapses or flips the
+    locus into a verdict about a different loop.
+    """
+    if not (loop_gain_scale > 0 and math.isfinite(loop_gain_scale)):
+        raise ValueError(
+            f"loop_gain_scale must be positive and finite, got {loop_gain_scale}"
+        )
+    return params.characteristic_gain * loop_gain_scale
+
+
 def plant_locus(
     net: NetworkParams,
     params: MarkingParams,
@@ -89,10 +103,10 @@ def plant_locus(
     loop_gain_scale: float = 1.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(w, K0 * scale * G(jw))`` samples of the plant locus."""
+    gain = _scaled_gain(params, loop_gain_scale)
     if w is None:
         w = default_frequency_grid(net)
-    values = params.characteristic_gain * loop_gain_scale * open_loop(w, net)
-    return w, np.asarray(values)
+    return w, np.asarray(gain * open_loop(w, net))
 
 
 def df_locus(
@@ -130,7 +144,7 @@ def locus_gap(
     The left side of the characteristic equation; its roots are the
     intersections and the minimum of its modulus is the stability margin.
     """
-    gain = params.characteristic_gain * loop_gain_scale
+    gain = _scaled_gain(params, loop_gain_scale)
     return lambda w, x: (
         gain * complex(open_loop(w, net)) - neg_inv_relative_df(params, x)
     )
@@ -150,9 +164,11 @@ def phase_crossovers(
     ever-smaller magnitude; only those within the grid are returned,
     sorted by frequency.
     """
+    from scipy import optimize
+
+    gain = _scaled_gain(params, loop_gain_scale)
     if w is None:
         w = default_frequency_grid(net, n_points=20000)
-    gain = params.characteristic_gain * loop_gain_scale
 
     def locus_at(freq: float) -> complex:
         return gain * complex(open_loop(freq, net))
@@ -344,6 +360,8 @@ def find_intersections(
     Duplicate roots are merged.  An empty list means the DF method
     predicts no limit cycle.
     """
+    from scipy import optimize
+
     w_grid, plant_vals = plant_locus(net, params, loop_gain_scale=loop_gain_scale)
     x_grid, df_vals = df_locus(params)
     gap = locus_gap(net, params, loop_gain_scale)

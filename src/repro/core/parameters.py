@@ -58,12 +58,15 @@ class NetworkParams:
     g: float = 1.0 / 16.0
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
-        if self.n_flows <= 0:
-            raise ValueError(f"n_flows must be positive, got {self.n_flows}")
-        if self.rtt <= 0:
-            raise ValueError(f"rtt must be positive, got {self.rtt}")
+        # Written ``not (x > 0 and finite)``: NaN fails every comparison,
+        # so ``x <= 0`` would let it through to a locus of NaNs that the
+        # analysis reads as "infinitely far from oscillating".
+        for name in ("capacity", "n_flows", "rtt"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}"
+                )
         if not 0.0 < self.g < 1.0:
             raise ValueError(f"g must lie in (0, 1), got {self.g}")
 
@@ -81,12 +84,14 @@ class NetworkParams:
         ``capacity`` is expressed in packets per second, the unit used by
         the paper's fluid model.
         """
-        if bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth_bps must be positive, got {bandwidth_bps}")
-        if packet_size_bytes <= 0:
-            raise ValueError(
-                f"packet_size_bytes must be positive, got {packet_size_bytes}"
-            )
+        for name, value in (
+            ("bandwidth_bps", bandwidth_bps),
+            ("packet_size_bytes", packet_size_bytes),
+        ):
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}"
+                )
         capacity = bandwidth_bps / (8.0 * packet_size_bytes)
         return cls(capacity=capacity, n_flows=n_flows, rtt=rtt, g=g)
 

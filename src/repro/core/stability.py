@@ -37,7 +37,6 @@ import math
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.marking import MarkingParams
 from repro.core.nyquist import (
@@ -148,6 +147,8 @@ def stability_margin(
     the characteristic equation gains a solution.  The coarse grid
     minimum is polished with Nelder-Mead in (log w, log X).
     """
+    from scipy import optimize
+
     w_grid, plant_vals = plant_locus(net, params, loop_gain_scale=loop_gain_scale)
     x_grid, df_vals = df_locus(params)
     coarse, i, j = min_curve_distance(plant_vals, df_vals)

@@ -11,6 +11,7 @@ key order is checked too.
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +88,27 @@ percentile_sets = st.one_of(
 @given(fcts=samples, censored=st.integers(0, 60), percentiles=percentile_sets)
 def test_aggregate_matches_oracle(fcts, censored, percentiles):
     assert_same_aggregate(fcts, len(fcts) + censored, percentiles)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fcts=samples, censored=st.integers(0, 60), base_fct=magnitudes)
+def test_slowdown_array_matches_the_per_fct_list(fcts, censored, base_fct):
+    """``run_campaign`` divides the pooled sample by the base FCT as one
+    array; the per-FCT list it replaced gives the same bits, so both
+    aggregates (sort, percentiles, pairwise mean) do too."""
+    as_list = [fct / base_fct for fct in fcts]
+    as_array = np.asarray(fcts, dtype=float) / base_fct
+    assert [v.hex() for v in as_list] == [
+        float(v).hex() for v in as_array
+    ]
+    n_started = len(fcts) + censored
+    new = aggregate_fcts(as_array, n_started)
+    old = aggregate_fcts(as_list, n_started)
+    for field in dataclasses.fields(FctAggregate):
+        assert exact(getattr(new, field.name)) == exact(
+            getattr(old, field.name)
+        ), field.name
+    assert exact(new.to_dict()) == exact(old.to_dict())
 
 
 @pytest.mark.parametrize(
@@ -224,6 +246,8 @@ def test_every_field_is_serialised_in_order():
     assert list(payload["grid"]) == names(CampaignGrid) + ["invariants"]
     for cell in payload["cells"]:
         assert list(cell) == names(CellSummary)
-        assert list(cell["coord"]) == names(CellCoord) + ["protocol"]
+        # ``protocol`` is a derived field, declared last.
+        assert list(cell["coord"]) == names(CellCoord)
+        assert names(CellCoord)[-1] == "protocol"
         for aggregate in (cell["fct"], cell["fct_slowdown"]):
             assert list(aggregate) == names(FctAggregate)

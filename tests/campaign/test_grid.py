@@ -1,5 +1,6 @@
 """Campaign grid expansion and cache-key stability."""
 
+import dataclasses
 import json
 
 import pytest
@@ -169,6 +170,36 @@ class TestSenderAxis:
             CellCoord((65.0,), "space-dc", 0.1, 2, sender="cubic").protocol
             == "CUBIC"
         )
+
+    @pytest.mark.parametrize("thresholds", [(40.0,), (30.0, 50.0), (65.0,)])
+    @pytest.mark.parametrize("sender", sorted(PROTOCOLS))
+    def test_protocol_is_computed_once_from_the_other_fields(
+        self, thresholds, sender
+    ):
+        coord = CellCoord(thresholds, "buildup", 0.2, 0, sender=sender)
+        expected = (
+            scheme_for(thresholds).label if sender == "dctcp"
+            else sender.upper()
+        )
+        assert coord.protocol == expected
+        assert vars(coord)["protocol"] == expected  # stored, not a property
+
+    def test_replace_recomputes_protocol(self):
+        coord = CellCoord((40.0,), "buildup", 0.2, 0)
+        assert dataclasses.replace(coord, thresholds=(30.0, 50.0)).protocol == (
+            "K1=30,K2=50"
+        )
+        assert dataclasses.replace(coord, sender="cubic").protocol == "CUBIC"
+        with pytest.raises(ValueError):
+            dataclasses.replace(coord, protocol="K=1")
+
+    def test_equality_and_hash_ignore_protocol(self):
+        a = CellCoord((40.0,), "buildup", 0.2, 0)
+        b = CellCoord((40.0,), "buildup", 0.2, 0)
+        object.__setattr__(b, "protocol", "something else")
+        assert a == b
+        assert hash(a) == hash(b)
+        assert "protocol" not in repr(a)
 
     @pytest.mark.parametrize("overrides", [
         dict(senders=("dctcp",)),                  # length mismatch

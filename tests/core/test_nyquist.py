@@ -11,6 +11,7 @@ from repro.core.nyquist import (
     default_frequency_grid,
     df_locus,
     find_intersections,
+    locus_gap,
     min_curve_distance,
     phase_crossovers,
     plant_locus,
@@ -104,6 +105,34 @@ class TestPhaseCrossovers:
         scaled = principal_phase_crossover(net, dc, loop_gain_scale=3.0)
         assert scaled.magnitude == pytest.approx(3.0 * base.magnitude, rel=1e-6)
         assert scaled.frequency == pytest.approx(base.frequency, rel=1e-6)
+
+
+#: Gain scales with no loop behind them: NaN and infinity turned every
+#: locus sample into NaN (margin inf, "stable"), -1 flipped the locus
+#: onto the DF locus (margin 1.8e-15) and 0 collapsed it (margin pi).
+BAD_SCALES = [math.nan, math.inf, 0.0, -1.0]
+
+
+class TestLoopGainScaleRefused:
+    @pytest.mark.parametrize("bad", BAD_SCALES)
+    def test_plant_locus(self, net, dc, bad):
+        with pytest.raises(ValueError, match="^loop_gain_scale must be"):
+            plant_locus(net, dc, loop_gain_scale=bad)
+
+    @pytest.mark.parametrize("bad", BAD_SCALES)
+    def test_locus_gap(self, net, dc, bad):
+        with pytest.raises(ValueError, match="^loop_gain_scale must be"):
+            locus_gap(net, dc, loop_gain_scale=bad)
+
+    @pytest.mark.parametrize("bad", BAD_SCALES)
+    def test_phase_crossovers(self, net, dc, bad):
+        with pytest.raises(ValueError, match="^loop_gain_scale must be"):
+            phase_crossovers(net, dc, loop_gain_scale=bad)
+
+    @pytest.mark.parametrize("bad", BAD_SCALES)
+    def test_find_intersections(self, net, dc, bad):
+        with pytest.raises(ValueError, match="^loop_gain_scale must be"):
+            find_intersections(net, dc, loop_gain_scale=bad)
 
 
 class TestMinCurveDistance:

@@ -75,6 +75,28 @@ class TestNetworkParams:
         with pytest.raises(ValueError):
             NetworkParams.from_bandwidth(1e9, 1, 1e-4, packet_size_bytes=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["capacity", "n_flows", "rtt"])
+    def test_non_finite_parameters_rejected_by_name(self, field, bad):
+        """Regression: ``nan <= 0`` is false, so a NaN (or infinite)
+        capacity, flow count or RTT used to build a network whose locus
+        is all NaN - and ``analyze`` called it stable with margin inf."""
+        kwargs = {"capacity": 1e5, "n_flows": 1, "rtt": 1e-4, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be positive"):
+            NetworkParams(**kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_with_flows_rejects_non_finite_counts(self, bad):
+        with pytest.raises(ValueError, match="^n_flows must be positive"):
+            paper_network(10).with_flows(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["bandwidth_bps", "packet_size_bytes"])
+    def test_from_bandwidth_rejects_non_finite_by_name(self, field, bad):
+        kwargs = {"bandwidth_bps": 1e9, "packet_size_bytes": 1500, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be positive"):
+            NetworkParams.from_bandwidth(n_flows=1, rtt=1e-4, **kwargs)
+
 
 class TestOperatingPoint:
     def test_fixed_point_solves_fluid_equations(self):

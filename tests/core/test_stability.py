@@ -94,6 +94,20 @@ class TestStabilityMargin:
         assert margins[55] < margins[100]
 
 
+class TestLoopGainScaleRefused:
+    """Every verdict goes through the loci, which refuse the scale."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_stability_margin(self, bad):
+        with pytest.raises(ValueError, match="^loop_gain_scale must be"):
+            stability_margin(paper_network(60), DC, loop_gain_scale=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_analyze(self, bad):
+        with pytest.raises(ValueError, match="^loop_gain_scale must be"):
+            analyze(paper_network(60), DC, loop_gain_scale=bad)
+
+
 class TestLimitCycle:
     def test_none_when_stable(self):
         assert predicted_limit_cycle(paper_network(60), DC) is None
@@ -144,6 +158,12 @@ class TestCriticalFlowCount:
 
 
 class TestCalibration:
+    def test_non_finite_onset_names_the_field(self):
+        """Regression: a NaN onset used to surface as "plant locus has
+        no negative-real-axis crossing"."""
+        with pytest.raises(ValueError, match="^n_flows must be positive"):
+            calibrate_gain_scale(paper_network(10), DC, onset_flows=math.nan)
+
     def test_scale_reproduces_figure9_convention(self, calibrated_scale):
         # Crossover magnitude 0.58 -> scale ~ pi / 0.58 ~ 5.4.
         assert calibrated_scale == pytest.approx(math.pi / 0.58, rel=0.02)

@@ -151,40 +151,66 @@ def test_names_are_imported_from_their_defining_module():
     assert offenders == []
 
 
-def test_only_the_analysis_loads_scipy():
-    """A simulator process, an executor worker and every CLI command but
-    ``analyze`` import no ``scipy``: it costs ~0.5 s and ~46 MB, and only
-    ``core.nyquist`` / ``core.stability`` and the stages built on them
-    call it."""
-    census = textwrap.dedent(
-        """
-        import importlib, pkgutil, sys
-
-        for name in ("sim", "exec", "campaign", "stats", "lint", "fluid"):
-            package = importlib.import_module(f"repro.{name}")
-            for module in pkgutil.walk_packages(
-                package.__path__, f"repro.{name}."
-            ):
-                importlib.import_module(module.name)
-        for stage in (
-            "queue_sweep", "fig01_oscillation", "fig14_incast",
-            "fig15_completion_time", "queue_buildup", "buffer_pressure",
-            "convergence", "deadlines",
-        ):
-            importlib.import_module(f"repro.experiments.{stage}")
-        import repro.cli
-
-        repro.cli.build_parser()
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-        """
-    )
+def _run_python(code):
     done = subprocess.run(
-        [sys.executable, "-c", census],
+        [sys.executable, "-c", textwrap.dedent(code)],
         env={**os.environ, "PYTHONPATH": str(PROJECT_ROOT / "src")},
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_only_the_analysis_loads_scipy():
+    """Importing any module under ``repro`` loads no ``scipy``: it costs
+    ~0.5 s and ~43 MB, and only the four solver functions
+    (``nyquist.phase_crossovers`` / ``find_intersections``,
+    ``stability.stability_margin``, ``df_bias.predicted_dt_amplitude``)
+    call it - they import it when first called."""
+    census = """
+        import importlib, pkgutil, sys
+
+        import repro
+
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(module.name)
+        for name in (
+            "repro.core", "repro.core.nyquist", "repro.core.stability",
+            "repro.experiments.df_bias", "repro.experiments.runner",
+            "repro.experiments.report", "repro.cli",
+        ):
+            assert name in sys.modules, name
+        repro.cli.build_parser()
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    assert _run_python(census) == "[]"
+
+
+def test_first_solve_loads_scipy():
+    """The deferral is a deferral: the first root-find still loads
+    ``scipy.optimize``, so the dependency has not silently gone."""
+    solve = """
+        import sys
+
+        import repro.core.nyquist as nyquist
+        from repro.core.parameters import paper_dctcp, paper_network
+
+        assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert nyquist.phase_crossovers(paper_network(10), paper_dctcp())
+        print("scipy.optimize" in sys.modules)
+        """
+    assert _run_python(solve) == "True"
+
+
+def test_no_module_level_scipy_import():
+    offenders = [
+        f"{path.relative_to(PROJECT_ROOT)}:{node.lineno}"
+        for path in sorted((PROJECT_ROOT / "src").rglob("*.py"))
+        for node in _module_level_imports(path)
+        for target in _imported_modules(node)
+        if target.split(".")[0] == "scipy"
+    ]
+    assert offenders == []
 
 
 def _imported_modules(node):
