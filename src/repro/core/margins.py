@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.marking import MarkingParams
+from repro.core.nyquist import _scaled_gain
 from repro.core.parameters import NetworkParams
 from repro.core.transfer_function import open_loop
 
@@ -71,7 +72,14 @@ def classical_margins(
     loop_gain_scale: float = 1.0,
     n_grid: int = 60000,
 ) -> LoopMargins:
-    """Margins of ``L(jw) = N(X) * scale * G(jw)`` at fixed amplitude."""
+    """Margins of ``L(jw) = N(X) * scale * G(jw)`` at fixed amplitude.
+
+    ``loop_gain_scale`` must be positive and finite, as for the loci
+    (:func:`repro.core.nyquist._scaled_gain` refuses it otherwise): a
+    NaN, infinite or zero scale would read as an infinite gain margin,
+    and a negative one as the margin of a sign-flipped loop.
+    """
+    _scaled_gain(params, loop_gain_scale)
     if amplitude is None:
         amplitude = params.worst_case_amplitude()
     df_value = params.df(amplitude)

@@ -327,8 +327,10 @@ class DoubleThresholdMarker:
     """
 
     def __init__(self, params: DoubleThresholdParams, deadband: float = 0.0):
-        if deadband < 0:
-            raise ValueError(f"deadband must be >= 0, got {deadband}")
+        # Not ``deadband < 0``: NaN passes that test, and a NaN or
+        # infinite deadband would hold the band's state forever.
+        if not (deadband >= 0 and math.isfinite(deadband)):
+            raise ValueError(f"deadband must be >= 0 and finite, got {deadband}")
         self.params = params
         self.deadband = deadband
         self._marking = False

@@ -8,6 +8,7 @@ from repro.core.margins import classical_margins
 from repro.core.parameters import (
     DoubleThresholdParams,
     SingleThresholdParams,
+    paper_dctcp,
     paper_network,
 )
 from repro.core.stability import calibrate_gain_scale
@@ -99,3 +100,17 @@ class TestMargins:
         assert margins.gain_margin_db == pytest.approx(
             20 * math.log10(margins.gain_margin)
         )
+
+
+class TestRefusedGainScale:
+    """A scale that is not positive and finite is refused, as the loci
+    refuse it: NaN, infinity and zero all read as an infinite gain
+    margin (a "stable" loop), and -1 as the margin of a sign-flipped
+    loop."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_non_positive_or_non_finite_scale(self, bad):
+        with pytest.raises(ValueError, match="loop_gain_scale"):
+            classical_margins(
+                paper_network(30), paper_dctcp(), loop_gain_scale=bad
+            )

@@ -116,6 +116,13 @@ class TestDoubleThresholdMarker:
         with pytest.raises(ValueError):
             DoubleThresholdMarker.from_thresholds(30.0, 50.0, deadband=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_deadband_rejected(self, bad):
+        """Either would hold the band's state forever: a queue rising
+        35 -> 40 -> 45 inside the band would never mark."""
+        with pytest.raises(ValueError, match="deadband"):
+            DoubleThresholdMarker.from_thresholds(30.0, 50.0, deadband=bad)
+
     def test_equal_thresholds_degenerate_to_relay(self):
         m = DoubleThresholdMarker.from_thresholds(40.0, 40.0)
         relay = SingleThresholdMarker.from_threshold(40.0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.marking import DoubleThresholdMarker, SingleThresholdMarker
 from repro.core.parameters import paper_dctcp, paper_dt_dctcp, paper_network
@@ -104,6 +106,27 @@ class TestSimulateBasics:
         with pytest.raises(ValueError):
             simulate(
                 fluid_model(net, paper_dctcp()), duration=0.001, record_every=0
+            )
+
+    def test_rejects_fractional_record_every(self, net):
+        """``step % 2.5 == 0`` would keep every fifth step, not every
+        2.5th: a fraction is refused rather than silently reinterpreted."""
+        with pytest.raises(ValueError, match="record_every"):
+            simulate(
+                fluid_model(net, paper_dctcp()), duration=0.001,
+                record_every=2.5,
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["window", "alpha", "queue"])
+    def test_rejects_non_finite_initial_state(self, net, field, bad):
+        """A non-finite start would turn the whole trace into NaN."""
+        start = dict(window=(5.0,), alpha=(0.5,), queue=10.0)
+        start[field] = bad if field == "queue" else (bad,)
+        with pytest.raises(ValueError, match=f"initial_state.{field}"):
+            simulate(
+                fluid_model(net, paper_dctcp()), duration=0.001,
+                initial_state=FluidState(**start),
             )
 
 
@@ -235,6 +258,155 @@ class TestFlowClasses:
         """Every mix holds its queue around K = 40."""
         _, trace = mix_trace
         assert 20 < trace.after(0.01).mean_queue < 70
+
+
+def rk4_reference(model, state, dt, n_steps):
+    """``n_steps`` of classical RK4 built from the model's one-call
+    definitions - :meth:`FluidModel.class_rhs`, :meth:`~FluidModel.queue_rate`
+    and :meth:`~FluidModel.marking` - with the projections written as
+    ``max``/``min``.  Returns one ``(t, windows, alphas, q, p)`` row per
+    step, the start included.
+
+    The marking history is every step's sample, read by a linear scan:
+    ``p(s) = 0`` for ``s <= 0``, else the sample at the last ``k * dt``
+    at or before ``s``.
+    """
+    m = len(model.classes)
+    rhs = [model.class_rhs(i) for i in range(m)]
+    rtts = [c.rtt for c in model.classes]
+    buffer = math.inf if model.buffer_packets is None else model.buffer_packets
+    model.marker.reset()
+    w = [max(x, 1.0) for x in state.window]
+    a = [min(max(x, 0.0), 1.0) for x in state.alpha]
+    q = min(max(state.queue, 0.0), buffer)
+    marks = [model.marking(q)]
+
+    def p(s):
+        if s <= 0.0:
+            return 0.0
+        k = 0
+        while k + 1 < len(marks) and (k + 1) * dt <= s:
+            k += 1
+        return marks[k]
+
+    def slopes(ws, alphas, qs, ps):
+        dw, da, inflow = [], [], 0.0
+        for i in range(m):
+            w_rate, a_rate, f = rhs[i](ws[i], alphas[i], qs, ps[i])
+            dw.append(w_rate)
+            da.append(a_rate)
+            inflow += f
+        return dw, da, model.queue_rate(inflow, qs)
+
+    def ahead(x, h, k):
+        return [x[i] + h * k[i] for i in range(m)]
+
+    def rk4(x, k1, k2, k3, k4):
+        return [
+            x[i] + dt * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) / 6.0
+            for i in range(m)
+        ]
+
+    rows = [(0.0, list(w), list(a), q, marks[0])]
+    half = 0.5 * dt
+    t = 0.0
+    for step in range(1, n_steps + 1):
+        p1 = [p(t - r) for r in rtts]
+        p2 = [p(t + half - r) for r in rtts]
+        p4 = [p(t + dt - r) for r in rtts]
+        w1, a1, q1 = slopes(w, a, q, p1)
+        qs = max(0.0, q + half * q1)
+        w2, a2, q2 = slopes(ahead(w, half, w1), ahead(a, half, a1), qs, p2)
+        qs = max(0.0, q + half * q2)
+        w3, a3, q3 = slopes(ahead(w, half, w2), ahead(a, half, a2), qs, p2)
+        qs = max(0.0, q + dt * q3)
+        w4, a4, q4 = slopes(ahead(w, dt, w3), ahead(a, dt, a3), qs, p4)
+        w = [max(x, 1.0) for x in rk4(w, w1, w2, w3, w4)]
+        a = [min(max(x, 0.0), 1.0) for x in rk4(a, a1, a2, a3, a4)]
+        q = min(max(q + dt * (q1 + 2 * q2 + 2 * q3 + q4) / 6.0, 0.0), buffer)
+        t = step * dt
+        marks.append(model.marking(q))
+        rows.append((t, list(w), list(a), q, marks[-1]))
+    return rows
+
+
+@st.composite
+def fluid_starts(draw):
+    """``(model, initial state, dt, steps)`` over 1-3 flow classes and
+    both schemes, in one of three regimes: a random finite start (out
+    of range included, with or without a buffer), an empty or
+    nearly empty queue the flows drain (it must hold at zero), or a
+    full or nearly full finite buffer the flows overfill (it must hold
+    at the buffer).
+
+    At most 8 flows per class keep one-packet windows below the
+    bottleneck rate; windows of 600 or more exceed it.
+    """
+    m = draw(st.integers(1, 3))
+    classes = [
+        FlowClass(draw(st.integers(1, 8)), draw(st.floats(5e-5, 3e-4)))
+        for _ in range(m)
+    ]
+    marker = draw(st.sampled_from([dc_marker, dt_marker]))()
+    regime = draw(st.sampled_from(["random", "draining", "filling"]))
+    alphas = tuple(draw(st.floats(-0.5, 1.5)) for _ in range(m))
+    if regime == "random":
+        buffer = draw(st.one_of(st.none(), st.floats(20.0, 200.0)))
+        windows = tuple(draw(st.floats(-5.0, 200.0)) for _ in range(m))
+        queue = draw(st.floats(-20.0, 300.0))
+    elif regime == "draining":
+        buffer = None
+        windows = (1.0,) * m
+        queue = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    else:
+        buffer = draw(st.floats(20.0, 200.0))
+        windows = tuple(draw(st.floats(600.0, 2000.0)) for _ in range(m))
+        queue = draw(st.floats(buffer - 10.0, buffer))
+    g = draw(st.floats(0.01, 0.99))
+    model = FluidModel(CAPACITY, classes, marker, g=g, buffer_packets=buffer)
+    dt = min(c.rtt for c in classes) / draw(st.integers(1, 8))
+    steps = draw(st.integers(1, 20))
+    return model, FluidState(windows, alphas, queue), dt, steps
+
+
+def overshoot(n_flows, rtt, g, window, alpha, queue, steps):
+    """One DCTCP class stepped at ``dt = R`` with a large ``g``: RK4
+    overshoots, and the step's projections do work."""
+    model = FluidModel(CAPACITY, [FlowClass(n_flows, rtt)], dc_marker(), g=g)
+    return model, FluidState((window,), (alpha,), queue), rtt, steps
+
+
+class TestInlineStages:
+    @given(start=fluid_starts())
+    # Random draws seldom push a step outside the physical region, so
+    # these three (found by search) pin the projections: alpha above
+    # one, alpha below zero, and the window below one packet.
+    @example(start=overshoot(3, 5.93e-5, 0.894, 0.97, -0.125, 46.1, 4))
+    @example(start=overshoot(2, 6.36e-5, 0.761, 4.88, 0.657, 69.7, 15))
+    @example(start=overshoot(1, 5.82e-5, 0.985, 3.36, 1.37, 43.3, 13))
+    @settings(max_examples=80, deadline=None)
+    def test_simulate_equals_rk4_of_the_model_definitions(self, start):
+        """The step's inline stages are ``class_rhs``, ``queue_rate`` and
+        ``marking`` written out: every sample equals, bit for bit, the
+        RK4 step that calls them."""
+        model, state, dt, steps = start
+        trace = simulate(model, steps * dt, dt=dt, initial_state=state)
+        want = rk4_reference(model, state, dt, steps)
+        got = [
+            (t, list(w), list(a), q, p)
+            for t, w, a, q, p in zip(
+                trace.time.tolist(), trace.window.tolist(),
+                trace.alpha.tolist(), trace.queue.tolist(),
+                trace.marking.tolist(),
+            )
+        ]
+        assert len(got) == len(want) == steps + 1
+
+        def hexed(row):
+            t, w, a, q, p = row
+            return [x.hex() for x in (t, *w, *a, q, p)]
+
+        assert [hexed(row) for row in got] == [hexed(row) for row in want]
 
 
 class TestFluidTrace:
